@@ -46,13 +46,13 @@ target = np.exp(-0.5 / grid)
 print(f"  sup |ecdf - limit| = {np.max(np.abs(ecdf - target)):.5f}")
 print(f"  analytic distortion distance s(n) = {movingmax_s(n, 1):.2e}, max MC se = {np.max(se):.5f}")
 
-print("\nexchangeable mixture sampler vs its quadrature diagonal (theta = 0.8)")
+print("\nexchangeable mixture sampler vs its closed-form diagonal (theta = 0.8)")
 fam = make_diagonal("efgm", theta=0.8)
 from maxdep import EfgmExchangeable
 
 for i, (n, u) in enumerate([(2, 0.6), (4, 0.9)]):
     est = empirical_diagonal(EfgmExchangeable(0.8), n, u, 100_000, RngStream(3, i))
-    print(f"  n={n} u={u}: mc = {est.value:.5f} +- {est.std_error:.5f}, quadrature = {float(fam(n, u)):.5f}")
+    print(f"  n={n} u={u}: mc = {est.value:.5f} +- {est.std_error:.5f}, exact = {float(fam(n, u)):.5f}")
 
 print("\nequicorrelated normals: maxima -> N(0, rho) under d_n = sqrt(1-rho)*b_n, c_n = 1")
 rho = 0.5

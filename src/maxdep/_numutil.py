@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
@@ -38,15 +40,110 @@ def golden_max(f, a: float, b: float, tol: float = 1e-12) -> tuple[float, float]
     return x, max(yc, yd)
 
 
-def bisect_increasing(f, target: float, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Solve f(x) = target for nondecreasing f by bisection on [lo, hi]."""
-    flo, fhi = f(lo), f(hi)
-    if not (flo <= target <= fhi):
-        raise ValueError("target not bracketed by [f(lo), f(hi)]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) < target:
-            lo = mid
+def solve_increasing(f, target, lo, hi, tol: float = 1e-12):
+    """Solve f(x) = target for nondecreasing f, elementwise over arrays.
+
+    target, lo and hi broadcast to one shape, and every element needs
+    f(lo) <= target <= f(hi).  f maps an array of x values to f(x), or to a
+    pair (f(x), f'(x)).
+
+    With a slope each step is a Newton step from the last iterate, or a
+    regula falsi step where Newton's would leave the bracket, and an element
+    stops once the Newton step it would take next is within tol, after
+    taking that step (near a simple root its error is about the square of
+    the step).  Without one each step is an Illinois (modified regula falsi)
+    step, and an element stops once its bracket is within tol.  Either way
+    every element keeps its bracket, and a step that would leave it, or that
+    fails to shrink its measure (step length with a slope, bracket width
+    without) below half of its value two steps earlier, is replaced by
+    bisection.  tol never goes below a few ulps of x.
+
+    f is called once on both ends together and then once per step, on the
+    elements still moving only.  Floating-point warnings inside f are
+    silenced: the ends of a wide bracket may overflow or underflow it, and
+    a non-finite step falls back to bisection.  Returns a float for scalar
+    input.
+    """
+    eps4 = 4.0 * np.finfo(float).eps
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a, b, y = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lo, hi, target)))
+        shape, n = y.shape, y.size
+        a, b, y = a.ravel(), b.ravel(), y.ravel()
+        ends, slopes = _value_slope(f(np.concatenate((a, b))))
+        fa, fb = ends[:n] - y, ends[n:] - y
+        if not ((fa <= 0.0).all() and (fb >= 0.0).all()):
+            raise ValueError("target not bracketed by [f(lo), f(hi)]")
+        newton = slopes is not None
+        start_lo = np.abs(fa) <= np.abs(fb)
+        x = np.where(start_lo, a, b)
+        fx = np.where(start_lo, fa, fb)
+        floor = tol + eps4 * np.abs(x)
+        stop = (fx == 0.0) | (b - a <= floor)
+        if newton:
+            # the Newton step each element would take next; a step within tol
+            # is taken without a check (near a simple root its error is about
+            # its square), and an infinite slope never stops an element
+            dx = np.where(start_lo, slopes[:n], slopes[n:])
+            step = -fx / dx
+            small = (np.abs(step) <= floor) & (dx < np.inf)
+            stop |= small
+            x = np.where(small, x + step, x)
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            step = np.zeros(n)  # unused without a slope
+        out = x.copy()
+        before = last = np.full(n, np.inf)  # the step measure two and one steps back
+        side = None if newton else np.zeros(n, dtype=np.int8)  # end replaced last: -1 lo, +1 hi
+        idx = np.arange(n)
+        # the state arrays hold the elements still moving, idx their places in out
+        while True:
+            if np.count_nonzero(stop):
+                keep = ~stop
+                idx, a, b, fa, fb, y, x, step, before, last = (
+                    v[keep] for v in (idx, a, b, fa, fb, y, x, step, before, last))
+                side = None if newton else side[keep]
+                if not idx.size:
+                    break
+            if newton:
+                c = x + step
+                measure = np.abs(step)
+            else:
+                c = (a * fb - b * fa) / (fb - fa)
+                measure = b - a
+            bad = ~((c > a) & (c < b)) | (measure > 0.5 * before)
+            if np.count_nonzero(bad):
+                if newton:
+                    # regula falsi where the Newton step fails, bisection where that fails too
+                    c = np.where(bad, (a * fb - b * fa) / (fb - fa), c)
+                    bad &= ~((c > a) & (c < b)) | (np.abs(c - x) > 0.5 * before)
+                c = np.where(bad, 0.5 * (a + b), c)
+                if newton:
+                    measure = np.abs(c - x)
+            before, last = last, measure
+            fc, dc = _value_slope(f(c))
+            fc = fc - y
+            low, high = fc < 0.0, fc > 0.0
+            if not newton:
+                # Illinois: halve the stored value of an end kept twice running
+                fb = np.where(low & (side == -1), 0.5 * fb, fb)
+                fa = np.where(high & (side == 1), 0.5 * fa, fa)
+                side = np.where(low, -1, np.where(high, 1, 0)).astype(np.int8)
+            a, fa = np.where(high, a, c), np.where(low, fc, fa)
+            b, fb = np.where(low, b, c), np.where(high, fc, fb)
+            x = c
+            floor = tol + eps4 * np.abs(c)
+            stop = (fc == 0.0) | (b - a <= floor)
+            if newton:
+                step = -fc / dc
+                small = (np.abs(step) <= floor) & (dc < np.inf)
+                stop |= small
+                out[idx] = np.where(small, c + step, c)
+            else:
+                out[idx] = c
+    out = out.reshape(shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def _value_slope(out):
+    if isinstance(out, tuple):
+        return np.asarray(out[0], dtype=float), np.asarray(out[1], dtype=float)
+    return np.asarray(out, dtype=float), None

@@ -28,20 +28,28 @@ class UsageError(ValueError):
 
 
 def _parse_n_schedule(spec: str) -> list[int]:
-    """Explicit list '100,1000' or geometric shorthand '2^4..2^10'."""
+    """Explicit list '100,1000' (entries may be written 2^k) or geometric shorthand '2^4..2^10'."""
     spec = spec.strip()
     if ".." in spec:
         lo, hi = spec.split("..")
         if not (lo.startswith("2^") and hi.startswith("2^")):
             raise UsageError(f"bad n schedule {spec!r}; use e.g. 2^4..2^12")
-        a, b = int(lo[2:]), int(hi[2:])
+        a, b = _pow2_exponent(lo, spec), _pow2_exponent(hi, spec)
         if b < a:
             raise UsageError("empty n schedule")
         return [2**e for e in range(a, b + 1)]
     try:
-        return [int(tok) for tok in spec.split(",") if tok]
+        tokens = [tok.strip() for tok in spec.split(",") if tok.strip()]
+        return [2 ** _pow2_exponent(tok, spec) if tok.startswith("2^") else int(tok) for tok in tokens]
     except ValueError as exc:
         raise UsageError(f"bad n schedule {spec!r}") from exc
+
+
+def _pow2_exponent(tok: str, spec: str) -> int:
+    """k of a '2^k' token; k must be a nonnegative integer."""
+    if not tok[2:].isdigit():
+        raise UsageError(f"bad n schedule {spec!r}; exponents are nonnegative integers")
+    return int(tok[2:])
 
 
 def _parse_grid(spec: str) -> np.ndarray:

@@ -5,28 +5,21 @@ probability that the maximum of n dependent standard uniforms stays below u.
 Raising the argument to 1/r_n for a positive rate r gives the diagonal power
 distortion delta_n(u^(1/r_n)), whose n -> infinity limit is the distortion
 factor of the corresponding limit law.  Every dependence model treated in
-this package appears here with its diagonal in analytic (or quadrature) form
-and, where one exists, its canonical rate and limiting distortion.
+this package appears here with its diagonal in closed form and, where one
+exists, its canonical rate and limiting distortion.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import roots_legendre
 
 from ._numutil import golden_max
 from .distortions import Distortion, archimedean_limit, efgm_limit, power
 from .generators import ArchGenerator, builtin_generator
-
-# Largest Gauss-Legendre rule kept exact for the mixture diagonal; beyond the
-# corresponding n the evaluation falls back to adaptive quadrature.
-_MAX_GL_NODES = 8192
 
 
 @dataclass(frozen=True)
@@ -168,38 +161,30 @@ def archimax_diagonal(g: ArchGenerator, eta: Callable[[int], float], tag: str | 
     )
 
 
-@lru_cache(maxsize=64)
-def _gl_nodes(m: int):
-    x, w = roots_legendre(m)
-    return 0.5 * (x + 1.0), 0.5 * w  # mapped to [0, 1]
-
-
 def efgm_mixture_diagonal(theta: float) -> DiagonalFamily:
     """Exchangeable mixture diagonal int_0^1 (u + theta*u*(u-1)*(2t-1))^n dt.
 
-    The integrand is a degree-n polynomial in t, so a Gauss-Legendre rule
-    with n//2 + 1 nodes integrates it exactly; adaptive quadrature (abs tol
-    1e-10) takes over when the node count would be excessive.
+    The integrand is the n-th power of a linear function of t running from
+    lo = u - c to hi = u + c, c = |theta|*u*(1-u), so the integral is
+    (hi^(n+1) - lo^(n+1)) / (2c(n+1)) = hi^n * (1 - (1-e)^(n+1)) / ((n+1)*e)
+    with e = 2c/hi = 2|theta|(1-u) / (1 + |theta|(1-u)).  It is evaluated in
+    log space, with log(1-e) = log1p(-e) and, where hi >= 1/2, log hi =
+    log1p(-(1-u)*(1-|theta|*u)); both keep full relative accuracy for tiny
+    theta and for u near 1.  At e = 0 (theta = 0) it is hi^n = u^n.
     """
     if not (-1.0 <= theta <= 1.0):
         raise ValueError(f"theta must lie in [-1, 1], got {theta}")
+    th = abs(theta)
 
     def fn(n: int, u):
-        scalar = np.ndim(u) == 0
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        m = n // 2 + 1
-        if m <= _MAX_GL_NODES:
-            t, w = _gl_nodes(m)
-            base = u[:, None] + theta * (u * (u - 1.0))[:, None] * (2.0 * t - 1.0)[None, :]
-            out = (base**n) @ w
-        else:
-            out = np.array(
-                [
-                    quad(lambda t, uu=uu: (uu + theta * uu * (uu - 1.0) * (2.0 * t - 1.0)) ** n, 0.0, 1.0, epsabs=1e-10)[0]
-                    for uu in u
-                ]
-            )
-        return out[0] if scalar else out
+        u = np.asarray(u, dtype=float)
+        hi = u + th * u * (1.0 - u)
+        e = 2.0 * th * (1.0 - u) / (1.0 + th * (1.0 - u))
+        m = n + 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_hi = np.where(hi >= 0.5, np.log1p(-(1.0 - u) * (1.0 - th * u)), np.log(hi))
+            log_mean = np.log(-np.expm1(m * np.log1p(-e))) - np.log(m * e)
+        return np.exp(n * log_hi + np.where(e > 0.0, log_mean, 0.0))
 
     return DiagonalFamily(
         fn=fn,
@@ -270,6 +255,10 @@ def power_distortion(fam: DiagonalFamily, r: RateFn | None, n: int, u):
     return float(out) if out.ndim == 0 else out
 
 
+# log(-log u) from u = 1 - 2^-53 down to the smallest positive double
+_LOGLOG_SPAN = (math.log(2.0**-53), math.log(-math.log(math.ulp(0.0))))
+
+
 def distortion_sup_distance(
     fam: DiagonalFamily,
     r: RateFn | None,
@@ -277,20 +266,30 @@ def distortion_sup_distance(
     D: Distortion,
     grid_size: int = 1000,
 ) -> float:
-    """sup_u |delta_n(u^(1/r_n)) - D(u)| via grid scan plus golden-section refine."""
+    """sup_u |delta_n(u^(1/r_n)) - D(u)| by grid scans plus golden-section refines.
+
+    One grid is linear in u; the other is linear in log(-log u) over the
+    whole double range, so it also finds suprema pressed against u = 0 or
+    u = 1 (for Clayton, D decays only like a power of -log u, and the
+    supremum at n = 64 sits near u = e^-298).  The scan with the larger
+    maximum is refined around its argmax.
+    """
     if grid_size < 100:
         raise ValueError("grid_size must be at least 100")
-    grid = np.linspace(0.0, 1.0, grid_size)
-    diff = np.abs(power_distortion(fam, r, n, grid) - np.asarray(D.cdf(grid), dtype=float))
-    i = int(np.argmax(diff))
-    best = float(diff[i])
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid_size - 1)]
 
-    def objective(u):
-        return abs(float(power_distortion(fam, r, n, u)) - float(D.cdf(u)))
+    def gap(u):
+        return np.abs(power_distortion(fam, r, n, u) - np.asarray(D.cdf(u), dtype=float))
 
-    _, refined = golden_max(objective, float(lo), float(hi), tol=1e-12)
+    scans = []
+    for grid, to_u in (
+        (np.linspace(0.0, 1.0, grid_size), lambda x: x),
+        (np.linspace(*_LOGLOG_SPAN, grid_size), lambda w: np.exp(-np.exp(w))),
+    ):
+        diff = gap(to_u(grid))
+        i = int(np.argmax(diff))
+        scans.append((float(diff[i]), grid[max(i - 1, 0)], grid[min(i + 1, grid_size - 1)], to_u))
+    best, lo, hi, to_u = max(scans, key=lambda scan: scan[0])
+    _, refined = golden_max(lambda x: float(gap(to_u(x))), float(lo), float(hi), tol=1e-12)
     return max(best, refined)
 
 

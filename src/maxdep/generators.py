@@ -16,7 +16,13 @@ from typing import Callable
 
 import numpy as np
 
-_BISECT_LO, _BISECT_HI = 1e-12, 1e12  # bracket for numeric generator inversion
+from ._numutil import solve_increasing
+
+# bracket grid of the numeric inverse: log t from the smallest positive double
+# to the largest, through -512, ..., -1, 1, ..., 512
+_LOG_T_GRID = np.array(
+    [math.log(math.ulp(0.0)), *(-(2.0**k) for k in range(9, -1, -1)), *(2.0**k for k in range(10)), math.log(np.finfo(float).max)]
+)
 
 
 @dataclass(frozen=True)
@@ -43,29 +49,55 @@ class ArchGenerator:
             object.__setattr__(self, "one_minus_psi", lambda s: 1.0 - self.psi(s))
 
 
-def _numeric_inverse(psi: Callable) -> Callable:
-    """Invert a decreasing generator by bisection in log t.
+def _numeric_inverse(f: Callable, f_prime: Callable, excess: Callable | None = None) -> Callable:
+    """Inverse of psi = exp(-f) from its additive hazard f = -log psi.
 
-    Bracket [1e-12, 1e12]; 80 halvings bring the log-space interval below
-    1e-12, which is the advertised tolerance.
+    Solves log f(t) = log(-log u) in log t over the whole positive double
+    range, with Newton steps (slope t*f'(t)/f(t)) inside per-element brackets
+    read off a grid of log t, then takes one Newton step on f(t) = -log u in
+    t itself, whose last digits are finer than those of log t.  Working with
+    f keeps full relative accuracy where psi is near 1 (f small) and in the
+    far tail, where psi itself underflows.  An inverse above the largest
+    double is inf and one below the smallest positive double is 0; so
+    psi_inv(0) = inf and psi_inv(1) = 0.
+
+    excess(t) = f(t) - log t, if given, forms the residual of that last step
+    for t >= 1 as excess(t) + log(t*u): f(t) and -log u are then never
+    rounded on their own, which at u = 0.005 for the ballerini generator
+    (t = 73) makes the difference between 5e-14 and 8e-15 in e^-t.
     """
 
+    def log_f(s):
+        t = np.exp(s)
+        ft = np.asarray(f(t), dtype=float)
+        return np.log(ft), t * np.asarray(f_prime(t), dtype=float) / ft
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        grid = log_f(_LOG_T_GRID)[0]
+
     def inv(u):
-        arr = np.atleast_1d(np.asarray(u, dtype=float))
-        scalar = np.ndim(u) == 0
+        arr = np.asarray(u, dtype=float)
         if np.any(arr < 0) or np.any(arr > 1):
             raise ValueError("generator inverse defined on [0, 1]")
-        lo = np.full(arr.shape, math.log(_BISECT_LO))
-        hi = np.full(arr.shape, math.log(_BISECT_HI))
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            big = psi(np.exp(mid)) > arr  # psi decreasing: move right
-            lo = np.where(big, mid, lo)
-            hi = np.where(big, hi, mid)
-        out = np.exp(0.5 * (lo + hi))
-        out = np.where(arr == 0.0, math.inf, out)
-        out = np.where(arr == 1.0, 0.0, out)
-        return float(out[0]) if scalar else out
+        with np.errstate(divide="ignore"):
+            y = -np.log(arr.ravel())
+            log_y = np.log(y)
+        # each target's bracket is the last grid cell starting at or below it;
+        # none exists at u = 1 or where t is below the smallest double, and
+        # the last cell is passed at u = 0 or where t is above the largest one
+        below = grid[None, :] <= log_y[:, None]
+        inside = below.any(axis=1) & ~below[:, -1]
+        out = np.where(below[:, -1], math.inf, 0.0)
+        k = below.shape[1] - 2 - np.argmax(below[inside, -2::-1], axis=1)
+        t = np.exp(solve_increasing(log_f, log_y[inside], _LOG_T_GRID[k], _LOG_T_GRID[k + 1], 1e-10))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.asarray(f(t), dtype=float) - y[inside]
+            if excess is not None:
+                r = np.where(t >= 1.0, np.asarray(excess(t), dtype=float) + np.log(t * arr.ravel()[inside]), r)
+            step = r / np.asarray(f_prime(t), dtype=float)
+        out[inside] = np.where(np.isfinite(step), t - step, t)
+        out = out.reshape(arr.shape)
+        return float(out) if out.ndim == 0 else out
 
     return inv
 
@@ -116,7 +148,7 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
         psi = lambda t: np.exp(-_ballerini_f(t))
         return ArchGenerator(
             psi=psi,
-            psi_inv=_numeric_inverse(psi),
+            psi_inv=_numeric_inverse(_ballerini_f, _log1p_recip, lambda t: (1.0 + t) * _log1p_recip(t)),
             psi_prime=lambda t: -_log1p_recip(t) * psi(t),
             rho=1.0,
             neg_psi_prime_0=math.inf,
@@ -164,12 +196,29 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
         if not th > 0.0:
             raise ValueError(f"Frank parameter must be positive, got {th}")
         em = math.expm1(-th)  # e^{-theta} - 1, exact for all theta
+        steep = em < 1e-3 - 1.0  # theta > 6.9: psi falls steeply near t = 0
 
         def psi(t):
-            return -np.log1p(em * np.exp(-np.asarray(t, dtype=float))) / th
+            # log1p(w - 1) with w = 1 + em*e^{-t} >= e^{-theta}; where w < 1e-3
+            # (steep, small t) that sum cancels, and w is formed as
+            # (1 - e^{-t}) + e^{-theta-t} instead
+            t = np.asarray(t, dtype=float)
+            e = em * np.exp(-t)
+            if not steep:
+                return -np.log1p(e) / th
+            with np.errstate(divide="ignore"):
+                return np.where(e < 1e-3 - 1.0, -np.log(-np.expm1(-t) + np.exp(-th - t)), -np.log1p(e)) / th
 
         def psi_inv(u):
-            return -np.log(np.expm1(-th * np.asarray(u, dtype=float)) / em)
+            # -log r with r = e^{-t}; when steep, r - 1 is formed as
+            # -e^{-theta*u}*expm1(-theta*(1-u))/em and its log1p taken
+            # wherever r > 1/2
+            u = np.asarray(u, dtype=float)
+            r = np.expm1(-th * u) / em
+            if not steep:
+                return -np.log(r)
+            with np.errstate(divide="ignore"):
+                return np.where(r > 0.5, -np.log1p(-np.exp(-th * u) * np.expm1(-th * (1.0 - u)) / em), -np.log(r))
 
         def psi_prime(t):
             e = em * np.exp(-np.asarray(t, dtype=float))
@@ -213,16 +262,30 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
             return (-np.expm1(-np.asarray(s, dtype=float))) ** (1.0 / th)
 
         def psi(t):
-            # 1 - (1-e^{-t})^{1/theta} = -expm1(log1p(-e^{-t})/theta); keeps
-            # the e^{-t}/theta tail instead of rounding to zero near t ~ 37
+            # 1 - (1-e^{-t})^{1/theta} = -expm1(log(1-e^{-t})/theta).  log1p(-e^{-t})
+            # keeps the e^{-t}/theta tail instead of rounding to zero near t ~ 37,
+            # but 1 - e^{-t} formed inside it carries a relative error ~1e-16/t;
+            # below t = 1e-5, where that would pass ~1e-13 in psi, the log is
+            # taken of -expm1(-t) instead, on those elements only
             t = np.asarray(t, dtype=float)
+            small = t < 1e-5
             with np.errstate(divide="ignore"):
-                out = -np.expm1(np.log1p(-np.exp(-t)) / th)
+                log_1m = np.log1p(-np.exp(-t), out=np.empty_like(t))
+                log_1m[small] = np.log(-np.expm1(-t[small]))
+                out = -np.expm1(log_1m / th)
             return np.where(t == 0.0, 1.0, out)
+
+        def psi_inv(u):
+            # -log1p(-(1-u)^theta) is inf once (1-u)^theta rounds to 1, below
+            # u ~ 1e-16, and already loses digits near 1e-10; below 1e-3 the
+            # complement 1 - (1-u)^theta comes from expm1 instead
+            u = np.asarray(u, dtype=float)
+            with np.errstate(divide="ignore"):
+                return np.where(u < 1e-3, -np.log(-np.expm1(th * np.log1p(-u))), -np.log1p(-((1.0 - u) ** th)))
 
         return ArchGenerator(
             psi=psi,
-            psi_inv=lambda u: -np.log1p(-((1.0 - np.asarray(u, dtype=float)) ** th)),
+            psi_inv=psi_inv,
             psi_prime=lambda t: -(1.0 / th)
             * (-np.expm1(-np.asarray(t, dtype=float))) ** (1.0 / th - 1.0)
             * np.exp(-np.asarray(t, dtype=float)),
@@ -280,7 +343,7 @@ def generator_from_f(
 
     return ArchGenerator(
         psi=psi,
-        psi_inv=_numeric_inverse(psi),
+        psi_inv=_numeric_inverse(f, f_prime),
         psi_prime=psi_prime,
         rho=rho,
         neg_psi_prime_0=neg0,

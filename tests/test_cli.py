@@ -157,6 +157,19 @@ def test_mixing_command(capsys):
     assert float(rows[0][2]) > 0.01
 
 
+def test_n_schedule_single_power_of_two(capsys):
+    code, out = run_cli(capsys, "bound", "--model", "iid-frechet", "--n", "2^4")
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    assert [r[0] for r in rows] == ["16"]
+    code, out = run_cli(capsys, "bound", "--model", "iid-frechet", "--n", "2^2,100")
+    assert code == 0
+    assert [r[0] for r in parse_csv(out)[2]] == ["4", "100"]
+    for bad in ("2^-1", "2^x", "2^x..2^4", "2^4..2^2"):
+        code, _ = run_cli(capsys, "bound", "--model", "iid-frechet", "--n", bad)
+        assert code == 2, bad
+
+
 def test_exit_codes(capsys):
     code, _ = run_cli(capsys, "diagonal", "--family", "nonsense", "--n", "2", "--u-grid", "0.5")
     assert code == 2

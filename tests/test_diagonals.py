@@ -129,7 +129,7 @@ def _efgm_antiderivative(n, u, theta):
 
 def test_efgm_large_n_fallback_matches_antiderivative():
     fam = make_diagonal("efgm", theta=0.5)
-    for n, u in [(100, 0.95), (20_000, 0.9999)]:  # second case takes the adaptive path
+    for n, u in [(100, 0.95), (20_000, 0.9999)]:
         assert fam(n, u) == pytest.approx(_efgm_antiderivative(n, u, 0.5), rel=1e-8)
 
 
@@ -158,6 +158,15 @@ def test_sup_distance_examples():
 def test_sup_distance_nonincreasing(fam):
     sups = [distortion_sup_distance(fam, None, 2**e, fam.limit_distortion, grid_size=400) for e in (4, 6, 8, 10, 12)]
     assert all(a >= b - 1e-12 for a, b in zip(sups, sups[1:]))
+
+
+def test_sup_distance_finds_suprema_near_zero():
+    # Clayton(2): D(u) = (1 - log u)^(-1/2) decays only logarithmically, and at
+    # n = 64 the supremum sits near u = e^-298, far below any linear grid in u;
+    # the reference is a 40-digit mpmath scan in log(-log u) with refinement
+    fam = make_diagonal("archimedean", family="clayton", theta=2.0)
+    got = distortion_sup_distance(fam, None, 64, fam.limit_distortion)
+    assert got == pytest.approx(0.0452552102409046, rel=1e-9)
 
 
 def test_rate_scaling_limit():

@@ -12,6 +12,7 @@ from maxdep.distortions import (
     limit_law_cdf,
     make_distortion,
     max_stability_defect,
+    mixture_over_interval,
     power,
 )
 from maxdep.generators import builtin_generator, scale_generator
@@ -165,6 +166,23 @@ def test_amh_uniform_mixture_closed_form():
     us = np.linspace(0.01, 0.99, 197)
     closed = 1.0 - ((us - 1.0) / us) * np.log1p(-us)
     assert np.max(np.abs(np.asarray(M.cdf(us)) - closed)) < 1e-8
+    # independent route: the 64-node Gauss-Legendre mixture of the AMH limits
+    quadrature = mixture_over_interval(lambda th: archimedean_limit(builtin_generator("amh", th)), 0.0, 1.0, nodes=64)
+    assert np.max(np.abs(np.asarray(M.cdf(us)) - np.asarray(quadrature.cdf(us)))) < 1e-8
+    assert np.max(np.abs(np.asarray(M.density(us)) - np.asarray(quadrature.density(us)))) < 1e-6
+
+
+def test_amh_uniform_mixture_series_and_boundaries():
+    M = amh_uniform_mixture()
+    # across the switch to the series at u = 0.1 and down to tiny u
+    for u in (1e-300, 1e-8, 1e-3, 0.0999999, 0.1, 0.3):
+        series = sum(u**k / (k * (k + 1)) for k in range(1, 60))
+        assert float(M.cdf(u)) == pytest.approx(series, rel=1e-14)
+        assert float(M.density(u)) == pytest.approx(sum(u ** (k - 1) / (k + 1) for k in range(1, 60)), rel=1e-13)
+    assert float(M.cdf(0.0)) == 0.0 and float(M.cdf(1.0)) == 1.0
+    assert float(M.density(0.0)) == 0.5 and math.isinf(float(M.density(1.0)))
+    with pytest.raises(TypeError):
+        amh_uniform_mixture(nodes=64)
 
 
 def test_scale_coherence():
