@@ -47,16 +47,14 @@ def solve_increasing(f, target, lo, hi, tol: float = 1e-12):
     f(lo) <= target <= f(hi).  f maps an array of x values to f(x), or to a
     pair (f(x), f'(x)).
 
-    With a slope each step is a Newton step from the last iterate, or a
-    regula falsi step where Newton's would leave the bracket, and an element
-    stops once the Newton step it would take next is within tol, after
-    taking that step (near a simple root its error is about the square of
-    the step).  Without one each step is an Illinois (modified regula falsi)
-    step, and an element stops once its bracket is within tol.  Either way
-    every element keeps its bracket, and a step that would leave it, or that
-    fails to shrink its measure (step length with a slope, bracket width
-    without) below half of its value two steps earlier, is replaced by
-    bisection.  tol never goes below a few ulps of x.
+    With a slope each step is a Newton step from the last iterate.  Where
+    that step would leave the bracket, or is not below half of the step two
+    before it, a regula falsi step is taken, and where that fails the same
+    test, a bisection.  An element stops once the Newton step it would take
+    next is within tol, after taking that step (near a simple root its error
+    is about the square of the step).  Without a slope every step bisects,
+    and an element stops once its bracket is within tol.  Every element
+    keeps its bracket, and tol never goes below a few ulps of x.
 
     f is called once on both ends together and then once per step, on the
     elements still moving only.  Floating-point warnings inside f are
@@ -91,8 +89,7 @@ def solve_increasing(f, target, lo, hi, tol: float = 1e-12):
         else:
             step = np.zeros(n)  # unused without a slope
         out = x.copy()
-        before = last = np.full(n, np.inf)  # the step measure two and one steps back
-        side = None if newton else np.zeros(n, dtype=np.int8)  # end replaced last: -1 lo, +1 hi
+        before = last = np.full(n, np.inf)  # the step length two and one steps back
         idx = np.arange(n)
         # the state arrays hold the elements still moving, idx their places in out
         while True:
@@ -100,33 +97,24 @@ def solve_increasing(f, target, lo, hi, tol: float = 1e-12):
                 keep = ~stop
                 idx, a, b, fa, fb, y, x, step, before, last = (
                     v[keep] for v in (idx, a, b, fa, fb, y, x, step, before, last))
-                side = None if newton else side[keep]
                 if not idx.size:
                     break
             if newton:
                 c = x + step
                 measure = np.abs(step)
-            else:
-                c = (a * fb - b * fa) / (fb - fa)
-                measure = b - a
-            bad = ~((c > a) & (c < b)) | (measure > 0.5 * before)
-            if np.count_nonzero(bad):
-                if newton:
+                bad = ~((c > a) & (c < b)) | (measure > 0.5 * before)
+                if np.count_nonzero(bad):
                     # regula falsi where the Newton step fails, bisection where that fails too
                     c = np.where(bad, (a * fb - b * fa) / (fb - fa), c)
                     bad &= ~((c > a) & (c < b)) | (np.abs(c - x) > 0.5 * before)
-                c = np.where(bad, 0.5 * (a + b), c)
-                if newton:
+                    c = np.where(bad, 0.5 * (a + b), c)
                     measure = np.abs(c - x)
-            before, last = last, measure
+                before, last = last, measure
+            else:
+                c = 0.5 * (a + b)
             fc, dc = _value_slope(f(c))
             fc = fc - y
             low, high = fc < 0.0, fc > 0.0
-            if not newton:
-                # Illinois: halve the stored value of an end kept twice running
-                fb = np.where(low & (side == -1), 0.5 * fb, fb)
-                fa = np.where(high & (side == 1), 0.5 * fa, fa)
-                side = np.where(low, -1, np.where(high, 1, 0)).astype(np.int8)
             a, fa = np.where(high, a, c), np.where(low, fc, fa)
             b, fb = np.where(low, b, c), np.where(high, fc, fb)
             x = c

@@ -47,7 +47,7 @@ def _parse_n_schedule(spec: str) -> list[int]:
 
 def _pow2_exponent(tok: str, spec: str) -> int:
     """k of a '2^k' token; k must be a nonnegative integer."""
-    if not tok[2:].isdigit():
+    if not tok[2:].isdecimal():
         raise UsageError(f"bad n schedule {spec!r}; exponents are nonnegative integers")
     return int(tok[2:])
 

@@ -196,26 +196,28 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
         if not th > 0.0:
             raise ValueError(f"Frank parameter must be positive, got {th}")
         em = math.expm1(-th)  # e^{-theta} - 1, exact for all theta
-        steep = em < 1e-3 - 1.0  # theta > 6.9: psi falls steeply near t = 0
 
         def psi(t):
             # log1p(w - 1) with w = 1 + em*e^{-t} >= e^{-theta}; where w < 1e-3
-            # (steep, small t) that sum cancels, and w is formed as
-            # (1 - e^{-t}) + e^{-theta-t} instead
+            # (theta > 6.9, small t) that sum cancels, and w is formed as
+            # (1 - e^{-t}) + e^{-theta-t} instead, on those elements only
             t = np.asarray(t, dtype=float)
             e = em * np.exp(-t)
-            if not steep:
-                return -np.log1p(e) / th
-            with np.errstate(divide="ignore"):
-                return np.where(e < 1e-3 - 1.0, -np.log(-np.expm1(-t) + np.exp(-th - t)), -np.log1p(e)) / th
+            log_w = np.log1p(e, out=np.empty_like(t))
+            steep = e < 1e-3 - 1.0
+            if steep.any():
+                with np.errstate(divide="ignore"):
+                    log_w[steep] = np.log(-np.expm1(-t[steep]) + np.exp(-th - t[steep]))
+            return -log_w / th
 
         def psi_inv(u):
-            # -log r with r = e^{-t}; when steep, r - 1 is formed as
+            # -log r with r = e^{-t}; for theta > 6.9, r - 1 is formed as
             # -e^{-theta*u}*expm1(-theta*(1-u))/em and its log1p taken
-            # wherever r > 1/2
+            # wherever r > 1/2.  Below that theta the plain form is kept,
+            # which pins the digits of the Frank tables and converge output
             u = np.asarray(u, dtype=float)
             r = np.expm1(-th * u) / em
-            if not steep:
+            if em >= 1e-3 - 1.0:
                 return -np.log(r)
             with np.errstate(divide="ignore"):
                 return np.where(r > 0.5, -np.log1p(-np.exp(-th * u) * np.expm1(-th * (1.0 - u)) / em), -np.log(r))

@@ -165,7 +165,7 @@ def test_n_schedule_single_power_of_two(capsys):
     code, out = run_cli(capsys, "bound", "--model", "iid-frechet", "--n", "2^2,100")
     assert code == 0
     assert [r[0] for r in parse_csv(out)[2]] == ["4", "100"]
-    for bad in ("2^-1", "2^x", "2^x..2^4", "2^4..2^2"):
+    for bad in ("2^-1", "2^x", "2^x..2^4", "2^4..2^2", "2^\u00b2", "2^\u00b2..2^4"):
         code, _ = run_cli(capsys, "bound", "--model", "iid-frechet", "--n", bad)
         assert code == 2, bad
 

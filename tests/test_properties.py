@@ -49,8 +49,8 @@ def test_solver_roots_with_and_without_slope(targets):
     y = np.asarray(targets)
     lo, hi = np.full_like(y, -3.0), np.full_like(y, 3.0)
     newton = solve_increasing(lambda x: (x**3 + x, 3.0 * x**2 + 1.0), y, lo, hi, 1e-13)
-    illinois = solve_increasing(lambda x: x**3 + x, y, lo, hi, 1e-13)
-    for x in (newton, illinois):
+    bisection = solve_increasing(lambda x: x**3 + x, y, lo, hi, 1e-13)
+    for x in (newton, bisection):
         assert np.all((lo <= x) & (x <= hi))
         assert np.max(np.abs(x**3 + x - y)) <= 1e-12 * (1.0 + np.abs(y)).max()
     with pytest.raises(ValueError):
