@@ -196,18 +196,22 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
         if not th > 0.0:
             raise ValueError(f"Frank parameter must be positive, got {th}")
         em = math.expm1(-th)  # e^{-theta} - 1, exact for all theta
+        steep = em < 1e-3 - 1.0  # theta > 6.9, the only theta at which w below can fall under 1e-3
 
         def psi(t):
             # log1p(w - 1) with w = 1 + em*e^{-t} >= e^{-theta}; where w < 1e-3
-            # (theta > 6.9, small t) that sum cancels, and w is formed as
-            # (1 - e^{-t}) + e^{-theta-t} instead, on those elements only
+            # that sum cancels, and w is formed as (1 - e^{-t}) + e^{-theta-t}
+            # instead, on those elements only.  The flag spares the common
+            # theta its elementwise test, a pass that costs about a third of
+            # the time of psi on large frailty draws
             t = np.asarray(t, dtype=float)
+            if not steep:
+                return -np.log1p(em * np.exp(-t)) / th
             e = em * np.exp(-t)
             log_w = np.log1p(e, out=np.empty_like(t))
-            steep = e < 1e-3 - 1.0
-            if steep.any():
-                with np.errstate(divide="ignore"):
-                    log_w[steep] = np.log(-np.expm1(-t[steep]) + np.exp(-th - t[steep]))
+            cancels = e < 1e-3 - 1.0
+            with np.errstate(divide="ignore"):
+                log_w[cancels] = np.log(-np.expm1(-t[cancels]) + np.exp(-th - t[cancels]))
             return -log_w / th
 
         def psi_inv(u):
@@ -217,7 +221,7 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
             # which pins the digits of the Frank tables and converge output
             u = np.asarray(u, dtype=float)
             r = np.expm1(-th * u) / em
-            if em >= 1e-3 - 1.0:
+            if not steep:
                 return -np.log(r)
             with np.errstate(divide="ignore"):
                 return np.where(r > 0.5, -np.log1p(-np.exp(-th * u) * np.expm1(-th * (1.0 - u)) / em), -np.log(r))
@@ -268,14 +272,14 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
             # keeps the e^{-t}/theta tail instead of rounding to zero near t ~ 37,
             # but 1 - e^{-t} formed inside it carries a relative error ~1e-16/t;
             # below t = 1e-5, where that would pass ~1e-13 in psi, the log is
-            # taken of -expm1(-t) instead, on those elements only
+            # taken of -expm1(-t) instead, on those elements only; at t = 0 it
+            # is -inf and psi = 1
             t = np.asarray(t, dtype=float)
             small = t < 1e-5
             with np.errstate(divide="ignore"):
                 log_1m = np.log1p(-np.exp(-t), out=np.empty_like(t))
                 log_1m[small] = np.log(-np.expm1(-t[small]))
-                out = -np.expm1(log_1m / th)
-            return np.where(t == 0.0, 1.0, out)
+                return -np.expm1(log_1m / th)
 
         def psi_inv(u):
             # -log1p(-(1-u)^theta) is inf once (1-u)^theta rounds to 1, below
