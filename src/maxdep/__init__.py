@@ -9,6 +9,7 @@ Library layout:
 - ``distortions`` limiting distortions D and composite laws D(H(x))
 - ``ratebounds``  exact power-difference suprema and composite rate bounds
 - ``samplers``    deterministic Monte Carlo samplers and estimators
+- ``models``      the model table: each model's diagonal, sampler and exact gap by name
 - ``cli``         the ``maxdep`` command-line harness
 """
 
@@ -30,8 +31,6 @@ from .margins import (
     StandardNormal,
     Uniform01,
     UnitFrechet,
-    iid_normalizers,
-    iid_uniform_rate,
     make_margin,
 )
 from .diagonals import (
@@ -39,7 +38,6 @@ from .diagonals import (
     RateFn,
     distortion_sup_distance,
     empirical_diagonal_distance,
-    make_diagonal,
     mixing_discrepancy,
     power_distortion,
     rate_scaling_limit,
@@ -48,7 +46,6 @@ from .distortions import (
     Distortion,
     amh_uniform_mixture,
     archimedean_limit,
-    distortion_density,
     efgm_limit,
     limit_law_cdf,
     make_distortion,
@@ -66,6 +63,7 @@ from .ratebounds import (
     small_gap_bound,
     sup_power_diff,
 )
+from .models import MODELS, ModelSpec, make_diagonal, model_spec
 from .samplers import (
     ArchimaxLogistic,
     ArchimedeanFrailty,
@@ -78,10 +76,8 @@ from .samplers import (
     RngStream,
     SequenceModel,
     empirical_diagonal,
-    make_model,
     max_sample,
     normalized_max_ecdf,
-    sample_path,
     sample_paths,
 )
 

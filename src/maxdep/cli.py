@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import diagonals, distortions, margins, ratebounds, samplers
+from . import diagonals, distortions, margins, models, ratebounds, samplers
 from .gev import gev_cdf, gev_quantile
 
 
@@ -91,6 +91,9 @@ class Table:
         self.rows: list[list] = []
 
     def add(self, *values):
+        """Append one row; a NaN cell is a numeric error, never written out."""
+        if any(isinstance(v, float) and math.isnan(v) for v in values):
+            raise ValueError(f"NaN in {self.command} row {values}")
         self.rows.append(list(values))
 
     def _meta(self) -> str:
@@ -114,25 +117,20 @@ class Table:
         raise UsageError(f"unknown format {fmt!r}")
 
 
-def _make_family(args) -> diagonals.DiagonalFamily:
-    fam = args.family.lower().replace("_", "-")
-    gen_families = ("clayton", "frank", "gumbel", "joe", "amh", "ballerini")
-    if fam == "independence":
-        return diagonals.independence_diagonal()
-    if fam == "comonotone":
-        return diagonals.comonotone_diagonal()
-    if fam in ("movingmax", "moving-max"):
-        return diagonals.moving_max_diagonal(_require(args, "k"))
-    if fam == "cuadras-auge":
-        return diagonals.cuadras_auge_diagonal(_require(args, "theta"))
-    if fam == "efgm":
-        return diagonals.efgm_mixture_diagonal(_require(args, "theta"))
-    if fam == "logistic":
-        return diagonals.logistic_power_diagonal(_require(args, "theta"))
-    if fam in gen_families:
-        theta = args.theta if fam != "ballerini" else None
-        return diagonals.make_diagonal("archimedean", family=fam, theta=theta)
-    raise UsageError(f"unknown diagonal family {args.family!r}")
+def _resolve(name: str, role: str, args) -> tuple[models.ModelSpec, dict]:
+    """(spec, params) of the model ``name``, which must have ``role``.
+
+    role is a ``ModelSpec`` field: "diagonal", "sampler" or "gap".  An
+    unknown name, a model without that role and a missing parameter are
+    usage errors.
+    """
+    try:
+        spec = models.model_spec(name)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if getattr(spec, role) is None:
+        raise UsageError(f"model {name!r} has no {role}")
+    return spec, {p: _require(args, p) for p in spec.params}
 
 
 def _require(args, name: str):
@@ -140,6 +138,23 @@ def _require(args, name: str):
     if val is None:
         raise UsageError(f"--{name.replace('_', '-')} is required here")
     return val
+
+
+def _composite_bound(
+    spec: models.ModelSpec, params: dict, margin: margins.Margin, n: int, r_n: float
+) -> ratebounds.RateBoundReport | None:
+    """Composite rate bound from the model's exact gap s(n), or None.
+
+    None where the model has no known gap or the margin no known rate.
+    """
+    if spec.gap is None:
+        return None
+    try:
+        beta = margin.uniform_rate(int(math.ceil(r_n)))
+    except margins.NoKnownRateError:
+        return None
+    s_n, kappa = spec.gap(n, **params)
+    return ratebounds.composite_rate_bound(beta, s_n, 1.0, kappa, r_n)
 
 
 def _rate_from_spec(fam: diagonals.DiagonalFamily, spec: str) -> diagonals.RateFn:
@@ -157,7 +172,8 @@ def _rate_from_spec(fam: diagonals.DiagonalFamily, spec: str) -> diagonals.RateF
 
 
 def cmd_diagonal(args) -> Table:
-    fam = _make_family(args)
+    spec, params = _resolve(args.family, "diagonal", args)
+    fam = spec.diagonal(**params)
     rate = _rate_from_spec(fam, args.rate)
     ns = _parse_n_schedule(args.n)
     grid = _parse_grid(args.u_grid)
@@ -227,14 +243,12 @@ def cmd_bound(args) -> Table:
     scenario = args.model.lower().replace("_", "-")
     config = {"scenario": scenario, "n": args.n}
     if scenario == "movingmax-normal":
-        k = _require(args, "k")
-        config["k"] = k
+        spec, params = _resolve("movingmax", "gap", args)
+        config["k"] = params["k"]
         table = Table("bound", config, ["n", "bound", "margin_term", "ceiling_term", "distortion_term", "holder_K", "holder_kappa"])
         margin = margins.StandardNormal()
         for n in ns:
-            rep = ratebounds.composite_rate_bound(
-                margin.uniform_rate(n), ratebounds.movingmax_s(n, k), 1.0, 1.0 / (k + 1.0), float(n)
-            )
+            rep = _composite_bound(spec, params, margin, n, float(n))
             table.add(n, rep.bound, rep.margin_term, rep.ceiling_term, rep.distortion_term, rep.holder_K, rep.holder_kappa)
         return table
     if scenario == "logistic-normal":
@@ -267,50 +281,12 @@ def cmd_bound(args) -> Table:
     raise UsageError(f"unknown bound scenario {args.model!r}")
 
 
-_CONVERGE_MODELS = ("iid", "movingmax", "clayton", "frank", "gumbel", "joe", "amh", "efgm", "ar1")
-
-
-def _converge_setup(args):
-    """(model, diagonal family) pair for a converge run."""
-    name = args.model.lower().replace("_", "-")
-    if name == "iid":
-        return samplers.IID(), diagonals.independence_diagonal()
-    if name in ("movingmax", "moving-max"):
-        k = _require(args, "k")
-        return samplers.MovingMax(k), diagonals.moving_max_diagonal(k)
-    if name in ("clayton", "frank", "gumbel", "joe", "amh"):
-        theta = _require(args, "theta")
-        return (
-            samplers.ArchimedeanFrailty(name, theta),
-            diagonals.make_diagonal("archimedean", family=name, theta=theta),
-        )
-    if name == "efgm":
-        theta = _require(args, "theta")
-        return samplers.EfgmExchangeable(theta), diagonals.efgm_mixture_diagonal(theta)
-    if name == "ar1":
-        phi = _require(args, "phi")
-        # short-range dependence at extreme levels: unit extremal index, so
-        # the distortion is the identity and the rate is n
-        return samplers.GaussianAR1(phi), diagonals.DiagonalFamily(
-            fn=lambda n, u: np.asarray(u, dtype=float),
-            tag=f"ar1({phi})-limit",
-            canonical_rate=diagonals.RateFn(lambda n: float(n), "n"),
-            limit_distortion=distortions.power(1.0),
-        )
-    raise UsageError(f"unknown converge model {args.model!r}; pick from {_CONVERGE_MODELS}")
-
-
-def _movingmax_s_or_none(args, fam, n):
-    name = args.model.lower().replace("_", "-")
-    if name in ("movingmax", "moving-max"):
-        return ratebounds.movingmax_s(n, args.k), 1.0 / (args.k + 1.0)
-    if name == "iid":
-        return 0.0, 1.0
-    return None, None
-
-
 def cmd_converge(args) -> Table:
-    model, fam = _converge_setup(args)
+    spec, params = _resolve(args.model, "sampler", args)
+    model = spec.sampler(**params)
+    # ar1 has no diagonal; with extremal index 1 it takes the independence
+    # rate and distortion
+    fam = spec.diagonal(**params) if spec.diagonal else models.MODELS["independence"].diagonal()
     margin = margins.make_margin(args.margin, alpha=args.alpha, lam=args.lam)
     ns = _parse_n_schedule(args.n)
     D = fam.limit_distortion
@@ -337,22 +313,14 @@ def cmd_converge(args) -> Table:
             model, margin, n, args.reps, c, d, grid, samplers.RngStream(seed, idx), workers=args.workers
         )
         sup = float(np.max(np.abs(ecdf - target)))
-        s_n, kappa = _movingmax_s_or_none(args, fam, n)
-        bound = None
-        if s_n is not None:
-            try:
-                beta = margin.uniform_rate(int(math.ceil(r_n)))
-            except margins.NoKnownRateError:
-                beta = None
-            if beta is not None:
-                rep = ratebounds.composite_rate_bound(beta, s_n, 1.0, kappa, r_n)
-                bound = rep.bound
-        table.add(n, sup, float(np.max(se)), bound)
+        rep = _composite_bound(spec, params, margin, n, r_n)
+        table.add(n, sup, float(np.max(se)), rep.bound if rep else None)
     return table
 
 
 def cmd_mixing(args) -> Table:
-    fam = _make_family(args)
+    spec, params = _resolve(args.family, "diagonal", args)
+    fam = spec.diagonal(**params)
     if not fam.exchangeable:
         raise UsageError(f"family {fam.tag} is not exchangeable")
     rate = _rate_from_spec(fam, args.rate)

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._numutil import golden_max
 from .distortions import Distortion, archimedean_limit, efgm_limit, power
-from .generators import ArchGenerator, builtin_generator
+from .generators import ArchGenerator
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,8 @@ class DiagonalFamily:
         return float(out) if out.ndim == 0 else out
 
 
-def _logistic_eta(theta: float) -> Callable[[int], float]:
+def logistic_eta(theta: float) -> Callable[[int], float]:
+    """The logistic extremal-coefficient schedule eta_n = n^(1/theta)."""
     return lambda n: float(n) ** (1.0 / theta)
 
 
@@ -83,22 +84,18 @@ def comonotone_diagonal() -> DiagonalFamily:
     return DiagonalFamily(fn=lambda n, u: u, tag="comonotone", exchangeable=True)
 
 
-def power_diagonal(eta: Callable[[int], float], tag: str = "power") -> DiagonalFamily:
-    """delta_n(u) = u^(eta_n) for a schedule eta_n -> infinity."""
+def logistic_power_diagonal(theta: float) -> DiagonalFamily:
+    """Power diagonal u^(eta_n) with the extremal-coefficient schedule eta_n = n^(1/theta)."""
+    if not theta >= 1.0:
+        raise ValueError(f"logistic theta must be >= 1, got {theta}")
+    eta = logistic_eta(theta)
     return DiagonalFamily(
-        fn=lambda n, u: u ** float(eta(n)),
-        tag=tag,
-        canonical_rate=RateFn(lambda n: float(eta(n)), "eta"),
+        fn=lambda n, u: u ** eta(n),
+        tag=f"logistic({theta})",
+        canonical_rate=RateFn(eta, "eta"),
         limit_distortion=power(1.0),
         exchangeable=True,
     )
-
-
-def logistic_power_diagonal(theta: float) -> DiagonalFamily:
-    """Power diagonal with the extremal-coefficient schedule eta_n = n^(1/theta)."""
-    if not theta >= 1.0:
-        raise ValueError(f"logistic theta must be >= 1, got {theta}")
-    return power_diagonal(_logistic_eta(theta), tag=f"logistic({theta})")
 
 
 def moving_max_diagonal(k: int) -> DiagonalFamily:
@@ -140,10 +137,20 @@ def _arch_rate(g: ArchGenerator, eta: Callable[[int], float]) -> RateFn:
     return RateFn(lambda n: 1.0 / float(g.one_minus_psi(1.0 / float(eta(n)))), "1/(1-psi(1/eta))")
 
 
+def _scaled_inverse_diagonal(g: ArchGenerator, eta: Callable[[int], float]) -> Callable:
+    def fn(n, u):
+        # eta_n * psi_inv(u) may overflow to inf, where psi is 0
+        with np.errstate(over="ignore"):
+            t = float(eta(n)) * np.asarray(g.psi_inv(u), dtype=float)
+        return np.asarray(g.psi(t), dtype=float)
+
+    return fn
+
+
 def archimedean_diagonal(g: ArchGenerator) -> DiagonalFamily:
     """delta_n(u) = psi(n * psi_inv(u)); canonical rate 1/(1 - psi(1/n))."""
     return DiagonalFamily(
-        fn=lambda n, u: np.asarray(g.psi(n * np.asarray(g.psi_inv(u), dtype=float)), dtype=float),
+        fn=_scaled_inverse_diagonal(g, float),
         tag=f"archimedean[{g.tag}]",
         canonical_rate=_arch_rate(g, lambda n: float(n)),
         limit_distortion=archimedean_limit(g),
@@ -154,7 +161,7 @@ def archimedean_diagonal(g: ArchGenerator) -> DiagonalFamily:
 def archimax_diagonal(g: ArchGenerator, eta: Callable[[int], float], tag: str | None = None) -> DiagonalFamily:
     """delta_n(u) = psi(eta_n * psi_inv(u)); rate 1/(1 - psi(1/eta_n))."""
     return DiagonalFamily(
-        fn=lambda n, u: np.asarray(g.psi(float(eta(n)) * np.asarray(g.psi_inv(u), dtype=float)), dtype=float),
+        fn=_scaled_inverse_diagonal(g, eta),
         tag=tag or f"archimax[{g.tag}]",
         canonical_rate=_arch_rate(g, eta),
         limit_distortion=archimedean_limit(g),
@@ -193,42 +200,6 @@ def efgm_mixture_diagonal(theta: float) -> DiagonalFamily:
         limit_distortion=efgm_limit(theta) if theta != 0.0 else power(1.0),
         exchangeable=True,
     )
-
-
-def make_diagonal(variant: str, **params) -> DiagonalFamily:
-    """Diagonal family by name.
-
-    Variants: independence, comonotone, movingmax(k), cuadras-auge(theta),
-    power(eta=callable) or logistic(theta), efgm(theta), archimedean
-    (generator= or family=/theta=), archimax (generator/family + eta or
-    theta_stdf for the logistic schedule).
-    """
-    v = variant.lower().replace("_", "-")
-    if v == "independence":
-        return independence_diagonal()
-    if v == "comonotone":
-        return comonotone_diagonal()
-    if v in ("movingmax", "moving-max"):
-        return moving_max_diagonal(params["k"])
-    if v in ("cuadras-auge", "cuadrasauge"):
-        return cuadras_auge_diagonal(params["theta"])
-    if v == "power":
-        return power_diagonal(params["eta"], tag=params.get("tag", "power"))
-    if v == "logistic":
-        return logistic_power_diagonal(params["theta"])
-    if v == "efgm":
-        return efgm_mixture_diagonal(params["theta"])
-    if v in ("archimedean", "archimax"):
-        g = params.get("generator")
-        if g is None:
-            g = builtin_generator(params["family"], params.get("theta"))
-        if v == "archimedean":
-            return archimedean_diagonal(g)
-        eta = params.get("eta")
-        if eta is None:
-            eta = _logistic_eta(params["theta_stdf"])
-        return archimax_diagonal(g, eta)
-    raise ValueError(f"unknown diagonal variant {variant!r}")
 
 
 def _power_arg(u, r_n: float):

@@ -183,20 +183,30 @@ def efgm_limit(theta: float) -> Distortion:
             core = np.where(np.abs(z) < 1e-3, uu * np.sinh(z) / z, direct)
         return np.where(inner, core, np.where(u <= 0, 0.0, 1.0))
 
+    th = abs(theta)
+
     def density(u):
-        # d(u) = [((1+t)u^t - (1-t)u^-t) L - (u^t - u^-t)] / (2 t L^2), L = log u.
-        # The u^-t term dominates near 0, so d(0+) = +inf; d(1) = 1.
+        # d = sinh(z)/z + |t|*(z*cosh z - sinh z)/z^2 with z = |t|*log u, the
+        # derivative of u*sinh(z)/z.  Below |z| = 0.1 both terms come from
+        # their series, which keep full precision as u -> 1.  Elsewhere
+        # d = c_plus*u^|t| + c_minus*u^-|t|, the u^-|t| term taken in log
+        # space so that it overflows only where d exceeds DBL_MAX.
+        # d(0+) = +inf; d(1) = 1.
         u = np.asarray(u, dtype=float)
         inner = (u > 0) & (u < 1)
-        uu = np.where(inner, u, 0.5)
-        L = np.log(uu)
-        near1 = np.abs(L) < 1e-7
-        Ls = np.where(near1, 1.0, L)
-        a = uu**theta
-        b = uu ** (-theta)
-        direct = (((1.0 + theta) * a - (1.0 - theta) * b) * Ls - (a - b)) / (2.0 * theta * Ls**2)
-        core = np.where(near1, 1.0, direct)
-        return np.where(inner, core, np.where(u <= 0, np.inf, 1.0))
+        z = th * np.log(np.where(inner, u, 0.5))
+        small = np.abs(z) < 0.1
+        zl = np.where(small, -1.0, z)
+        w = 0.5 / (zl * zl)
+        with np.errstate(over="ignore"):
+            out = np.asarray(((1.0 + th) * zl - th) * w * np.exp(zl) + np.exp(np.log(((th - 1.0) * zl + th) * w) - zl))
+        if np.count_nonzero(small):
+            zs = z[small]
+            zz = zs * zs
+            sinhc = 1.0 + zz * (1 / 6 + zz * (1 / 120 + zz * (1 / 5040 + zz * (1 / 362880 + zz / 39916800))))
+            odd = zs * (1 / 3 + zz * (1 / 30 + zz * (1 / 840 + zz * (1 / 45360 + zz / 3991680))))
+            out[small] = sinhc + th * odd
+        return np.where(inner, out, np.where(u <= 0, np.inf, 1.0))
 
     return Distortion(_vec(cdf), _vec(density), _numeric_quantile(cdf, density), tag=f"efgm({theta})")
 
@@ -280,11 +290,6 @@ def make_distortion(variant: str, **params) -> Distortion:
     if v in ("amh-mixture", "amh-uniform-mixture"):
         return amh_uniform_mixture()
     raise ValueError(f"unknown distortion variant {variant!r}")
-
-
-def distortion_density(D: Distortion, u):
-    """Density of D at u, including boundary limits (may be infinite)."""
-    return D.density(u)
 
 
 def limit_law_cdf(D: Distortion, H: GevParams, x):

@@ -181,9 +181,14 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
     if fam == "clayton":
         if not th > 0.0:
             raise ValueError(f"Clayton parameter must be positive, got {th}")
+
+        def clayton_inv(u):
+            with np.errstate(over="ignore"):  # inf below DBL_MAX^(-1/theta), beyond the doubles
+                return np.asarray(u, dtype=float) ** (-th) - 1.0
+
         return ArchGenerator(
             psi=lambda t: (1.0 + np.asarray(t, dtype=float)) ** (-1.0 / th),
-            psi_inv=lambda u: np.asarray(u, dtype=float) ** (-th) - 1.0,
+            psi_inv=clayton_inv,
             psi_prime=lambda t: -(1.0 / th)
             * (1.0 + np.asarray(t, dtype=float)) ** (-1.0 / th - 1.0),
             rho=1.0,

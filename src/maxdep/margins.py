@@ -248,22 +248,6 @@ class Generic(Margin):
         return self._uniform_rate(n)
 
 
-def margin_cdf(m: Margin, x):
-    return m.cdf(x)
-
-
-def margin_quantile(m: Margin, q):
-    return m.quantile(q)
-
-
-def iid_normalizers(m: Margin, n: int) -> tuple[float, float, GevParams]:
-    return m.normalizers(n)
-
-
-def iid_uniform_rate(m: Margin, n: int) -> float:
-    return m.uniform_rate(n)
-
-
 def make_margin(spec: str, **params) -> Margin:
     """Margin from a short name: unit-frechet, frechet, exponential, normal,
     uniform, pareto."""

@@ -111,38 +111,33 @@ def _is_integer_rate(r_n: float) -> bool:
     return float(r_n) == math.floor(r_n)
 
 
-def _holder_composite(beta_star_n, extra_term, K, kappa, r_n) -> RateBoundReport:
-    if not (0.0 < kappa <= 1.0):
-        raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
-    if not K > 0:
-        raise ValueError(f"K must be positive, got {K}")
-    if not (beta_star_n >= 0 and extra_term >= 0):
-        raise ValueError("rate terms must be nonnegative")
-    if not r_n > 0:
-        raise ValueError(f"rate must be positive, got {r_n}")
-    ceiling = 0.0 if _is_integer_rate(r_n) else THREE_OVER_E / r_n
-    bound = K * (beta_star_n + ceiling) ** kappa + extra_term
-    return RateBoundReport(bound, beta_star_n, ceiling, extra_term, K, kappa)
-
-
 def composite_rate_bound(beta_star_n: float, s_n: float, K: float, kappa: float, r_n: float) -> RateBoundReport:
     """K*(beta(ceil r_n) + 3/(e*r_n)*1{r_n not integer})^kappa + s(n).
 
     Bounds sup_x of the distance between the law of the normalized maximum
     and its limit D(H(x)), given the iid margin rate beta, the Holder
     constants (K, kappa) of D, and the distortion sup distance s(n).
+
+    Read in reverse, as ``reverse_bound``, the same assembly bounds
+    sup |D_n^r - D|: there (K, kappa) are uniform Holder constants of the
+    diagonal power distortions themselves, and the last argument is an
+    overall rate gamma(n) bounding the distance of the normalized-maximum
+    law from D(H(x)).
     """
-    return _holder_composite(beta_star_n, s_n, K, kappa, r_n)
+    if not (0.0 < kappa <= 1.0):
+        raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
+    if not K > 0:
+        raise ValueError(f"K must be positive, got {K}")
+    if not (beta_star_n >= 0 and s_n >= 0):
+        raise ValueError("rate terms must be nonnegative")
+    if not r_n > 0:
+        raise ValueError(f"rate must be positive, got {r_n}")
+    ceiling = 0.0 if _is_integer_rate(r_n) else THREE_OVER_E / r_n
+    bound = K * (beta_star_n + ceiling) ** kappa + s_n
+    return RateBoundReport(bound, beta_star_n, ceiling, s_n, K, kappa)
 
 
-def reverse_bound(beta_star_n: float, gamma_n: float, K: float, kappa: float, r_n: float) -> RateBoundReport:
-    """Same assembly with an overall rate gamma(n): bounds sup |D_n^r - D|.
-
-    Here (K, kappa) are uniform Holder constants of the diagonal power
-    distortions themselves, and gamma(n) bounds the distance of the
-    normalized-maximum law from D(H(x)).
-    """
-    return _holder_composite(beta_star_n, gamma_n, K, kappa, r_n)
+reverse_bound = composite_rate_bound
 
 
 def movingmax_s(n: int, k: int) -> float:

@@ -335,26 +335,6 @@ class BermanEquicorrelated(SequenceModel):
         return ndtr(math.sqrt(self.rho) * z0 + math.sqrt(1.0 - self.rho) * z.max(axis=1))
 
 
-def make_model(spec: str, **params) -> SequenceModel:
-    """Model from a short name used by the command-line harness."""
-    s = spec.lower().replace("_", "-")
-    if s == "iid":
-        return IID()
-    if s in ("movingmax", "moving-max"):
-        return MovingMax(params["k"])
-    if s in ("clayton", "gumbel", "frank", "joe", "amh", "independence"):
-        return ArchimedeanFrailty(s, params.get("theta"))
-    if s in ("archimax", "archimax-logistic"):
-        return ArchimaxLogistic(params["family"], params.get("theta"), params["theta_stdf"])
-    if s in ("ar1", "gaussian-ar1"):
-        return GaussianAR1(params["phi"], params.get("sigma", 1.0))
-    if s == "efgm":
-        return EfgmExchangeable(params["theta"])
-    if s == "berman":
-        return BermanEquicorrelated(params["rho_corr"])
-    raise ValueError(f"unknown sequence model {spec!r}")
-
-
 # ---------------------------------------------------------------------------
 # block-partitioned estimators
 
@@ -422,11 +402,6 @@ def sample_paths(model: SequenceModel, margin: Margin | None, n: int, reps: int,
 
     parts = _run_blocks(rng, reps, 1, block)
     return np.vstack(parts)
-
-
-def sample_path(model: SequenceModel, margin: Margin | None, n: int, rng: RngStream) -> np.ndarray:
-    """A single path (X_1, ..., X_n)."""
-    return sample_paths(model, margin, n, 1, rng)[0]
 
 
 def max_sample(

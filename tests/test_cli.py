@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from maxdep.cli import main
+from maxdep import cli
+from maxdep.cli import Table, main
 
 
 def run_cli(capsys, *argv):
@@ -177,9 +178,34 @@ def test_exit_codes(capsys):
     assert code == 3
     code, _ = run_cli(capsys, "mixing", "--family", "movingmax", "--k", "1", "--t1", "0.2", "--t2", "0.2", "--u", "0.5", "--n", "10")
     assert code == 2
+    # a missing model parameter, a model without a diagonal, a model without a sampler
+    code, _ = run_cli(capsys, "diagonal", "--family", "clayton", "--n", "2", "--u-grid", "0.5")
+    assert code == 2
+    code, _ = run_cli(capsys, "diagonal", "--family", "ar1", "--n", "2", "--u-grid", "0.5")
+    assert code == 2
+    code, _ = run_cli(capsys, "converge", "--model", "ballerini", "--margin", "normal", "--n", "64")
+    assert code == 2
+    # diagonal has no --phi flag, so the parser rejects it before any lookup
+    with pytest.raises(SystemExit) as err:
+        main(["diagonal", "--family", "ar1", "--phi", "0.5", "--n", "2", "--u-grid", "0.5"])
+    assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 2
+
+
+def test_nan_cell_is_a_numeric_error(capsys, monkeypatch):
+    table = Table("t", {}, ["a", "b"])
+    table.add(1, None)
+    with pytest.raises(ValueError):
+        table.add(1, float("nan"))
+    with pytest.raises(ValueError):
+        table.add(np.float64("nan"), 2.0)
+    assert table.rows == [[1, None]]
+    monkeypatch.setattr(cli.ratebounds, "cuadras_auge_sup", lambda n, theta: (math.nan, 0.0))
+    code, out = run_cli(capsys, "bound", "--model", "cuadras-auge", "--theta", "0.5", "--n", "10")
+    assert code == 3
+    assert out == ""
 
 
 def test_jsonl_format(capsys):

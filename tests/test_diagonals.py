@@ -8,12 +8,12 @@ from maxdep.diagonals import (
     RateFn,
     distortion_sup_distance,
     empirical_diagonal_distance,
-    make_diagonal,
     mixing_discrepancy,
     power_distortion,
     rate_scaling_limit,
 )
 from maxdep.generators import builtin_generator
+from maxdep.models import make_diagonal
 from maxdep.ratebounds import movingmax_s
 
 
@@ -39,6 +39,9 @@ def test_construction_examples():
     assert ca(2, 0.81) == pytest.approx(0.81**1.5, rel=1e-14)
     cl = make_diagonal("archimedean", family="clayton", theta=1.0)
     assert cl(2, 0.5) == pytest.approx(1.0 / 3.0, rel=1e-14)
+    # every model name of the table resolves, generator families included
+    assert make_diagonal("clayton", theta=1.0)(2, 0.5) == cl(2, 0.5)
+    assert make_diagonal("iid").tag == "independence"
 
 
 def test_parameter_validation():
@@ -50,6 +53,8 @@ def test_parameter_validation():
         make_diagonal("efgm", theta=2.0)
     with pytest.raises(ValueError):
         make_diagonal("no-such-family")
+    with pytest.raises(ValueError):
+        make_diagonal("ar1", phi=0.5)  # sampled only: no closed-form diagonal
 
 
 def test_non_integer_n_rejected():

@@ -1,4 +1,6 @@
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -7,7 +9,6 @@ from scipy.integrate import quad
 from maxdep.distortions import (
     amh_uniform_mixture,
     archimedean_limit,
-    distortion_density,
     efgm_limit,
     limit_law_cdf,
     make_distortion,
@@ -69,6 +70,35 @@ def test_efgm_limit_value_and_quadrature_crosscheck():
     assert D.cdf(0.5) == pytest.approx(direct, rel=1e-14)
     ref, _ = quad(lambda t: 0.5 ** (0.5 * (2.0 * t - 1.0) + 1.0), 0.0, 1.0, epsabs=1e-13)
     assert D.cdf(0.5) == pytest.approx(ref, abs=1e-12)
+
+
+def _efgm_density_reference(theta, u):
+    # [((1+t)u^t - (1-t)u^-t) L - (u^t - u^-t)] / (2 t L^2), L = log u, in
+    # 100 digits: the cancellation near u = 1 (about z^2 for z = t*L, 1e-48
+    # at t = 1e-9, u = 1 - 1e-15) leaves more than 40 of them
+    with localcontext() as ctx:
+        ctx.prec = 100
+        t, L = Decimal(theta), Decimal(u).ln()
+        a, b = (t * L).exp(), (-t * L).exp()
+        return (((1 + t) * a - (1 - t) * b) * L - (a - b)) / (2 * t * L * L)
+
+
+def test_efgm_density_full_precision():
+    us = [5e-324, 1e-320, 1e-310, 1e-300, 1e-200, 1e-100, 1e-30, 1e-8, 1e-3, 0.1, 0.5, 0.9, 0.99]
+    us += [1.0 - 10.0**-k for k in (3, 5, 6, 7, 9, 11, 13, 15)] + [1.0 - 3e-7]
+    for theta in (0.5, -0.5, 0.8, 1.0, -1.0, 1e-3, 1e-9):
+        got = efgm_limit(theta).density(np.array(us))
+        for u, d in zip(us, got):
+            ref = _efgm_density_reference(theta, u)
+            if ref > Decimal(sys.float_info.max):
+                assert d == math.inf, (theta, u)
+            else:
+                assert d == pytest.approx(float(ref), rel=1e-12), (theta, u)
+    # a scalar takes the same branches as an array
+    assert [efgm_limit(0.5).density(u) for u in (0.3, 0.999)] == list(efgm_limit(0.5).density(np.array([0.3, 0.999])))
+    # beyond DBL_MAX at |theta| = 1 (about 9.2e313 at u = 1e-320): inf, not NaN
+    assert efgm_limit(1.0).density(1e-320) == math.inf
+    assert efgm_limit(-1.0).density(1e-320) == math.inf
 
 
 def test_efgm_symmetry_is_exact():
@@ -148,9 +178,9 @@ def test_density_examples():
     us = np.linspace(0.0, 1.0, 50)
     assert np.max(np.abs(ones.density(us) - 1.0)) == 0.0
     clayton = archimedean_limit(builtin_generator("clayton", 1.0))
-    assert distortion_density(clayton, 1.0) == pytest.approx(1.0, rel=1e-12)
+    assert clayton.density(1.0) == pytest.approx(1.0, rel=1e-12)
     gumbel = archimedean_limit(builtin_generator("gumbel", 2.0))
-    assert distortion_density(gumbel, 0.5) == pytest.approx(1.0, abs=1e-8)
+    assert gumbel.density(0.5) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_density_matches_central_differences(preset):

@@ -14,8 +14,6 @@ from maxdep.margins import (
     StandardNormal,
     Uniform01,
     UnitFrechet,
-    iid_normalizers,
-    iid_uniform_rate,
     make_margin,
 )
 
@@ -44,7 +42,7 @@ def test_invalid_parameters():
 
 
 def test_exponential_normalizers():
-    c, d, lim = iid_normalizers(Exponential(1.0), 100)
+    c, d, lim = Exponential(1.0).normalizers(100)
     assert c == 1.0
     assert d == pytest.approx(math.log(100.0), rel=1e-15)
     assert (lim.xi, lim.mu, lim.sigma) == (0.0, 0.0, 1.0)
@@ -52,7 +50,7 @@ def test_exponential_normalizers():
 
 def test_unit_frechet_normalizers_exact():
     m = UnitFrechet()
-    c, d, lim = iid_normalizers(m, 10)
+    c, d, lim = m.normalizers(10)
     assert (c, d) == (10.0, 0.0)
     xs = np.linspace(0.05, 20.0, 200)
     assert np.max(np.abs(np.asarray(m.cdf(c * xs)) ** 10 - gev_cdf(lim, xs))) < 1e-14
@@ -61,7 +59,7 @@ def test_unit_frechet_normalizers_exact():
 def test_uniform_normalizers_brute_force():
     # F^n(c x + d) = (1 + x/n)^n should approach e^x on x <= 0
     m = Uniform01()
-    c, d, lim = iid_normalizers(m, 4)
+    c, d, lim = m.normalizers(4)
     assert (c, d) == (0.25, 1.0)
     xs = np.linspace(-3.0, -0.01, 50)
     brute = np.asarray(m.cdf(c * xs + d), dtype=float) ** 4
@@ -92,12 +90,12 @@ def test_generic_margin_with_recipes():
 
 def test_uniform_rate_values():
     norm = StandardNormal()
-    assert iid_uniform_rate(norm, 21) == pytest.approx(3.0 / math.log(21), rel=1e-15)
-    assert iid_uniform_rate(norm, 10_000) == pytest.approx(3.0 / math.log(10_000), rel=1e-15)
-    assert iid_uniform_rate(UnitFrechet(), 1000) == 0.0
-    assert iid_uniform_rate(Frechet(3.0), 1000) == 0.0
+    assert norm.uniform_rate(21) == pytest.approx(3.0 / math.log(21), rel=1e-15)
+    assert norm.uniform_rate(10_000) == pytest.approx(3.0 / math.log(10_000), rel=1e-15)
+    assert UnitFrechet().uniform_rate(1000) == 0.0
+    assert Frechet(3.0).uniform_rate(1000) == 0.0
     with pytest.raises(NoKnownRateError):
-        iid_uniform_rate(Exponential(1.0), 100)
+        Exponential(1.0).uniform_rate(100)
 
 
 def test_hall_constant_equation():

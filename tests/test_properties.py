@@ -1,6 +1,6 @@
 """Property tests over the whole double range: the root-finder, inverse round
-trips, Frechet bounds, quantile round trips and the EFGM diagonal against
-quadrature."""
+trips, Frechet bounds of every model's diagonal, quantile round trips and the
+EFGM diagonal against quadrature."""
 
 import math
 import sys
@@ -16,6 +16,7 @@ from maxdep._numutil import solve_increasing
 from maxdep.diagonals import efgm_mixture_diagonal
 from maxdep.distortions import amh_uniform_mixture, archimedean_limit, efgm_limit
 from maxdep.generators import builtin_generator, generator_from_f
+from maxdep.models import MODELS
 
 DBL_MIN = sys.float_info.min
 DBL_MAX = sys.float_info.max
@@ -93,6 +94,34 @@ def test_ballerini_diagonal_frechet_bounds(u):
     fam = builtin_generator("ballerini")
     delta = float(fam.psi(2.0 * float(fam.psi_inv(u))))
     assert max(2.0 * u - 1.0, 0.0) <= delta <= u
+
+
+# parameters of every model table entry that has a diagonal
+DIAGONAL_PARAMS = {
+    "independence": {},
+    "comonotone": {},
+    "movingmax": {"k": 2},
+    "cuadras-auge": {"theta": 0.4},
+    "logistic": {"theta": 2.0},
+    "efgm": {"theta": -0.8},
+    "ballerini": {},
+    "clayton": {"theta": 2.0},
+    "frank": {"theta": 3.0},
+    "gumbel": {"theta": 2.0},
+    "joe": {"theta": 2.0},
+    "amh": {"theta": 0.6},
+}
+
+
+@pytest.mark.parametrize("name", [name for name, spec in MODELS.items() if spec.diagonal])
+@PROPERTY
+@given(u=UNIT)
+def test_model_diagonal_frechet_bounds(name, u):
+    delta = float(MODELS[name].diagonal(**DIAGONAL_PARAMS[name])(2, u))
+    # relative 1e-13, the accuracy of the diagonals: for a tail-independent
+    # model delta_2 - (2u - 1) is O((1-u)^2), below one ulp of delta_2 once
+    # 1 - u < 1e-8, so there the lower bound holds only up to rounding
+    assert max(2.0 * u - 1.0, 0.0) * (1.0 - 1e-13) <= delta <= u * (1.0 + 1e-13), (name, u, delta)
 
 
 LIMITS = st.one_of(

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from maxdep.diagonals import make_diagonal
 from maxdep.generators import builtin_generator
 from maxdep.margins import Exponential, StandardNormal, UnitFrechet, Uniform01
+from maxdep.models import MODELS as MODEL_TABLE, make_diagonal, model_spec
 from maxdep.samplers import (
     ArchimaxLogistic,
     ArchimedeanFrailty,
@@ -18,10 +18,8 @@ from maxdep.samplers import (
     RngStream,
     empirical_diagonal,
     frailty_sample,
-    make_model,
     max_sample,
     normalized_max_ecdf,
-    sample_path,
     sample_paths,
 )
 
@@ -48,10 +46,10 @@ def test_stream_independence_and_determinism():
 
 
 def test_sample_path_shape_and_native_scale():
-    path = sample_path(IID(), None, 7, RngStream(1, 0))
+    path = sample_paths(IID(), None, 7, 1, RngStream(1, 0))[0]
     assert path.shape == (7,)
     assert np.all((path >= 0.0) & (path <= 1.0))
-    raw = sample_path(BermanEquicorrelated(0.5), None, 1000, RngStream(1, 1))
+    raw = sample_paths(BermanEquicorrelated(0.5), None, 1000, 1, RngStream(1, 1))[0]
     assert np.abs(raw).max() > 1.0  # native normal scale, not uniform
 
 
@@ -108,14 +106,22 @@ def test_frailty_unknown_family():
         frailty_sample("ballerini", None, gen, 10)
 
 
+# parameters of every model table entry that has both a sampler and a diagonal
+SAMPLED_PARAMS = {
+    "independence": {},
+    "movingmax": {"k": 1},
+    "efgm": {"theta": 0.8},
+    "clayton": {"theta": 2.0},
+    "frank": {"theta": 3.0},
+    "gumbel": {"theta": 2.0},
+    "joe": {"theta": 2.0},
+    "amh": {"theta": 0.6},
+}
 DIAGONAL_CASES = [
-    (ArchimedeanFrailty("clayton", 2.0), make_diagonal("archimedean", family="clayton", theta=2.0)),
-    (ArchimedeanFrailty("gumbel", 2.0), make_diagonal("archimedean", family="gumbel", theta=2.0)),
-    (MovingMax(1), make_diagonal("movingmax", k=1)),
-    (ArchimaxLogistic("clayton", 2.0, 2.0), make_diagonal("archimax", family="clayton", theta=2.0, theta_stdf=2.0)),
-    (EfgmExchangeable(0.8), make_diagonal("efgm", theta=0.8)),
-    (IID(), make_diagonal("independence")),
-]
+    (spec.sampler(**SAMPLED_PARAMS[name]), spec.diagonal(**SAMPLED_PARAMS[name]))
+    for name, spec in MODEL_TABLE.items()
+    if spec.sampler and spec.diagonal
+] + [(ArchimaxLogistic("clayton", 2.0, 2.0), make_diagonal("archimax", family="clayton", theta=2.0, theta_stdf=2.0))]
 
 
 @pytest.mark.parametrize("model,fam", DIAGONAL_CASES, ids=lambda c: getattr(c, "tag", ""))
@@ -211,10 +217,10 @@ def test_invalid_inputs():
     with pytest.raises(ValueError):
         EfgmExchangeable(1.5)
     with pytest.raises(ValueError):
-        make_model("unknown-model")
+        model_spec("unknown-model")
 
 
 def test_make_model_specs():
-    assert make_model("movingmax", k=2).tag == "movingmax(2)"
-    assert make_model("clayton", theta=2.0).tag.startswith("arch-frailty")
-    assert make_model("berman", rho_corr=0.5).tag == "berman(0.5)"
+    assert MODEL_TABLE["movingmax"].sampler(k=2).tag == "movingmax(2)"
+    assert MODEL_TABLE["clayton"].sampler(theta=2.0).tag.startswith("arch-frailty")
+    assert BermanEquicorrelated(0.5).tag == "berman(0.5)"
