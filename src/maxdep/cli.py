@@ -212,6 +212,13 @@ def _distortion_from_spec(name: str, theta):
         return distortions.efgm_limit(_need(theta, "efgm"))
     if s in ("amh-mixture", "amh-uniform-mixture"):
         return distortions.amh_uniform_mixture()
+    # an Archimedean generator: its name and parameter come from the model table
+    try:
+        params = models.model_spec(s).params
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if "theta" in params:
+        _need(theta, s)
     return distortions.make_distortion("archimedean", family=s, theta=theta)
 
 

@@ -142,7 +142,14 @@ def _scaled_inverse_diagonal(g: ArchGenerator, eta: Callable[[int], float]) -> C
         # eta_n * psi_inv(u) may overflow to inf, where psi is 0
         with np.errstate(over="ignore"):
             t = float(eta(n)) * np.asarray(g.psi_inv(u), dtype=float)
-        return np.asarray(g.psi(t), dtype=float)
+        out = np.asarray(g.psi(t), dtype=float)
+        # below t = 1e-6, psi(t) near 1 carries an error of a few ulps, enough
+        # to fall below the Frechet bound 2u - 1; its complement 1 - psi(t)
+        # keeps its relative digits, so only the final subtraction rounds
+        near_one = t < 1e-6
+        if near_one.any():
+            out = np.where(near_one, 1.0 - np.asarray(g.one_minus_psi(t), dtype=float), out)
+        return out
 
     return fn
 
@@ -168,6 +175,22 @@ def archimax_diagonal(g: ArchGenerator, eta: Callable[[int], float], tag: str | 
     )
 
 
+def _log_binomial_mean(m: float, e):
+    """log((1 - (1-e)^m) / (m*e)) for m*e < 1e-3, from the binomial series.
+
+    The mean is 1 + sum_k a_k with a_2 = -(m-1)e/2 and a_(k+1) = -a_k (m-k) e/(k+1).
+    The first term left out, a_7, is below 1e-18 of the sum, so the log keeps
+    every digit, where the difference of two logs it replaces keeps only a
+    share ~1e-16/(m*e) of them.
+    """
+    term = -(m - 1.0) * e / 2.0
+    total = term
+    for k in range(2, 6):
+        term = -term * (m - k) * e / (k + 1.0)
+        total = total + term
+    return np.log1p(total)
+
+
 def efgm_mixture_diagonal(theta: float) -> DiagonalFamily:
     """Exchangeable mixture diagonal int_0^1 (u + theta*u*(u-1)*(2t-1))^n dt.
 
@@ -177,7 +200,9 @@ def efgm_mixture_diagonal(theta: float) -> DiagonalFamily:
     with e = 2c/hi = 2|theta|(1-u) / (1 + |theta|(1-u)).  It is evaluated in
     log space, with log(1-e) = log1p(-e) and, where hi >= 1/2, log hi =
     log1p(-(1-u)*(1-|theta|*u)); both keep full relative accuracy for tiny
-    theta and for u near 1.  At e = 0 (theta = 0) it is hi^n = u^n.
+    theta and for u near 1.  Where (n+1)*e < 1e-3 the log of the mean comes
+    from its binomial series (``_log_binomial_mean``), so at e = 0
+    (theta = 0) it is hi^n = u^n.
     """
     if not (-1.0 <= theta <= 1.0):
         raise ValueError(f"theta must lie in [-1, 1], got {theta}")
@@ -191,7 +216,10 @@ def efgm_mixture_diagonal(theta: float) -> DiagonalFamily:
         with np.errstate(divide="ignore", invalid="ignore"):
             log_hi = np.where(hi >= 0.5, np.log1p(-(1.0 - u) * (1.0 - th * u)), np.log(hi))
             log_mean = np.log(-np.expm1(m * np.log1p(-e))) - np.log(m * e)
-        return np.exp(n * log_hi + np.where(e > 0.0, log_mean, 0.0))
+            series = m * e < 1e-3
+            if series.any():
+                log_mean = np.where(series, _log_binomial_mean(m, e), log_mean)
+        return np.exp(n * log_hi + log_mean)
 
     return DiagonalFamily(
         fn=fn,

@@ -163,12 +163,22 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
     if fam == "amh":
         if not 0.0 < th < 1.0:
             raise ValueError(f"AMH parameter must lie in (0, 1), got {th}")
+
+        def amh_inv(u):
+            # where 1 - u < 1e-6 the log of the quotient keeps only the first
+            # digits of its small value; the difference of log1p keeps them all
+            u = np.asarray(u, dtype=float)
+            d = 1.0 - u
+            with np.errstate(divide="ignore"):
+                near_one = np.log1p(-th * d) - np.log1p(-d)
+            return np.where(d < 1e-6, near_one, np.log((1.0 - th * d) / u))
+
         # (1-th)/(e^t - th) written with e^{-t} so huge t cannot overflow
         return ArchGenerator(
             psi=lambda t: (1.0 - th)
             * np.exp(-np.asarray(t, dtype=float))
             / (1.0 - th * np.exp(-np.asarray(t, dtype=float))),
-            psi_inv=lambda u: np.log((1.0 - th * (1.0 - np.asarray(u, dtype=float))) / u),
+            psi_inv=amh_inv,
             psi_prime=lambda t: -(1.0 - th)
             * np.exp(-np.asarray(t, dtype=float))
             / (1.0 - th * np.exp(-np.asarray(t, dtype=float))) ** 2,
@@ -220,16 +230,15 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
             return -log_w / th
 
         def psi_inv(u):
-            # -log r with r = e^{-t}; for theta > 6.9, r - 1 is formed as
-            # -e^{-theta*u}*expm1(-theta*(1-u))/em and its log1p taken
-            # wherever r > 1/2.  Below that theta the plain form is kept,
-            # which pins the digits of the Frank tables and converge output
+            # -log r with r = e^{-t}; near r = 1, r - 1 is formed as
+            # -e^{-theta*u}*expm1(-theta*(1-u))/em and its log1p taken: for
+            # theta > 6.9 wherever r > 1/2, below that theta only where
+            # 1 - u < 1e-6, which keeps the digits of the Frank tables
             u = np.asarray(u, dtype=float)
             r = np.expm1(-th * u) / em
-            if not steep:
-                return -np.log(r)
+            near_one = r > 0.5 if steep else u > 1.0 - 1e-6
             with np.errstate(divide="ignore"):
-                return np.where(r > 0.5, -np.log1p(-np.exp(-th * u) * np.expm1(-th * (1.0 - u)) / em), -np.log(r))
+                return np.where(near_one, -np.log1p(-np.exp(-th * u) * np.expm1(-th * (1.0 - u)) / em), -np.log(r))
 
         def psi_prime(t):
             e = em * np.exp(-np.asarray(t, dtype=float))

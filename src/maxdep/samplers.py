@@ -10,9 +10,9 @@ check on the analytic diagonals.
 Frailty constructions: Clayton uses a Gamma(1/theta) frailty, Gumbel a
 positive alpha-stable (alpha = 1/theta) drawn by the Chambers-Mallows-Stuck
 transform, Frank a logarithmic-series variable, Joe a Sibuya(1/theta)
-variable drawn by exact inversion of its closed-form survival function, and
-AMH a geometric frailty.  Each is validated against its Laplace transform in
-the test suite.
+variable drawn exactly as a geometric variable whose success probability is
+Beta(1/theta, 1 - 1/theta) (Sibuya 1979; Hofert 2011), and AMH a geometric
+frailty.  Each is validated against its Laplace transform in the test suite.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
-from scipy.special import gammaln, ndtr
+from scipy.special import ndtr
 
 from .generators import ArchGenerator, builtin_generator
 from .margins import Margin
@@ -96,37 +96,23 @@ def _logseries_frailty(gen, m: int, theta: float):
 
 
 def _sibuya_frailty(gen, m: int, alpha: float):
-    """Sibuya(alpha) frailty for the Joe generator, by survival inversion.
+    """Sibuya(alpha) frailty for the Joe generator, as a Beta-geometric draw.
 
-    P(V > n) = Gamma(n+1-alpha) / (Gamma(1-alpha) * Gamma(n+1)) extends to a
-    strictly decreasing function of real n; the sampler bisects for the root
-    in log space and takes the ceiling.  Exact up to float precision of the
-    survival function, with no tail truncation (the distribution has infinite
-    mean for alpha < 1).
+    P(V > n) = Gamma(n+1-alpha) / (Gamma(1-alpha) * Gamma(n+1)) equals
+    E[(1-W)^n] for W ~ Beta(alpha, 1-alpha), so V is geometric on {1, 2, ...}
+    with success probability W (Sibuya 1979, AISM 31; Hofert 2011, CSDA 55):
+    V = ceil(E / -log(1-W)) for E ~ Exp(1).  W = Ga/(Ga+Gb) is never formed:
+    its gamma variates stay in log space, a shape a < 1 drawn as
+    log G(a) = log G(a+1) + log(U)/a, and -log(1-W) = log(1 + Ga/Gb) keeps its
+    relative digits for W near 0 and near 1, where W itself would round.  V
+    is +inf exactly where the draw exceeds DBL_MAX, which is common for large
+    theta (the tail is ~ n^-alpha).  Five arrays of m draws per call.
     """
-    lu = np.log(_clip_unit(gen.random(m)))
-    base = gammaln(1.0 - alpha)
-
-    def log_surv(logx):
-        # Stirling regime far out, where exp(logx) would overflow anyway
-        exact = gammaln(np.exp(np.minimum(logx, 600.0)) + 1.0 - alpha) - gammaln(
-            np.exp(np.minimum(logx, 600.0)) + 1.0
-        ) - base
-        return np.where(logx > 600.0, -alpha * logx - base, exact)
-
-    lo = np.zeros(m)
-    hi = np.full(m, 4.0)
-    grow = log_surv(hi) > lu
-    while grow.any():
-        hi = np.where(grow, hi * 2.0, hi)
-        grow = log_surv(hi) > lu
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        take = log_surv(mid) <= lu
-        hi = np.where(take, mid, hi)
-        lo = np.where(take, lo, mid)
-    root = np.exp(hi)
-    v = np.ceil(root - 1e-9)
+    la = np.log(gen.standard_gamma(alpha + 1.0, m)) + np.log(_clip_unit(gen.random(m))) / alpha
+    lb = np.log(gen.standard_gamma(2.0 - alpha, m)) + np.log(_clip_unit(gen.random(m))) / (1.0 - alpha)
+    e = gen.exponential(1.0, m)
+    with np.errstate(divide="ignore", over="ignore"):
+        v = np.ceil(e / np.logaddexp(0.0, la - lb))
     return np.maximum(v, 1.0)
 
 

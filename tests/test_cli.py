@@ -185,6 +185,11 @@ def test_exit_codes(capsys):
     assert code == 2
     code, _ = run_cli(capsys, "converge", "--model", "ballerini", "--margin", "normal", "--n", "64")
     assert code == 2
+    # distortion: a generator without its --theta, an unknown generator
+    code, _ = run_cli(capsys, "distortion", "--generator", "clayton", "--u-grid", "0.5")
+    assert code == 2
+    code, _ = run_cli(capsys, "distortion", "--generator", "nosuch", "--theta", "1", "--u-grid", "0.5")
+    assert code == 2
     # diagonal has no --phi flag, so the parser rejects it before any lookup
     with pytest.raises(SystemExit) as err:
         main(["diagonal", "--family", "ar1", "--phi", "0.5", "--n", "2", "--u-grid", "0.5"])
@@ -246,3 +251,29 @@ def test_output_file_and_repeatability(tmp_path, capsys):
     assert main(args + ["--out", str(f1)]) == 0
     assert main(args + ["--out", str(f2), "--workers", "3"]) == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_converge_joe_is_worker_invariant(capsys):
+    args = ["converge", "--model", "joe", "--theta", "2", "--margin", "unit-frechet", "--n", "64,256",
+            "--reps", "12288", "--seed", "17"]
+    code1, out1 = run_cli(capsys, *args, "--workers", "1")
+    code3, out3 = run_cli(capsys, *args, "--workers", "3")
+    assert code1 == code3 == 0
+    assert out1 == out3
+
+
+def test_converge_frank_output_is_pinned(capsys):
+    # the Frank frailty and psi paths print exactly these bytes; a change to
+    # any shared sampler code that moves a draw shows here
+    code, out = run_cli(
+        capsys, "converge", "--model", "frank", "--theta", "3", "--margin", "exponential",
+        "--n", "16,64", "--reps", "8192", "--seed", "7",
+    )
+    assert code == 0
+    assert out == (
+        "# maxdep converge margin=exponential(1.0) model=arch-frailty[frank(3.0)] n=16,64 reps=8192 seed=7"
+        " x-grid=auto41\n"
+        "n,sup_distance,max_se,bound\n"
+        "16,0.08933854844603373,0.005521820740183226,\n"
+        "64,0.0406322342450155,0.005524234684767131,\n"
+    )

@@ -118,10 +118,10 @@ DIAGONAL_PARAMS = {
 @given(u=UNIT)
 def test_model_diagonal_frechet_bounds(name, u):
     delta = float(MODELS[name].diagonal(**DIAGONAL_PARAMS[name])(2, u))
-    # relative 1e-13, the accuracy of the diagonals: for a tail-independent
-    # model delta_2 - (2u - 1) is O((1-u)^2), below one ulp of delta_2 once
-    # 1 - u < 1e-8, so there the lower bound holds only up to rounding
-    assert max(2.0 * u - 1.0, 0.0) * (1.0 - 1e-13) <= delta <= u * (1.0 + 1e-13), (name, u, delta)
+    # no slack: for a tail-independent model delta_2 - (2u - 1) is
+    # O((1-u)^2), below one ulp once 1 - u < 1e-8, so this holds only where
+    # 1 - delta_2 is formed to its last digit
+    assert max(2.0 * u - 1.0, 0.0) <= delta <= u, (name, u, delta)
 
 
 LIMITS = st.one_of(

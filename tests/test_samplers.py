@@ -1,7 +1,10 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 from scipy.stats import kstest
 
 from maxdep.generators import builtin_generator
@@ -83,6 +86,10 @@ def test_marginal_distribution(model):
 
 
 FRAILTY_CASES = [("independence", None), ("clayton", 2.0), ("gumbel", 2.0), ("frank", 2.0), ("joe", 2.0), ("amh", 0.5)]
+# the Sibuya frailty from near-independence to a tail so heavy that half the
+# draws at theta = 1000 lie beyond DBL_MAX
+SIBUYA_THETAS = [1.01, 10.0, 100.0, 1000.0]
+FRAILTY_CASES += [("joe", theta) for theta in SIBUYA_THETAS]
 
 
 @pytest.mark.parametrize("family,theta", FRAILTY_CASES, ids=[f"{f}({t})" for f, t in FRAILTY_CASES])
@@ -91,13 +98,39 @@ def test_frailty_laplace_transform(family, theta):
     gen = RngStream(31337, 0).block_generator(0)
     v = frailty_sample(family, theta, gen, 100_000)
     for t in (0.1, 1.0, 5.0):
-        w = np.exp(-t * v)
+        # e^(-t*v) is 0 in doubles long before v reaches DBL_MAX/t, so the
+        # clip changes no term and keeps t*v finite
+        w = np.exp(-t * np.minimum(v, 1e300))
         se = w.std(ddof=1) / math.sqrt(w.size)
         if se < 1e-12:  # degenerate frailty (independence)
             assert w.mean() == pytest.approx(float(g.psi(t)), abs=1e-12)
         else:
             z = (w.mean() - float(g.psi(t))) / se
             assert abs(z) < 4.0
+
+
+@pytest.mark.parametrize("theta", [2.0] + SIBUYA_THETAS)
+def test_sibuya_frailty_law(theta):
+    # Joe's frailty is Sibuya(1/theta): integral, >= 1, with
+    # P(V > n) = Gamma(n+1-a)/(Gamma(1-a) Gamma(n+1)) for a = 1/theta
+    alpha, reps = 1.0 / theta, 400_000
+    gen = RngStream(1979, 0).block_generator(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = frailty_sample("joe", theta, gen, reps)
+    finite = v[np.isfinite(v)]
+    assert np.all(v >= 1.0)
+    assert np.array_equal(finite, np.floor(finite))
+    for n in (1, 10, 1000):
+        p = math.exp(gammaln(n + 1.0 - alpha) - gammaln(1.0 - alpha) - gammaln(n + 1.0))
+        z = (np.count_nonzero(v > n) - reps * p) / math.sqrt(reps * p * (1.0 - p))
+        assert abs(z) < 4.0, (theta, n, z)
+    # +inf only where the draw exceeds DBL_MAX: P(V > x) ~ x^-a / Gamma(1-a)
+    # for large x, 8e-4 at theta = 100, 0.49 at theta = 1000 and below 1e-30
+    # at theta <= 10, where no draw may be inf
+    p_inf = math.exp(-alpha * math.log(sys.float_info.max) - gammaln(1.0 - alpha))
+    n_inf = np.count_nonzero(np.isinf(v))
+    assert abs(n_inf - reps * p_inf) < 4.0 * math.sqrt(reps * p_inf * (1.0 - p_inf)) + 0.5, (theta, n_inf)
 
 
 def test_frailty_unknown_family():
