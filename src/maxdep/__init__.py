@@ -9,9 +9,11 @@ Library layout:
 - ``distortions`` limiting distortions D and composite laws D(H(x))
 - ``ratebounds``  exact power-difference suprema and composite rate bounds
 - ``samplers``    deterministic Monte Carlo samplers and estimators
-- ``models``      the model table: each model's diagonal, sampler and exact gap by name
+- ``models``      the model table: each model's diagonal, limit, sampler and exact gap by name
 - ``cli``         the ``maxdep`` command-line harness
 """
+
+__version__ = "0.1.0"  # first, so that modules can read it as they load
 
 from .gev import GevParams, gev_cdf, gev_density, gev_power, gev_quantile, gev_support
 from .generators import (
@@ -80,5 +82,3 @@ from .samplers import (
     normalized_max_ecdf,
     sample_paths,
 )
-
-__version__ = "0.1.0"

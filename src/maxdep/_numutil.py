@@ -60,7 +60,7 @@ def solve_increasing(f, target, lo, hi, tol: float = 1e-12):
     elements still moving only.  Floating-point warnings inside f are
     silenced: the ends of a wide bracket may overflow or underflow it, and
     a non-finite step falls back to bisection.  Returns a float for scalar
-    input.
+    input and an empty array for an empty target.
     """
     eps4 = 4.0 * np.finfo(float).eps
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -97,8 +97,8 @@ def solve_increasing(f, target, lo, hi, tol: float = 1e-12):
                 keep = ~stop
                 idx, a, b, fa, fb, y, x, step, before, last = (
                     v[keep] for v in (idx, a, b, fa, fb, y, x, step, before, last))
-                if not idx.size:
-                    break
+            if not idx.size:
+                break
             if newton:
                 c = x + step
                 measure = np.abs(step)
@@ -127,7 +127,12 @@ def solve_increasing(f, target, lo, hi, tol: float = 1e-12):
                 out[idx] = np.where(small, c + step, c)
             else:
                 out[idx] = c
-    out = out.reshape(shape)
+    return scalar_or_array(out.reshape(shape))
+
+
+def scalar_or_array(out):
+    """out as a float where it is 0-d, else as a float array: a scalar in, a float out."""
+    out = np.asarray(out, dtype=float)
     return float(out) if out.ndim == 0 else out
 
 

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import diagonals, distortions, margins, models, ratebounds, samplers
+from . import __version__, diagonals, margins, models, ratebounds, samplers
 from .gev import gev_cdf, gev_quantile
 
 
@@ -98,7 +98,7 @@ class Table:
 
     def _meta(self) -> str:
         items = " ".join(f"{k}={v}" for k, v in sorted(self.config.items()))
-        return f"maxdep {self.command} {items}"
+        return f"maxdep {self.command} {items} version={__version__}"
 
     def render(self, fmt: str) -> str:
         if fmt == "csv":
@@ -120,23 +120,22 @@ class Table:
 def _resolve(name: str, role: str, args) -> tuple[models.ModelSpec, dict]:
     """(spec, params) of the model ``name``, which must have ``role``.
 
-    role is a ``ModelSpec`` field: "diagonal", "sampler" or "gap".  An
-    unknown name, a model without that role and a missing parameter are
+    role is a ``ModelSpec`` field: "diagonal", "sampler", "gap" or "limit".
+    An unknown name, a model without that role and a missing parameter are
     usage errors.
     """
     try:
-        spec = models.model_spec(name)
+        spec = models.model_spec(name, role)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if getattr(spec, role) is None:
-        raise UsageError(f"model {name!r} has no {role}")
     return spec, {p: _require(args, p) for p in spec.params}
 
 
 def _require(args, name: str):
     val = getattr(args, name, None)
     if val is None:
-        raise UsageError(f"--{name.replace('_', '-')} is required here")
+        flag = f"--{name.replace('_', '-')}"
+        raise UsageError(f"{flag} is required here" if hasattr(args, name) else f"this subcommand has no {flag}")
     return val
 
 
@@ -204,44 +203,23 @@ _FIGURE1_PRESET = [
 ]
 
 
-def _distortion_from_spec(name: str, theta):
-    s = name.lower().replace("_", "-")
-    if s == "power":
-        return distortions.power(_need(theta, "power"))
-    if s == "efgm":
-        return distortions.efgm_limit(_need(theta, "efgm"))
-    if s in ("amh-mixture", "amh-uniform-mixture"):
-        return distortions.amh_uniform_mixture()
-    # an Archimedean generator: its name and parameter come from the model table
-    try:
-        params = models.model_spec(s).params
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    if "theta" in params:
-        _need(theta, s)
-    return distortions.make_distortion("archimedean", family=s, theta=theta)
-
-
-def _need(theta, what):
-    if theta is None:
-        raise UsageError(f"--theta is required for {what}")
-    return theta
-
-
 def cmd_distortion(args) -> Table:
     grid = _parse_grid(args.u_grid)
     config = {"generator": args.generator, "theta": args.theta, "u-grid": args.u_grid}
     table = Table("distortion", config, ["family", "u", "cdf", "density", "quantile"])
     if args.generator.lower() == "figure1":
-        specs = [(f"{fam}({th})" if th is not None else fam, _distortion_from_spec(fam, th)) for fam, th in _FIGURE1_PRESET]
+        curves = [(name, argparse.Namespace(theta=theta), f"{name}({theta})" if theta is not None else name)
+                  for name, theta in _FIGURE1_PRESET]
     else:
-        D = _distortion_from_spec(args.generator, args.theta)
-        specs = [(D.tag, D)]
-    for label, D in specs:
-        for u in grid:
-            u = float(u)
-            q = float(D.quantile(u)) if 0.0 < u < 1.0 else None
-            table.add(label, u, float(D.cdf(u)), float(D.density(u)), q)
+        curves = [(args.generator, args, None)]
+    # one array call per column; only the levels inside (0, 1) have a quantile
+    inside = (grid > 0.0) & (grid < 1.0)
+    for name, curve_args, label in curves:
+        spec, params = _resolve(name, "limit", curve_args)
+        D = spec.limit(**params)
+        quantiles = iter(D.quantile(grid[inside]))
+        for u, c, d, q in zip(grid, D.cdf(grid), D.density(grid), inside):
+            table.add(label or D.tag, float(u), float(c), float(d), float(next(quantiles)) if q else None)
     return table
 
 
@@ -390,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("distortion", help="tabulate limit distortions (cdf/density/quantile)")
-    p.add_argument("--generator", required=True, help="generator family, efgm, power, amh-mixture, or figure1")
+    p.add_argument("--generator", required=True, help="a model with a limit distortion (power, amh-mixture, efgm, clayton, ...) or figure1")
     p.add_argument("--theta", type=float)
     p.add_argument("--u-grid", dest="u_grid")
     common(p)

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._numutil import golden_max
+from ._numutil import golden_max, scalar_or_array
 from .distortions import Distortion, archimedean_limit, efgm_limit, power
 from .generators import ArchGenerator
 
@@ -61,8 +61,7 @@ class DiagonalFamily:
         # endpoints are fixed for every copula diagonal; evaluate only inside
         interior = (u > 0.0) & (u < 1.0)
         out = np.asarray(self.fn(int(n), np.where(interior, u, 0.5)), dtype=float)
-        out = np.where(interior, out, np.where(u <= 0.0, 0.0, 1.0))
-        return float(out) if out.ndim == 0 else out
+        return scalar_or_array(np.where(interior, out, np.where(u <= 0.0, 0.0, 1.0)))
 
 
 def logistic_eta(theta: float) -> Callable[[int], float]:
@@ -142,13 +141,14 @@ def _scaled_inverse_diagonal(g: ArchGenerator, eta: Callable[[int], float]) -> C
         # eta_n * psi_inv(u) may overflow to inf, where psi is 0
         with np.errstate(over="ignore"):
             t = float(eta(n)) * np.asarray(g.psi_inv(u), dtype=float)
-        out = np.asarray(g.psi(t), dtype=float)
+        out = np.array(g.psi(t), dtype=float)
         # below t = 1e-6, psi(t) near 1 carries an error of a few ulps, enough
         # to fall below the Frechet bound 2u - 1; its complement 1 - psi(t)
-        # keeps its relative digits, so only the final subtraction rounds
+        # keeps its relative digits, so only the final subtraction rounds.
+        # It is taken on those elements only: on large t it may overflow
         near_one = t < 1e-6
         if near_one.any():
-            out = np.where(near_one, 1.0 - np.asarray(g.one_minus_psi(t), dtype=float), out)
+            out[near_one] = 1.0 - np.asarray(g.one_minus_psi(t[near_one]), dtype=float)
         return out
 
     return fn
@@ -250,8 +250,7 @@ def power_distortion(fam: DiagonalFamily, r: RateFn | None, n: int, u):
     r_n = rate(n)
     u = np.asarray(u, dtype=float)
     out = np.asarray(fam(n, _power_arg(u, r_n)), dtype=float)
-    out = np.where(u <= 0, 0.0, np.where(u >= 1.0, 1.0, out))
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(np.where(u <= 0, 0.0, np.where(u >= 1.0, 1.0, out)))
 
 
 # log(-log u) from u = 1 - 2^-53 down to the smallest positive double

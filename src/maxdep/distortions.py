@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import roots_legendre
 
+from ._numutil import scalar_or_array
 # bound under its earlier name, which the benchmark's tracer rebinds to count
 # the cdf evaluations of the quantile solves
 from ._numutil import solve_increasing as bisect_increasing
@@ -39,14 +40,6 @@ class Distortion:
     density: Callable
     quantile: Callable
     tag: str = "distortion"
-
-
-def _vec(fn):
-    def wrapped(u):
-        out = fn(np.asarray(u, dtype=float))
-        return float(out) if np.ndim(out) == 0 else out
-
-    return wrapped
 
 
 # log of the smallest normal double: the lower end of every quantile solve
@@ -76,20 +69,24 @@ def _numeric_quantile(cdf, density) -> Callable:
         logq = np.log(arr)
         inside = logq > floor
         x = bisect_increasing(log_cdf, np.where(inside, logq, 0.0), _LOG_DBL_MIN, 0.0, 1e-10)
-        out = np.where(inside, np.exp(x), 0.0)
-        return float(out) if out.ndim == 0 else out
+        return scalar_or_array(np.where(inside, np.exp(x), 0.0))
 
     return quantile
 
 
 def power(theta: float) -> Distortion:
-    """D(u) = u^theta for theta > 0 (identity at theta = 1)."""
+    """D(u) = u^theta for theta > 0 (identity at theta = 1); d(0) = inf for theta < 1."""
     if not theta > 0:
         raise ValueError(f"power exponent must be positive, got {theta}")
+
+    def density(u):
+        with np.errstate(divide="ignore"):
+            return scalar_or_array(theta * np.asarray(u, dtype=float) ** (theta - 1.0))
+
     return Distortion(
-        cdf=_vec(lambda u: u**theta),
-        density=_vec(lambda u: theta * u ** (theta - 1.0)),
-        quantile=_vec(lambda q: q ** (1.0 / theta)),
+        cdf=lambda u: scalar_or_array(np.asarray(u, dtype=float) ** theta),
+        density=density,
+        quantile=lambda q: scalar_or_array(np.asarray(q, dtype=float) ** (1.0 / theta)),
         tag=f"power({theta})",
     )
 
@@ -139,7 +136,7 @@ def archimedean_limit(g: ArchGenerator) -> Distortion:
         with np.errstate(divide="ignore", over="ignore"):
             y = (-np.log(np.where(u > 0, u, 0.5))) ** (1.0 / rho)
             core = np.asarray(g.psi(y), dtype=float)
-        return np.where(u <= 0, 0.0, np.where(u >= 1, 1.0, core))
+        return scalar_or_array(np.where(u <= 0, 0.0, np.where(u >= 1, 1.0, core)))
 
     d0 = _arch_density_at_zero(g)
     d1 = _arch_density_at_one(g)
@@ -150,15 +147,15 @@ def archimedean_limit(g: ArchGenerator) -> Distortion:
         uu = np.where(inner, u, 0.5)
         y = (-np.log(uu)) ** (1.0 / rho)
         core = -np.asarray(g.psi_prime(y), dtype=float) * y ** (1.0 - rho) / (rho * uu)
-        return np.where(inner, core, np.where(u <= 0, d0, d1))
+        return scalar_or_array(np.where(inner, core, np.where(u <= 0, d0, d1)))
 
     def quantile(q):
         q = np.asarray(q, dtype=float)
         if np.any(q <= 0) or np.any(q >= 1):
             raise ValueError("quantile level must lie strictly in (0, 1)")
-        return np.exp(-np.asarray(g.psi_inv(q), dtype=float) ** rho)
+        return scalar_or_array(np.exp(-np.asarray(g.psi_inv(q), dtype=float) ** rho))
 
-    return Distortion(_vec(cdf), _vec(density), _vec(quantile), tag=f"arch-limit[{g.tag}]")
+    return Distortion(cdf, density, quantile, tag=f"arch-limit[{g.tag}]")
 
 
 def efgm_limit(theta: float) -> Distortion:
@@ -181,7 +178,7 @@ def efgm_limit(theta: float) -> Distortion:
         direct = (uu ** (1.0 + theta) - uu ** (1.0 - theta)) / (2.0 * theta * L)
         with np.errstate(over="ignore"):
             core = np.where(np.abs(z) < 1e-3, uu * np.sinh(z) / z, direct)
-        return np.where(inner, core, np.where(u <= 0, 0.0, 1.0))
+        return scalar_or_array(np.where(inner, core, np.where(u <= 0, 0.0, 1.0)))
 
     th = abs(theta)
 
@@ -206,9 +203,9 @@ def efgm_limit(theta: float) -> Distortion:
             sinhc = 1.0 + zz * (1 / 6 + zz * (1 / 120 + zz * (1 / 5040 + zz * (1 / 362880 + zz / 39916800))))
             odd = zs * (1 / 3 + zz * (1 / 30 + zz * (1 / 840 + zz * (1 / 45360 + zz / 3991680))))
             out[small] = sinhc + th * odd
-        return np.where(inner, out, np.where(u <= 0, np.inf, 1.0))
+        return scalar_or_array(np.where(inner, out, np.where(u <= 0, np.inf, 1.0)))
 
-    return Distortion(_vec(cdf), _vec(density), _numeric_quantile(cdf, density), tag=f"efgm({theta})")
+    return Distortion(cdf, density, _numeric_quantile(cdf, density), tag=f"efgm({theta})")
 
 
 def parameter_mixture(components: Sequence[Distortion], weights: Sequence[float], tag: str = "mixture") -> Distortion:
@@ -221,12 +218,12 @@ def parameter_mixture(components: Sequence[Distortion], weights: Sequence[float]
     comps = list(components)
 
     def cdf(u):
-        return sum(wi * np.asarray(c.cdf(u), dtype=float) for wi, c in zip(w, comps))
+        return scalar_or_array(sum(wi * np.asarray(c.cdf(u), dtype=float) for wi, c in zip(w, comps)))
 
     def density(u):
-        return sum(wi * np.asarray(c.density(u), dtype=float) for wi, c in zip(w, comps))
+        return scalar_or_array(sum(wi * np.asarray(c.density(u), dtype=float) for wi, c in zip(w, comps)))
 
-    return Distortion(_vec(cdf), _vec(density), _numeric_quantile(cdf, density), tag=tag)
+    return Distortion(cdf, density, _numeric_quantile(cdf, density), tag=tag)
 
 
 def mixture_over_interval(make: Callable[[float], Distortion], a: float, b: float, nodes: int = 64, tag: str = "mixture") -> Distortion:
@@ -262,7 +259,7 @@ def amh_uniform_mixture() -> Distortion:
         out = np.where(u >= 1.0, 1.0, 1.0 + (1.0 - ud) / ud * np.log1p(-ud))
         if np.count_nonzero(small):
             out[small] = np.maximum(u[small], 0.0)[:, None] ** _AMH_K @ (1.0 / (_AMH_K * (_AMH_K + 1)))
-        return out
+        return scalar_or_array(out)
 
     def density(u):
         u = np.asarray(u, dtype=float)
@@ -271,9 +268,9 @@ def amh_uniform_mixture() -> Distortion:
         out = np.where(u >= 1.0, np.inf, -np.log1p(-ud) / ud**2 - 1.0 / ud)
         if np.count_nonzero(small):
             out[small] = np.maximum(u[small], 0.0)[:, None] ** (_AMH_K - 1) @ (1.0 / (_AMH_K + 1))
-        return out
+        return scalar_or_array(out)
 
-    return Distortion(_vec(cdf), _vec(density), _numeric_quantile(cdf, density), tag="amh-uniform-mixture")
+    return Distortion(cdf, density, _numeric_quantile(cdf, density), tag="amh-uniform-mixture")
 
 
 def make_distortion(variant: str, **params) -> Distortion:

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._numutil import solve_increasing
+from ._numutil import scalar_or_array, solve_increasing
 
 # bracket grid of the numeric inverse: log t from the smallest positive double
 # to the largest, through -512, ..., -1, 1, ..., 512
@@ -96,8 +96,7 @@ def _numeric_inverse(f: Callable, f_prime: Callable, excess: Callable | None = N
                 r = np.where(t >= 1.0, np.asarray(excess(t), dtype=float) + np.log(t * arr.ravel()[inside]), r)
             step = r / np.asarray(f_prime(t), dtype=float)
         out[inside] = np.where(np.isfinite(step), t - step, t)
-        out = out.reshape(arr.shape)
-        return float(out) if out.ndim == 0 else out
+        return scalar_or_array(out.reshape(arr.shape))
 
     return inv
 
@@ -193,8 +192,13 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
             raise ValueError(f"Clayton parameter must be positive, got {th}")
 
         def clayton_inv(u):
-            with np.errstate(over="ignore"):  # inf below DBL_MAX^(-1/theta), beyond the doubles
-                return np.asarray(u, dtype=float) ** (-th) - 1.0
+            # u^-theta - 1 cancels where 1 - u < 1e-6; there it is formed as
+            # expm1(-theta*log1p(-(1-u))), whose 1 - u is exact
+            u = np.asarray(u, dtype=float)
+            d = 1.0 - u
+            # inf below DBL_MAX^(-1/theta), beyond the doubles, and at u = 0
+            with np.errstate(over="ignore", divide="ignore"):
+                return np.where(d < 1e-6, np.expm1(-th * np.log1p(-d)), u ** (-th) - 1.0)
 
         return ArchGenerator(
             psi=lambda t: (1.0 + np.asarray(t, dtype=float)) ** (-1.0 / th),

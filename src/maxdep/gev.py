@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numutil import scalar_or_array
+
 # |xi| below this is treated as the Gumbel branch; the xi != 0 formula has a
 # removable limit there and both branches agree to ~1e-6 at |xi| = 1e-8.
 XI_ZERO_TOL = 1e-12
@@ -38,17 +40,12 @@ class GevParams:
         return abs(self.xi) < XI_ZERO_TOL
 
 
-def _maybe_scalar(out: np.ndarray, scalar_in: bool):
-    return float(out) if scalar_in else out
-
-
 def gev_cdf(p: GevParams, x):
     """Distribution function of H_{xi,mu,sigma}, clamped to 0/1 outside support.
 
     Total in x (scalar or array); continuous everywhere.
     """
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
     z = (x - p.mu) / p.sigma
     if p.is_gumbel:
         out = np.exp(-np.exp(-z))
@@ -58,13 +55,12 @@ def gev_cdf(p: GevParams, x):
             core = np.exp(-np.where(t > 0, t, 1.0) ** (-1.0 / p.xi))
         below = 0.0 if p.xi > 0 else 1.0
         out = np.where(t > 0, core, below)
-    return _maybe_scalar(out, scalar)
+    return scalar_or_array(out)
 
 
 def gev_quantile(p: GevParams, q):
     """Inverse of ``gev_cdf`` on (0, 1)."""
     q = np.asarray(q, dtype=float)
-    scalar = q.ndim == 0
     if np.any(q <= 0.0) or np.any(q >= 1.0):
         raise ValueError("quantile level must lie strictly in (0, 1)")
     ell = -np.log(q)
@@ -72,13 +68,12 @@ def gev_quantile(p: GevParams, q):
         out = p.mu - p.sigma * np.log(ell)
     else:
         out = p.mu + p.sigma * (ell ** (-p.xi) - 1.0) / p.xi
-    return _maybe_scalar(out, scalar)
+    return scalar_or_array(out)
 
 
 def gev_density(p: GevParams, x):
     """Density of H_{xi,mu,sigma}; zero outside the support."""
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
     z = (x - p.mu) / p.sigma
     if p.is_gumbel:
         with np.errstate(over="ignore"):
@@ -90,7 +85,7 @@ def gev_density(p: GevParams, x):
         with np.errstate(over="ignore", invalid="ignore"):
             w = safe ** (-1.0 / p.xi)
             out = np.where(t > 0, w / safe * np.exp(-w) / p.sigma, 0.0)
-    return _maybe_scalar(out, scalar)
+    return scalar_or_array(out)
 
 
 def gev_support(p: GevParams) -> tuple[float, float]:

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
+from ._numutil import scalar_or_array
 from .gev import GevParams
 
 
@@ -64,8 +65,7 @@ class UnitFrechet(Margin):
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore"):
-            out = np.where(x > 0, np.exp(-1.0 / np.where(x > 0, x, 1.0)), 0.0)
-        return float(out) if out.ndim == 0 else out
+            return scalar_or_array(np.where(x > 0, np.exp(-1.0 / np.where(x > 0, x, 1.0)), 0.0))
 
     def quantile(self, q):
         return -1.0 / np.log(self._check_q(q))
@@ -92,8 +92,7 @@ class Frechet(Margin):
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.where(x > 0, np.exp(-np.where(x > 0, x, 1.0) ** -self.alpha), 0.0)
-        return float(out) if out.ndim == 0 else out
+        return scalar_or_array(np.where(x > 0, np.exp(-np.where(x > 0, x, 1.0) ** -self.alpha), 0.0))
 
     def quantile(self, q):
         return (-np.log(self._check_q(q))) ** (-1.0 / self.alpha)
@@ -121,8 +120,7 @@ class Exponential(Margin):
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.where(x > 0, -np.expm1(-self.lam * x), 0.0)
-        return float(out) if out.ndim == 0 else out
+        return scalar_or_array(np.where(x > 0, -np.expm1(-self.lam * x), 0.0))
 
     def quantile(self, q):
         return -np.log1p(-self._check_q(q)) / self.lam
@@ -138,13 +136,10 @@ class Uniform01(Margin):
     tag = "uniform01"
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.clip(x, 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
+        return scalar_or_array(np.clip(np.asarray(x, dtype=float), 0.0, 1.0))
 
     def quantile(self, q):
-        q = self._check_q(q)
-        return float(q) if q.ndim == 0 else q
+        return scalar_or_array(self._check_q(q))
 
     def normalizers(self, n):
         _require_n(n)
@@ -166,8 +161,7 @@ class Pareto(Margin):
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.where(x >= 1.0, 1.0 - np.where(x >= 1.0, x, 1.0) ** -self.alpha, 0.0)
-        return float(out) if out.ndim == 0 else out
+        return scalar_or_array(np.where(x >= 1.0, 1.0 - np.where(x >= 1.0, x, 1.0) ** -self.alpha, 0.0))
 
     def quantile(self, q):
         return (1.0 - self._check_q(q)) ** (-1.0 / self.alpha)
@@ -191,12 +185,10 @@ class StandardNormal(Margin):
     tag = "normal"
 
     def cdf(self, x):
-        out = ndtr(np.asarray(x, dtype=float))
-        return float(out) if out.ndim == 0 else out
+        return scalar_or_array(ndtr(np.asarray(x, dtype=float)))
 
     def quantile(self, q):
-        out = ndtri(self._check_q(q))
-        return float(out) if np.ndim(out) == 0 else out
+        return scalar_or_array(ndtri(self._check_q(q)))
 
     def hall_constant(self, n: int) -> float:
         """Root b_n of 2*pi*b^2*exp(b^2) = n^2, bracketed and solved to 1e-13."""

@@ -1,12 +1,13 @@
 """The model table: every dependence model of the package, by name.
 
 A model contributes its diagonal delta_n (a ``DiagonalFamily`` with the
-canonical rate r_n and the limit distortion D), a path sampler (the
-independent Monte Carlo check of that diagonal) and, where it is known, the
-exact gap s(n) = sup_u |delta_n(u^(1/r_n)) - D(u)| with the Holder exponent
-kappa of D (constant 1) that ``ratebounds.composite_rate_bound`` takes.
-Factories look generator and rate-bound functions up on their modules when
-called, so rebinding those names (instrumentation, say) reaches them too.
+canonical rate r_n and the limit distortion D), D itself, a path sampler
+(the independent Monte Carlo check of that diagonal) and, where it is known,
+the exact gap s(n) = sup_u |delta_n(u^(1/r_n)) - D(u)| with the Holder
+exponent kappa of D (constant 1) that ``ratebounds.composite_rate_bound``
+takes.  ``power`` and ``amh-mixture`` are limits only.  Factories look
+library functions up on their modules when called, so rebinding those names
+(instrumentation, say) reaches them too.
 """
 
 from __future__ import annotations
@@ -14,25 +15,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from . import diagonals, generators, ratebounds, samplers
+from . import diagonals, distortions, generators, ratebounds, samplers
 from .diagonals import DiagonalFamily
+from .distortions import Distortion
 from .samplers import SequenceModel
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     """Factories of one model's parts, None where it lacks one: diagonal(**params),
-    sampler(**params) and gap(n, **params) -> (s(n), kappa)."""
+    sampler(**params), gap(n, **params) -> (s(n), kappa) and limit(**params),
+    the limit distortion D."""
 
     params: tuple[str, ...]
     diagonal: Callable[..., DiagonalFamily] | None
     sampler: Callable[..., SequenceModel] | None = None
     gap: Callable[..., tuple[float, float]] | None = None
+    limit: Callable[..., Distortion] | None = None
+
+
+def _with_limit(params, diagonal, sampler=None, gap=None) -> ModelSpec:
+    """An entry whose limit is the limit distortion its diagonal carries."""
+    return ModelSpec(params, diagonal, sampler, gap, lambda **p: diagonal(**p).limit_distortion)
 
 
 def _archimedean(family: str) -> ModelSpec:
     """psi(n*psi_inv(u)) for a one-parameter built-in generator, sampled by its frailty."""
-    return ModelSpec(
+    return _with_limit(
         ("theta",),
         lambda theta: diagonals.archimedean_diagonal(generators.builtin_generator(family, theta)),
         lambda theta: samplers.ArchimedeanFrailty(family, theta),
@@ -40,34 +49,44 @@ def _archimedean(family: str) -> ModelSpec:
 
 
 MODELS: dict[str, ModelSpec] = {
-    "independence": ModelSpec((), diagonals.independence_diagonal, samplers.IID, lambda n: (0.0, 1.0)),
+    "independence": _with_limit((), diagonals.independence_diagonal, samplers.IID, lambda n: (0.0, 1.0)),
+    # delta_n(u) = u for every n: no rate and no limit distortion
     "comonotone": ModelSpec((), diagonals.comonotone_diagonal),
-    "movingmax": ModelSpec(
+    "movingmax": _with_limit(
         ("k",),
         diagonals.moving_max_diagonal,
         samplers.MovingMax,
         lambda n, k: (ratebounds.movingmax_s(n, k), 1.0 / (k + 1.0)),
     ),
-    "cuadras-auge": ModelSpec(("theta",), diagonals.cuadras_auge_diagonal),
-    "logistic": ModelSpec(("theta",), diagonals.logistic_power_diagonal),
-    "efgm": ModelSpec(("theta",), diagonals.efgm_mixture_diagonal, samplers.EfgmExchangeable),
+    "cuadras-auge": _with_limit(("theta",), diagonals.cuadras_auge_diagonal),
+    "logistic": _with_limit(("theta",), diagonals.logistic_power_diagonal),
+    "efgm": _with_limit(("theta",), diagonals.efgm_mixture_diagonal, samplers.EfgmExchangeable),
     # the log-type generator has no parameter and no frailty sampler
-    "ballerini": ModelSpec((), lambda: diagonals.archimedean_diagonal(generators.builtin_generator("ballerini"))),
+    "ballerini": _with_limit((), lambda: diagonals.archimedean_diagonal(generators.builtin_generator("ballerini"))),
     **{family: _archimedean(family) for family in ("clayton", "frank", "gumbel", "joe", "amh")},
     # no closed-form diagonal; its extremal index is 1, so its maxima have the
     # independence rate n and the identity distortion
     "ar1": ModelSpec(("phi",), None, samplers.GaussianAR1),
+    # limits only
+    "power": ModelSpec(("theta",), None, limit=lambda theta: distortions.power(theta)),
+    "amh-mixture": ModelSpec((), None, limit=lambda: distortions.amh_uniform_mixture()),
 }
 
-_ALIASES = {"iid": "independence", "moving-max": "movingmax"}
+_ALIASES = {"iid": "independence", "moving-max": "movingmax", "amh-uniform-mixture": "amh-mixture"}
 
 
-def model_spec(name: str) -> ModelSpec:
-    """The ``MODELS`` entry of a name or alias, in any case, '_' read as '-'."""
+def model_spec(name: str, role: str | None = None) -> ModelSpec:
+    """The ``MODELS`` entry of a name or alias, in any case, '_' read as '-'.
+
+    With ``role``, a ``ModelSpec`` field, the entry must have that part; the
+    error for a name that is unknown or lacks it lists the names that have it.
+    """
     key = name.lower().replace("_", "-")
     spec = MODELS.get(_ALIASES.get(key, key))
-    if spec is None:
-        raise ValueError(f"unknown model {name!r}; pick from {', '.join(MODELS)}")
+    if spec is None or (role and getattr(spec, role) is None):
+        names = ", ".join(k for k, s in MODELS.items() if not role or getattr(s, role) is not None)
+        problem = f"unknown model {name!r}" if spec is None else f"model {name!r} has no {role}"
+        raise ValueError(f"{problem}; pick from {names}")
     return spec
 
 
@@ -83,7 +102,5 @@ def make_diagonal(variant: str, **params) -> DiagonalFamily:
     if v == "archimax":
         g = generators.builtin_generator(params["family"], params.get("theta"))
         return diagonals.archimax_diagonal(g, diagonals.logistic_eta(params["theta_stdf"]))
-    spec = model_spec(params.pop("family") if v == "archimedean" else v)
-    if spec.diagonal is None:
-        raise ValueError(f"model {variant!r} has no closed-form diagonal")
+    spec = model_spec(params.pop("family") if v == "archimedean" else v, "diagonal")
     return spec.diagonal(**{p: params[p] for p in spec.params if p in params})

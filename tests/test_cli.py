@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import maxdep
 from maxdep import cli
 from maxdep.cli import Table, main
 
@@ -190,6 +191,10 @@ def test_exit_codes(capsys):
     assert code == 2
     code, _ = run_cli(capsys, "distortion", "--generator", "nosuch", "--theta", "1", "--u-grid", "0.5")
     assert code == 2
+    # distortion: a model whose parameter it has no flag for, models without a limit
+    for name in ("movingmax", "comonotone", "ar1"):
+        code, _ = run_cli(capsys, "distortion", "--generator", name, "--theta", "1", "--u-grid", "0.5")
+        assert code == 2, name
     # diagonal has no --phi flag, so the parser rejects it before any lookup
     with pytest.raises(SystemExit) as err:
         main(["diagonal", "--family", "ar1", "--phi", "0.5", "--n", "2", "--u-grid", "0.5"])
@@ -197,6 +202,57 @@ def test_exit_codes(capsys):
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 2
+
+
+def test_unknown_name_lists_the_names_with_the_role(capsys):
+    assert main(["distortion", "--generator", "nosuch", "--u-grid", "0.5"]) == 2
+    names = capsys.readouterr().err.split("pick from ")[1].strip().split(", ")
+    assert {"power", "amh-mixture", "efgm", "clayton", "independence"} <= set(names)
+    assert not {"comonotone", "ar1"} & set(names)
+    assert main(["converge", "--model", "nosuch", "--margin", "normal", "--n", "64"]) == 2
+    names = capsys.readouterr().err.split("pick from ")[1].strip().split(", ")
+    assert "ar1" in names and not {"power", "ballerini", "comonotone"} & set(names)
+
+
+def test_distortion_limit_only_models(capsys):
+    code, out = run_cli(capsys, "distortion", "--generator", "power", "--theta", "2", "--u-grid", "0.25,0.5")
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    assert rows == [["power(2.0)", "0.25", "0.0625", "0.5", "0.5"], ["power(2.0)", "0.5", "0.25", "1.0", "0.7071067811865476"]]
+    _, mix = run_cli(capsys, "distortion", "--generator", "amh-mixture", "--u-grid", "0.3")
+    _, alias = run_cli(capsys, "distortion", "--generator", "amh-uniform-mixture", "--u-grid", "0.3")
+    assert parse_csv(mix)[2] == parse_csv(alias)[2]
+    assert parse_csv(mix)[2][0][0] == "amh-uniform-mixture"
+
+
+def test_distortion_identity_limits_are_exact(capsys):
+    # the independence diagonal and the efgm diagonal at theta = 0 both tend to u
+    grid = "0,0.1,0.30000000000000004,0.7,1"
+    for argv in (["--generator", "independence"], ["--generator", "efgm", "--theta", "0"]):
+        code, out = run_cli(capsys, "distortion", *argv, "--u-grid", grid)
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert [r[0] for r in rows] == ["power(1.0)"] * 5
+        assert [r[2] for r in rows] == [r[1] for r in rows]
+        assert [r[4] for r in rows] == ["", "0.1", "0.30000000000000004", "0.7", ""]
+        assert all(r[3] == "1.0" for r in rows)
+
+
+def test_distortion_boundary_grid_has_no_quantiles(capsys):
+    # no level inside (0, 1): the quantile call gets an empty array
+    for argv in (["efgm", "--theta", "0.8"], ["ballerini"], ["amh-mixture"], ["power", "--theta", "0.5"], ["figure1"]):
+        code, out = run_cli(capsys, "distortion", "--generator", *argv, "--u-grid", "0,1")
+        assert code == 0, argv
+        _, _, rows = parse_csv(out)
+        assert rows and all(r[2] == r[1] and r[4] == "" for r in rows), argv
+
+
+def test_amh_diagonal_mixed_grid_is_quiet(capsys):
+    # 1 - psi(t) is taken only where t < 1e-6; at u = 1e-300 it once overflowed
+    code, out = run_cli(capsys, "diagonal", "--family", "amh", "--theta", "0.6", "--n", "2", "--u-grid", "1e-300,0.99999999")
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    assert [r[2] for r in rows] == ["0.0", "0.99999998"]
 
 
 def test_nan_cell_is_a_numeric_error(capsys, monkeypatch):
@@ -217,7 +273,7 @@ def test_jsonl_format(capsys):
     code, out = run_cli(capsys, "diagonal", "--family", "independence", "--n", "2", "--u-grid", "0.5", "--format", "jsonl")
     assert code == 0
     lines = out.strip().splitlines()
-    assert "_meta" in json.loads(lines[0])
+    assert json.loads(lines[0])["_meta"].endswith(f" version={maxdep.__version__}")
     rec = json.loads(lines[1])
     assert rec["n"] == 2 and rec["u"] == 0.5
 
@@ -272,7 +328,7 @@ def test_converge_frank_output_is_pinned(capsys):
     assert code == 0
     assert out == (
         "# maxdep converge margin=exponential(1.0) model=arch-frailty[frank(3.0)] n=16,64 reps=8192 seed=7"
-        " x-grid=auto41\n"
+        " x-grid=auto41 version=0.1.0\n"
         "n,sup_distance,max_se,bound\n"
         "16,0.08933854844603373,0.005521820740183226,\n"
         "64,0.0406322342450155,0.005524234684767131,\n"

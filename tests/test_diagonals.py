@@ -13,7 +13,7 @@ from maxdep.diagonals import (
     rate_scaling_limit,
 )
 from maxdep.generators import builtin_generator
-from maxdep.models import make_diagonal
+from maxdep.models import MODELS, make_diagonal, model_spec
 from maxdep.ratebounds import movingmax_s
 
 
@@ -55,6 +55,27 @@ def test_parameter_validation():
         make_diagonal("no-such-family")
     with pytest.raises(ValueError):
         make_diagonal("ar1", phi=0.5)  # sampled only: no closed-form diagonal
+    with pytest.raises(ValueError):
+        make_diagonal("power", theta=2.0)  # a limit only
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("independence", {}), ("movingmax", {"k": 2}), ("efgm", {"theta": 0.0}), ("efgm", {"theta": -0.5}),
+     ("ballerini", {}), ("clayton", {"theta": 2.0}), ("logistic", {"theta": 3.0})],
+)
+def test_model_limit_is_the_diagonal_limit(name, params):
+    spec = MODELS[name]
+    assert spec.limit(**params).tag == spec.diagonal(**params).limit_distortion.tag
+
+
+def test_model_limit_roles():
+    # every diagonal but the comonotone one has a limit distortion
+    assert [name for name, spec in MODELS.items() if spec.diagonal and not spec.limit] == ["comonotone"]
+    assert model_spec("power", "limit").limit(theta=2.0).tag == "power(2.0)"
+    assert model_spec("amh-uniform-mixture", "limit").limit().tag == "amh-uniform-mixture"
+    with pytest.raises(ValueError, match="'ar1' has no limit"):
+        model_spec("ar1", "limit")
 
 
 def test_non_integer_n_rejected():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_legendre
 
-from maxdep._numutil import solve_increasing
+from maxdep._numutil import scalar_or_array, solve_increasing
 from maxdep.diagonals import efgm_mixture_diagonal
 from maxdep.distortions import amh_uniform_mixture, archimedean_limit, efgm_limit
 from maxdep.generators import builtin_generator, generator_from_f
@@ -58,6 +58,14 @@ def test_solver_roots_with_and_without_slope(targets):
         solve_increasing(lambda x: x**3 + x, 31.0, -3.0, 3.0, 1e-13)
 
 
+def test_scalar_or_array():
+    assert type(scalar_or_array(np.float64(0.5))) is float
+    assert type(scalar_or_array(np.array(2))) is float
+    for shape in ((0,), (1,), (2, 3)):
+        out = scalar_or_array(np.zeros(shape, dtype=int))
+        assert isinstance(out, np.ndarray) and out.shape == shape and out.dtype == float
+
+
 # psi = exp(-log1p(t) - sqrt(t)): no closed-form inverse
 FROM_F = generator_from_f(
     lambda t: np.log1p(t) + np.sqrt(t),
@@ -65,6 +73,19 @@ FROM_F = generator_from_f(
     rho=0.5,
     tag="log1p+sqrt",
 )
+
+
+def test_empty_targets_return_empty():
+    # an empty target once kept the solver's loop running forever
+    for f in (lambda x: x**3 + x, lambda x: (x**3 + x, 3.0 * x**2 + 1.0)):
+        out = solve_increasing(f, np.array([]), -3.0, 3.0, 1e-13)
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+    assert efgm_limit(0.8).quantile(np.array([])).shape == (0,)
+    ballerini = builtin_generator("ballerini")
+    assert ballerini.psi_inv(np.array([])).shape == (0,)
+    # levels whose inverse lies outside the solved range leave it nothing to do
+    assert ballerini.psi_inv(1.0) == 0.0 and ballerini.psi_inv(0.0) == math.inf
+    assert FROM_F.psi_inv(np.array([0.0, 1.0])).tolist() == [math.inf, 0.0]
 
 
 def _check_roundtrip(g, u):
@@ -96,7 +117,7 @@ def test_ballerini_diagonal_frechet_bounds(u):
     assert max(2.0 * u - 1.0, 0.0) <= delta <= u
 
 
-# parameters of every model table entry that has a diagonal
+# parameters of every model table entry that has a diagonal; a strategy is drawn
 DIAGONAL_PARAMS = {
     "independence": {},
     "comonotone": {},
@@ -105,7 +126,7 @@ DIAGONAL_PARAMS = {
     "logistic": {"theta": 2.0},
     "efgm": {"theta": -0.8},
     "ballerini": {},
-    "clayton": {"theta": 2.0},
+    "clayton": {"theta": st.floats(0.1, 10.0)},
     "frank": {"theta": 3.0},
     "gumbel": {"theta": 2.0},
     "joe": {"theta": 2.0},
@@ -115,13 +136,15 @@ DIAGONAL_PARAMS = {
 
 @pytest.mark.parametrize("name", [name for name, spec in MODELS.items() if spec.diagonal])
 @PROPERTY
-@given(u=UNIT)
-def test_model_diagonal_frechet_bounds(name, u):
-    delta = float(MODELS[name].diagonal(**DIAGONAL_PARAMS[name])(2, u))
+@given(u=UNIT, data=st.data())
+def test_model_diagonal_frechet_bounds(name, u, data):
+    params = {k: data.draw(v, label=k) if isinstance(v, st.SearchStrategy) else v
+              for k, v in DIAGONAL_PARAMS[name].items()}
+    delta = float(MODELS[name].diagonal(**params)(2, u))
     # no slack: for a tail-independent model delta_2 - (2u - 1) is
     # O((1-u)^2), below one ulp once 1 - u < 1e-8, so this holds only where
     # 1 - delta_2 is formed to its last digit
-    assert max(2.0 * u - 1.0, 0.0) <= delta <= u, (name, u, delta)
+    assert max(2.0 * u - 1.0, 0.0) <= delta <= u, (name, params, u, delta)
 
 
 LIMITS = st.one_of(
