@@ -55,29 +55,38 @@ def _pow2_exponent(tok: str, spec: str) -> int:
 def _parse_grid(spec: str) -> np.ndarray:
     """Comma list '0.25,0.5' or linspace shorthand 'a:b:count'."""
     spec = spec.strip()
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise UsageError(f"bad grid {spec!r}; use a:b:count")
-        a, b, count = float(parts[0]), float(parts[1]), int(parts[2])
-        return np.linspace(a, b, count)
     try:
-        return np.array([float(tok) for tok in spec.split(",") if tok])
+        if ":" not in spec:
+            return np.array([float(tok) for tok in spec.split(",") if tok])
+        a, b, count = spec.split(":")
+        # linspace rejects a negative count with a ValueError
+        return np.linspace(float(a), float(b), int(count))
     except ValueError as exc:
-        raise UsageError(f"bad grid {spec!r}") from exc
+        raise UsageError(f"bad grid {spec!r}; use a list or a:b:count") from exc
+
+
+def _cast(cast, text: str, what: str):
+    """cast(text); text that does not parse is a usage error, not a numeric one."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise UsageError(f"bad {what}: {text!r}") from None
 
 
 def _read_config(path: str) -> dict[str, str]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config {path!r}: {exc}") from None
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"bad config line {line!r}")
-            key, _, val = line.partition("=")
-            out[key.strip().replace("_", "-")] = val.strip()
+    for line in lines:
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"bad config line {line!r}")
+        key, _, val = line.partition("=")
+        out[key.strip().replace("_", "-")] = val.strip()
     return out
 
 
@@ -165,7 +174,7 @@ def _rate_from_spec(fam: diagonals.DiagonalFamily, spec: str) -> diagonals.RateF
     if s == "n":
         return diagonals.RateFn(lambda n: float(n), "n")
     if s.startswith("n^"):
-        p = float(s[2:])
+        p = _cast(float, s[2:], f"exponent in rate spec {spec!r}")
         return diagonals.RateFn(lambda n: float(n) ** p, s)
     raise UsageError(f"unknown rate spec {spec!r}")
 
@@ -424,7 +433,7 @@ def _fill_args(args):
             if not hasattr(args, attr):
                 raise UsageError(f"unknown config key {key!r}")
             if getattr(args, attr) is None:
-                setattr(args, attr, _CASTS.get(attr, str)(val))
+                setattr(args, attr, _cast(_CASTS.get(attr, str), val, f"value for config key {key!r}"))
     for attr, default in _DEFAULTS.items():
         if hasattr(args, attr) and getattr(args, attr) is None:
             setattr(args, attr, default)
@@ -439,21 +448,27 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _fill_args(args)
         if hasattr(args, "seed") and os.environ.get("MAXDEP_SEED"):
-            args.seed = int(os.environ["MAXDEP_SEED"])
-        table = _COMMANDS[args.command](args)
-        text = table.render(args.format)
+            args.seed = _cast(int, os.environ["MAXDEP_SEED"], "MAXDEP_SEED")
+        text = _COMMANDS[args.command](args).render(args.format)
+        if args.out:
+            _write(args.out, text)
+        else:
+            sys.stdout.write(text)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, FloatingPointError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
 if __name__ == "__main__":

@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ndtr, ndtri
+from scipy.special import lambertw, ndtr, ndtri
 
 from ._numutil import scalar_or_array
 from .gev import GevParams
@@ -176,8 +175,9 @@ class Pareto(Margin):
 class StandardNormal(Margin):
     """N(0, 1) with Hall's normalizing constants and the 3/log(n) rate bound.
 
-    d_n = b_n is the root of 2*pi*b^2*exp(b^2) = n^2 and c_n = 1/b_n; with
-    this choice sup_x |Phi^n(c_n x + d_n) - Gumbel(x)| <= 3/log(n).  The cdf
+    d_n = b_n is the root of 2*pi*b^2*exp(b^2) = n^2, in closed form (see
+    hall_constant), and c_n = 1/b_n; with this choice
+    sup_x |Phi^n(c_n x + d_n) - Gumbel(x)| <= 3/log(n).  The cdf
     uses the complementary error function, accurate to ~1e-16 absolute, since
     the n-th power amplifies cdf error by n.
     """
@@ -191,16 +191,13 @@ class StandardNormal(Margin):
         return scalar_or_array(ndtri(self._check_q(q)))
 
     def hall_constant(self, n: int) -> float:
-        """Root b_n of 2*pi*b^2*exp(b^2) = n^2, bracketed and solved to 1e-13."""
+        """Root b_n of 2*pi*b^2*exp(b^2) = n^2 (Hall 1979): sqrt(W0(n^2/(2*pi))).
+
+        W0 is the principal branch of Lambert W (Corless et al. 1996); the
+        relative error is ~1e-16 for every n up to 2^59.
+        """
         _require_n(n)
-        n2 = float(n) * float(n)
-        # The root dips below 1 for n <= 4, so the bracket starts near 0.
-        return brentq(
-            lambda b: 2.0 * math.pi * b * b * math.exp(b * b) - n2,
-            0.05,
-            math.sqrt(2.0 * math.log(n)) + 3.0,
-            xtol=1e-13,
-        )
+        return math.sqrt(lambertw(int(n) ** 2 / (2.0 * math.pi)).real)
 
     def normalizers(self, n):
         b = self.hall_constant(n)

@@ -22,7 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import ndtr
 
 from .generators import ArchGenerator, builtin_generator
@@ -265,6 +264,9 @@ class GaussianAR1(SequenceModel):
         self.tag = f"ar1({phi})"
 
     def _native_paths(self, gen, m, n):
+        # imported here, at its one use, so `import maxdep` does not pay for scipy.signal
+        from scipy.signal import lfilter
+
         stat_sd = self.sigma / math.sqrt(1.0 - self.phi**2)
         y0 = gen.standard_normal(m) * stat_sd
         z = gen.standard_normal((m, n)) * self.sigma

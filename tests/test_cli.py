@@ -172,7 +172,7 @@ def test_n_schedule_single_power_of_two(capsys):
         assert code == 2, bad
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, tmp_path):
     code, _ = run_cli(capsys, "diagonal", "--family", "nonsense", "--n", "2", "--u-grid", "0.5")
     assert code == 2
     code, _ = run_cli(capsys, "diagonal", "--family", "clayton", "--theta", "-1", "--n", "2", "--u-grid", "0.5")
@@ -195,6 +195,22 @@ def test_exit_codes(capsys):
     for name in ("movingmax", "comonotone", "ar1"):
         code, _ = run_cli(capsys, "distortion", "--generator", name, "--theta", "1", "--u-grid", "0.5")
         assert code == 2, name
+    # malformed text is a usage error, not a numeric one
+    for grid in ("0:1:x", "0:1:-3", "0:1", "0:1:2:3"):
+        code, _ = run_cli(capsys, "diagonal", "--family", "clayton", "--theta", "1", "--n", "2", "--u-grid", grid)
+        assert code == 2, grid
+    code, _ = run_cli(capsys, "diagonal", "--family", "clayton", "--theta", "1", "--n", "2", "--u-grid", "0.5", "--rate", "n^x")
+    assert code == 2
+    bad_value = tmp_path / "bad.cfg"
+    bad_value.write_text("theta=abc\n")
+    code, _ = run_cli(capsys, "diagonal", "--family", "clayton", "--n", "2", "--u-grid", "0.5", "--config", str(bad_value))
+    assert code == 2
+    # an unreadable config and an unwritable output: one line, no traceback
+    row = ["diagonal", "--family", "clayton", "--theta", "1", "--n", "2", "--u-grid", "0.5"]
+    for flags in (["--config", str(tmp_path / "missing.cfg")], ["--config", str(tmp_path)], ["--out", str(tmp_path / "no" / "x.csv")]):
+        assert main(row + flags) == 2, flags
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1, err
     # diagonal has no --phi flag, so the parser rejects it before any lookup
     with pytest.raises(SystemExit) as err:
         main(["diagonal", "--family", "ar1", "--phi", "0.5", "--n", "2", "--u-grid", "0.5"])

@@ -99,10 +99,12 @@ def test_uniform_rate_values():
 
 
 def test_hall_constant_equation():
+    # log(2 pi) + 2 log b + b^2 = 2 log n, to a few ulps of 2 log n
     norm = StandardNormal()
-    for n in (2, 5, 100, 10_000):
+    for n in (2, 3, 4, 5, 7, 10, 64, 100, 128, 512, 1000, 1024, 4096, 10**4, 16384, 10**6, 2**30, 2**40, 2**60):
         b = norm.hall_constant(n)
-        assert 2.0 * math.pi * b * b * math.exp(b * b) == pytest.approx(float(n) ** 2, rel=1e-10)
+        lhs = math.log(2.0 * math.pi) + 2.0 * math.log(b) + b * b
+        assert lhs == pytest.approx(2.0 * math.log(n), rel=2e-15, abs=0.0), n
 
 
 def _grid_sup(margin, n):

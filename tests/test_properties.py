@@ -1,6 +1,6 @@
 """Property tests over the whole double range: the root-finder, inverse round
-trips, Frechet bounds of every model's diagonal, quantile round trips and the
-EFGM diagonal against quadrature."""
+trips, Frechet bounds and monotonicity in u and n of every model's diagonal,
+quantile round trips and the EFGM diagonal against quadrature."""
 
 import math
 import sys
@@ -133,18 +133,36 @@ DIAGONAL_PARAMS = {
     "amh": {"theta": 0.6},
 }
 
+DIAGONAL_MODELS = [name for name, spec in MODELS.items() if spec.diagonal]
 
-@pytest.mark.parametrize("name", [name for name, spec in MODELS.items() if spec.diagonal])
+
+def _draw_params(name, data):
+    return {k: data.draw(v, label=k) if isinstance(v, st.SearchStrategy) else v
+            for k, v in DIAGONAL_PARAMS[name].items()}
+
+
+@pytest.mark.parametrize("name", DIAGONAL_MODELS)
 @PROPERTY
 @given(u=UNIT, data=st.data())
 def test_model_diagonal_frechet_bounds(name, u, data):
-    params = {k: data.draw(v, label=k) if isinstance(v, st.SearchStrategy) else v
-              for k, v in DIAGONAL_PARAMS[name].items()}
+    params = _draw_params(name, data)
     delta = float(MODELS[name].diagonal(**params)(2, u))
     # no slack: for a tail-independent model delta_2 - (2u - 1) is
     # O((1-u)^2), below one ulp once 1 - u < 1e-8, so this holds only where
     # 1 - delta_2 is formed to its last digit
     assert max(2.0 * u - 1.0, 0.0) <= delta <= u, (name, params, u, delta)
+
+
+@pytest.mark.parametrize("name", DIAGONAL_MODELS)
+@PROPERTY
+@given(u=UNIT, v=UNIT, n=st.sampled_from([1, 2, 3, 7, 64, 1000, 2**14, 2**20]), data=st.data())
+def test_model_diagonal_monotone_in_u_and_n(name, u, v, n, data):
+    # delta_n is a cdf in u, and one more component can only lower the maximum's cdf
+    params = _draw_params(name, data)
+    delta = MODELS[name].diagonal(**params)
+    lo, hi = min(u, v), max(u, v)
+    assert float(delta(n, lo)) <= float(delta(n, hi)), (name, params, n, lo, hi)
+    assert float(delta(n + 1, u)) <= float(delta(n, u)), (name, params, n, u)
 
 
 LIMITS = st.one_of(
