@@ -57,12 +57,16 @@ def _parse_grid(spec: str) -> np.ndarray:
     spec = spec.strip()
     try:
         if ":" not in spec:
-            return np.array([float(tok) for tok in spec.split(",") if tok])
-        a, b, count = spec.split(":")
-        # linspace rejects a negative count with a ValueError
-        return np.linspace(float(a), float(b), int(count))
+            grid = np.array([float(tok) for tok in spec.split(",") if tok])
+        else:
+            a, b, count = spec.split(":")
+            # linspace rejects a negative count with a ValueError
+            grid = np.linspace(float(a), float(b), int(count))
     except ValueError as exc:
         raise UsageError(f"bad grid {spec!r}; use a list or a:b:count") from exc
+    if not grid.size:
+        raise UsageError(f"grid {spec!r} has no points")
+    return grid
 
 
 def _cast(cast, text: str, what: str):
@@ -295,13 +299,11 @@ def cmd_converge(args) -> Table:
         "x-grid": args.x_grid or "auto41",
     }
     table = Table("converge", config, ["n", "sup_distance", "max_se", "bound"])
+    x_grid = _parse_grid(args.x_grid) if args.x_grid else None
     for idx, n in enumerate(ns):
         r_n = rate(n)
         c, d, limit = margin.normalizers(int(math.ceil(r_n)))
-        if args.x_grid:
-            grid = _parse_grid(args.x_grid)
-        else:
-            grid = gev_quantile(limit, np.linspace(0.02, 0.98, 41))
+        grid = x_grid if x_grid is not None else gev_quantile(limit, np.linspace(0.02, 0.98, 41))
         target = np.asarray(D.cdf(gev_cdf(limit, grid)), dtype=float)
         ecdf, se = samplers.normalized_max_ecdf(
             model, margin, n, args.reps, c, d, grid, samplers.RngStream(seed, idx), workers=args.workers

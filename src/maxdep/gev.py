@@ -17,8 +17,12 @@ import numpy as np
 from ._numutil import scalar_or_array
 
 # |xi| below this is treated as the Gumbel branch; the xi != 0 formula has a
-# removable limit there and both branches agree to ~1e-6 at |xi| = 1e-8.
+# removable limit there, and the two differ by about xi*z^2/2 in log(-log H).
 XI_ZERO_TOL = 1e-12
+# below this |xi|, t^(-1/xi) is taken as exp(-log1p(xi*z)/xi) and ell^(-xi) - 1
+# as expm1(-xi*log(ell)); above it the plain powers lose at most two digits and
+# stay, so no value at the shapes the margins produce (0, 1/alpha, -1) moves
+XI_LOG1P = 1e-2
 
 
 @dataclass(frozen=True)
@@ -40,6 +44,18 @@ class GevParams:
         return abs(self.xi) < XI_ZERO_TOL
 
 
+def _t_power(p: GevParams, z):
+    """(t, t^(-1/xi)) for t = 1 + xi*z; the power is 1 where t <= 0, off the support."""
+    t = 1.0 + p.xi * z
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if abs(p.xi) < XI_LOG1P:
+            # t^(-1/xi) would multiply the rounding of t by 1/|xi|
+            w = np.exp(-np.log1p(np.where(t > 0, p.xi * z, 0.0)) / p.xi)
+        else:
+            w = np.where(t > 0, t, 1.0) ** (-1.0 / p.xi)
+    return t, w
+
+
 def gev_cdf(p: GevParams, x):
     """Distribution function of H_{xi,mu,sigma}, clamped to 0/1 outside support.
 
@@ -50,11 +66,9 @@ def gev_cdf(p: GevParams, x):
     if p.is_gumbel:
         out = np.exp(-np.exp(-z))
     else:
-        t = 1.0 + p.xi * z
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            core = np.exp(-np.where(t > 0, t, 1.0) ** (-1.0 / p.xi))
+        t, w = _t_power(p, z)
         below = 0.0 if p.xi > 0 else 1.0
-        out = np.where(t > 0, core, below)
+        out = np.where(t > 0, np.exp(-w), below)
     return scalar_or_array(out)
 
 
@@ -67,7 +81,9 @@ def gev_quantile(p: GevParams, q):
     if p.is_gumbel:
         out = p.mu - p.sigma * np.log(ell)
     else:
-        out = p.mu + p.sigma * (ell ** (-p.xi) - 1.0) / p.xi
+        # ell^(-xi) - 1 cancels for small |xi|; expm1 keeps its digits there
+        grow = np.expm1(-p.xi * np.log(ell)) if abs(p.xi) < XI_LOG1P else ell ** (-p.xi) - 1.0
+        out = p.mu + p.sigma * grow / p.xi
     return scalar_or_array(out)
 
 
@@ -80,10 +96,9 @@ def gev_density(p: GevParams, x):
             out = np.exp(-z - np.exp(-z)) / p.sigma
         out = np.where(np.isnan(out), 0.0, out)
     else:
-        t = 1.0 + p.xi * z
+        t, w = _t_power(p, z)
         safe = np.where(t > 0, t, 1.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            w = safe ** (-1.0 / p.xi)
             out = np.where(t > 0, w / safe * np.exp(-w) / p.sigma, 0.0)
     return scalar_or_array(out)
 

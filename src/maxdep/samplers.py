@@ -7,6 +7,14 @@ blocks.  Each model samples full paths; estimators never shortcut through the
 analytic law of the maximum, so the Monte Carlo route stays an independent
 check on the analytic diagonals.
 
+Reduce on the draw scale: every model draws its raw variates in one ``_draw``
+helper that both ``_native_paths`` and ``_umax`` call, so the two see the same
+variates in the same order.  ``_umax`` takes each row's maximum (or minimum,
+where the map to the uniform scale decreases) of the raw draws and pushes only
+those m values through the model's monotone map, in place of mapping all m*n
+path elements first.  Every variate is still drawn, and the result is bitwise
+the row maximum of the uniform paths (tested for every sampled model).
+
 Frailty constructions: Clayton uses a Gamma(1/theta) frailty, Gumbel a
 positive alpha-stable (alpha = 1/theta) drawn by the Chambers-Mallows-Stuck
 transform, Frank a logarithmic-series variable, Joe a Sibuya(1/theta)
@@ -75,7 +83,7 @@ def _stable_frailty(gen, m: int, alpha: float):
         return np.ones(m)
     # the angle 0 endpoint has probability zero but would produce 0/0
     u = np.maximum(gen.uniform(0.0, math.pi, m), 1e-15)
-    e = gen.exponential(1.0, m)
+    e = gen.standard_exponential(m)
     with np.errstate(divide="ignore", over="ignore"):
         out = (np.sin(alpha * u) / np.sin(u) ** (1.0 / alpha)) * (
             np.sin((1.0 - alpha) * u) / e
@@ -109,7 +117,7 @@ def _sibuya_frailty(gen, m: int, alpha: float):
     """
     la = np.log(gen.standard_gamma(alpha + 1.0, m)) + np.log(_clip_unit(gen.random(m))) / alpha
     lb = np.log(gen.standard_gamma(2.0 - alpha, m)) + np.log(_clip_unit(gen.random(m))) / (1.0 - alpha)
-    e = gen.exponential(1.0, m)
+    e = gen.standard_exponential(m)
     with np.errstate(divide="ignore", over="ignore"):
         v = np.ceil(e / np.logaddexp(0.0, la - lb))
     return np.maximum(v, 1.0)
@@ -144,7 +152,12 @@ def frailty_sample(family: str, theta: float | None, gen, m: int):
 
 
 class SequenceModel:
-    """Samplable dependence model; subclasses draw native-scale paths."""
+    """Samplable dependence model; subclasses draw native-scale paths.
+
+    The default ``_umax`` maps every path element and then reduces; a model
+    whose map to the uniform scale is not the identity overrides it to reduce
+    its raw draws first.
+    """
 
     tag = "model"
 
@@ -181,20 +194,26 @@ class MovingMax(SequenceModel):
         self.k = int(k)
         self.tag = f"movingmax({k})"
 
-    def _frechet_noise(self, gen, m, n):
-        return -1.0 / np.log(_clip_unit(gen.random((m, n + self.k))))
+    def _draw(self, gen, m, n):
+        """Uniforms behind the Frechet noise, n + k per path."""
+        return gen.random((m, n + self.k))
+
+    @staticmethod
+    def _frechet(u):
+        return -1.0 / np.log(_clip_unit(u))
 
     def _native_paths(self, gen, m, n):
-        z = self._frechet_noise(gen, m, n)
+        z = self._frechet(self._draw(gen, m, n))
         y = z[:, self.k :].copy()
         for j in range(self.k):
             np.maximum(y, z[:, j : j + n], out=y)
         return np.exp(-(self.k + 1.0) / y)  # uniform via the Frechet margin of Y
 
     def _umax(self, gen, m, n):
-        # every noise variable lands in some window, so max Y = max Z/(k+1)
-        z = self._frechet_noise(gen, m, n)
-        return np.exp(-(self.k + 1.0) / z.max(axis=1))
+        # every noise variable lands in some window, so max Y = max Z/(k+1),
+        # and Z is increasing in its uniform
+        zmax = self._frechet(self._draw(gen, m, n).max(axis=1))
+        return np.exp(-(self.k + 1.0) / zmax)
 
 
 class ArchimedeanFrailty(SequenceModel):
@@ -206,14 +225,17 @@ class ArchimedeanFrailty(SequenceModel):
         self.generator: ArchGenerator = builtin_generator(family, theta)
         self.tag = f"arch-frailty[{self.generator.tag}]"
 
-    def _native_paths(self, gen, m, n):
+    def _draw(self, gen, m, n):
         v = frailty_sample(self.family, self.theta, gen, m)
-        e = gen.exponential(1.0, (m, n))
+        return v, gen.standard_exponential((m, n))
+
+    def _native_paths(self, gen, m, n):
+        v, e = self._draw(gen, m, n)
         return np.asarray(self.generator.psi(e / v[:, None]), dtype=float)
 
     def _umax(self, gen, m, n):
-        v = frailty_sample(self.family, self.theta, gen, m)
-        e = gen.exponential(1.0, (m, n))
+        # psi decreases, so the largest uniform comes from the smallest E
+        v, e = self._draw(gen, m, n)
         return np.asarray(self.generator.psi(e.min(axis=1) / v), dtype=float)
 
 
@@ -237,8 +259,7 @@ class ArchimaxLogistic(SequenceModel):
     def _draw(self, gen, m, n):
         v = frailty_sample(self.family, self.theta_gen, gen, m)
         s = _stable_frailty(gen, m, 1.0 / self.theta_stdf)
-        e = gen.exponential(1.0, (m, n))
-        return v, s, e
+        return v, s, gen.standard_exponential((m, n))
 
     def _native_paths(self, gen, m, n):
         v, s, e = self._draw(gen, m, n)
@@ -261,17 +282,24 @@ class GaussianAR1(SequenceModel):
             raise ValueError(f"sigma must be positive, got {sigma}")
         self.phi = float(phi)
         self.sigma = float(sigma)
+        self.stat_sd = self.sigma / math.sqrt(1.0 - self.phi**2)
         self.tag = f"ar1({phi})"
 
-    def _native_paths(self, gen, m, n):
+    def _draw(self, gen, m, n):
+        """(m, n) levels Y_t of the stationary recursion."""
         # imported here, at its one use, so `import maxdep` does not pay for scipy.signal
         from scipy.signal import lfilter
 
-        stat_sd = self.sigma / math.sqrt(1.0 - self.phi**2)
-        y0 = gen.standard_normal(m) * stat_sd
+        y0 = gen.standard_normal(m) * self.stat_sd
         z = gen.standard_normal((m, n)) * self.sigma
         y, _ = lfilter([1.0], [1.0, -self.phi], z, axis=1, zi=(self.phi * y0)[:, None])
-        return ndtr(y / stat_sd)
+        return y
+
+    def _native_paths(self, gen, m, n):
+        return ndtr(self._draw(gen, m, n) / self.stat_sd)
+
+    def _umax(self, gen, m, n):
+        return ndtr(self._draw(gen, m, n).max(axis=1) / self.stat_sd)
 
 
 class EfgmExchangeable(SequenceModel):
@@ -288,13 +316,24 @@ class EfgmExchangeable(SequenceModel):
         self.theta = float(theta)
         self.tag = f"efgm({theta})"
 
-    def _native_paths(self, gen, m, n):
-        w = gen.random(m)
-        v = gen.random((m, n))
-        a = (self.theta * (2.0 * w - 1.0))[:, None]
-        small = np.abs(a) < 1e-12
+    def _draw(self, gen, m, n):
+        """Link a = theta*(2W - 1) per row and the (m, n) uniforms V it inverts."""
+        a = self.theta * (2.0 * gen.random(m) - 1.0)
+        return a, gen.random((m, n))
+
+    @staticmethod
+    def _invert(a, v):
         den = (1.0 - a) + np.sqrt((1.0 - a) ** 2 + 4.0 * a * v)
-        return np.where(small, v, 2.0 * v / den)
+        return np.where(np.abs(a) < 1e-12, v, 2.0 * v / den)
+
+    def _native_paths(self, gen, m, n):
+        a, v = self._draw(gen, m, n)
+        return self._invert(a[:, None], v)
+
+    def _umax(self, gen, m, n):
+        # the conditional quantile is increasing in v for every a in [-1, 1]
+        a, v = self._draw(gen, m, n)
+        return self._invert(a, v.max(axis=1))
 
 
 class BermanEquicorrelated(SequenceModel):
@@ -306,9 +345,11 @@ class BermanEquicorrelated(SequenceModel):
         self.rho = float(rho_corr)
         self.tag = f"berman({rho_corr})"
 
+    def _draw(self, gen, m, n):
+        return gen.standard_normal(m), gen.standard_normal((m, n))
+
     def _native_paths(self, gen, m, n):
-        z0 = gen.standard_normal(m)
-        z = gen.standard_normal((m, n))
+        z0, z = self._draw(gen, m, n)
         return math.sqrt(self.rho) * z0[:, None] + math.sqrt(1.0 - self.rho) * z
 
     def _to_uniform(self, x):
@@ -318,8 +359,7 @@ class BermanEquicorrelated(SequenceModel):
         return ndtr(x)
 
     def _umax(self, gen, m, n):
-        z0 = gen.standard_normal(m)
-        z = gen.standard_normal((m, n))
+        z0, z = self._draw(gen, m, n)
         return ndtr(math.sqrt(self.rho) * z0 + math.sqrt(1.0 - self.rho) * z.max(axis=1))
 
 

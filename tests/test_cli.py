@@ -199,6 +199,12 @@ def test_exit_codes(capsys, tmp_path):
     for grid in ("0:1:x", "0:1:-3", "0:1", "0:1:2:3"):
         code, _ = run_cli(capsys, "diagonal", "--family", "clayton", "--theta", "1", "--n", "2", "--u-grid", grid)
         assert code == 2, grid
+    # an empty grid asks for nothing; converge must refuse it before drawing
+    for grid in ("0:1:0", ","):
+        code, _ = run_cli(capsys, "diagonal", "--family", "clayton", "--theta", "1", "--n", "2", "--u-grid", grid)
+        assert code == 2, grid
+    code, _ = run_cli(capsys, "converge", "--model", "iid", "--margin", "normal", "--n", "64", "--x-grid", "0:1:0")
+    assert code == 2
     code, _ = run_cli(capsys, "diagonal", "--family", "clayton", "--theta", "1", "--n", "2", "--u-grid", "0.5", "--rate", "n^x")
     assert code == 2
     bad_value = tmp_path / "bad.cfg"
@@ -349,3 +355,38 @@ def test_converge_frank_output_is_pinned(capsys):
         "16,0.08933854844603373,0.005521820740183226,\n"
         "64,0.0406322342450155,0.005524234684767131,\n"
     )
+
+
+# generated before the samplers took their row maxima on the draw scale; the
+# path models must print these bytes however they reduce a row
+PINNED_PATH_MODELS = {
+    "efgm": (
+        ["--theta", "0.8", "--margin", "unit-frechet"],
+        "# maxdep converge margin=unit-frechet model=efgm(0.8) n=16,64 reps=8192 seed=7 x-grid=auto41 version=0.1.0\n"
+        "n,sup_distance,max_se,bound\n"
+        "16,0.01957636209719882,0.005524058355478607,\n"
+        "64,0.008505274026883392,0.005524092436368126,\n",
+    ),
+    "ar1": (
+        ["--phi", "0.5", "--margin", "normal"],
+        "# maxdep converge margin=normal model=ar1(0.5) n=16,64 reps=8192 seed=7 x-grid=auto41 version=0.1.0\n"
+        "n,sup_distance,max_se,bound\n"
+        "16,0.17538867187499996,0.005524133267301905,\n"
+        "64,0.11380078124999998,0.005523191444764823,\n",
+    ),
+    "movingmax": (
+        ["--k", "2", "--margin", "unit-frechet"],
+        "# maxdep converge margin=unit-frechet model=movingmax(2) n=16,64 reps=8192 seed=7 x-grid=auto41 version=0.1.0\n"
+        "n,sup_distance,max_se,bound\n"
+        "16,0.04016862259510634,0.005522351078353951,0.04330492701432732\n"
+        "64,0.01576679823490018,0.005523860122368337,0.011319813984547325\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(PINNED_PATH_MODELS))
+def test_converge_path_model_output_is_pinned(capsys, model):
+    flags, expected = PINNED_PATH_MODELS[model]
+    code, out = run_cli(capsys, "converge", "--model", model, *flags, "--n", "16,64", "--reps", "8192", "--seed", "7")
+    assert code == 0
+    assert out == expected

@@ -132,3 +132,18 @@ def test_invalid_sigma():
         GevParams(0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         GevParams(0.0, 0.0, -1.0)
+
+
+@pytest.mark.parametrize("xi", [1e-11, -1e-11, 1e-9, -1e-9, 1e-6, -1e-6])
+def test_small_shape_keeps_its_digits(xi):
+    # near the Gumbel limit, log t^(-1/xi) = -z + xi z^2/2 - xi^2 z^3/3 + ... and
+    # (ell^(-xi) - 1)/xi = -l + xi l^2/2 - xi^2 l^3/6 + ... for l = log(ell);
+    # the terms left out are below 1e-17 here
+    p = GevParams(xi, 0.0, 1.0)
+    q = np.array([0.01, 0.2, 0.5, 0.8, 0.99])
+    lg = np.log(-np.log(q))
+    x = gev_quantile(p, q)
+    assert np.allclose(x, -lg + xi * lg**2 / 2 - xi**2 * lg**3 / 6, rtol=1e-14, atol=0)
+    w = np.exp(-x + xi * x**2 / 2 - xi**2 * x**3 / 3)  # t^(-1/xi)
+    assert np.allclose(gev_cdf(p, x), np.exp(-w), rtol=1e-14, atol=0)
+    assert np.allclose(gev_density(p, x), w / (1 + xi * x) * np.exp(-w), rtol=1e-14, atol=0)

@@ -1,6 +1,7 @@
 """Property tests over the whole double range: the root-finder, inverse round
 trips, Frechet bounds and monotonicity in u and n of every model's diagonal,
-quantile round trips and the EFGM diagonal against quadrature."""
+quantile round trips, the EFGM diagonal against quadrature, the GEV power
+identity and the power-difference supremum against a dense grid."""
 
 import math
 import sys
@@ -8,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_legendre
 
@@ -16,10 +17,13 @@ from maxdep._numutil import scalar_or_array, solve_increasing
 from maxdep.diagonals import efgm_mixture_diagonal
 from maxdep.distortions import amh_uniform_mixture, archimedean_limit, efgm_limit
 from maxdep.generators import builtin_generator, generator_from_f
+from maxdep.gev import GevParams, gev_cdf, gev_power
 from maxdep.models import MODELS
+from maxdep.ratebounds import sup_power_diff
 
 DBL_MIN = sys.float_info.min
 DBL_MAX = sys.float_info.max
+EPS = sys.float_info.epsilon
 
 # derandomized: the same examples on every run, so a failure reproduces
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -208,3 +212,54 @@ def test_efgm_closed_form_matches_gauss_legendre(theta, n, u):
         assert got == pytest.approx(ref, abs=1e-250)
     else:
         assert got == pytest.approx(ref, rel=1e-11), (theta, n, u)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@PROPERTY
+@given(
+    xi=st.one_of(st.just(0.0), st.floats(-2.0, 2.0), st.floats(-1e-3, 1e-3)),
+    mu=st.floats(-100.0, 100.0),
+    sigma=_log_uniform(1e-3, 1e3),
+    theta=_log_uniform(1e-3, 1e3),
+    z=st.floats(-50.0, 50.0),
+)
+def test_gev_power_identity(xi, mu, sigma, theta, z):
+    # H(x)^theta == gev_cdf(gev_power(H, theta), x) at every x
+    H = GevParams(xi, mu, sigma)
+    q = gev_power(H, theta)
+    x = mu + sigma * z
+    h = float(gev_cdf(H, x))
+    assume(h >= DBL_MIN)  # below it h^theta is not computable in doubles
+    lhs, rhs = h**theta, float(gev_cdf(q, x))
+    # both sides see x only through t = 1 + xi*(x - mu)/sigma, whose rounding
+    # grows as x nears an endpoint of the support; the error of H^theta is at
+    # most that of log(-log H^theta), so the slack is the condition of t
+    t = min(1.0 + xi * (x - mu) / sigma, 1.0 + xi * (x - q.mu) / q.sigma)
+    kappa = 1.0 + (abs(x) + abs(mu) + abs(q.mu)) / (min(sigma, q.sigma) * t) if t > 0 else math.inf
+    assert abs(lhs - rhs) <= 64.0 * EPS * kappa, (xi, mu, sigma, theta, x, lhs, rhs)
+
+
+# a grid dense in s = -log u, wide enough to hold every maximizer drawn below
+_S_GRID = np.geomspace(1e-10, 1e5, 200_001)
+
+
+@PROPERTY
+@given(a=_log_uniform(1e-3, 1e3), gap=_log_uniform(1e-12, 1e6))
+def test_sup_power_diff_against_dense_grid(a, gap):
+    b = a * (1.0 + gap)
+    assume(b > a)
+    sup = sup_power_diff(a, b)
+    # |u^a - u^b| = e^(-a s) (1 - e^(-(b - a) s)), formed without cancellation
+    def gap_at(s):
+        return np.exp(-a * s) * -np.expm1(-(b - a) * s)
+
+    grid_max = float(np.max(gap_at(_S_GRID)))
+    # a grid maximum can only fall short of the supremum, by the grid's
+    # quadratic error at a smooth maximum
+    assert sup.value * (1.0 - 1e-7) <= grid_max <= sup.value * (1.0 + 1e-12), (a, b, sup, grid_max)
+    # the maximizer e^(-s*) rounds to 0 once s* > 745, for the smallest exponents
+    if sup.argmax > 0.0:
+        assert float(gap_at(-math.log(sup.argmax))) == pytest.approx(sup.value, rel=1e-9)

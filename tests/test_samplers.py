@@ -257,3 +257,20 @@ def test_make_model_specs():
     assert MODEL_TABLE["movingmax"].sampler(k=2).tag == "movingmax(2)"
     assert MODEL_TABLE["clayton"].sampler(theta=2.0).tag.startswith("arch-frailty")
     assert BermanEquicorrelated(0.5).tag == "berman(0.5)"
+
+
+# every model table entry with a sampler, plus the two models it has no entry for
+SAMPLER_PARAMS = {**SAMPLED_PARAMS, "ar1": {"phi": 0.6}}
+UMAX_MODELS = [spec.sampler(**SAMPLER_PARAMS[name]) for name, spec in MODEL_TABLE.items() if spec.sampler] + [ArchimaxLogistic("clayton", 2.0, 2.0), BermanEquicorrelated(0.5)]
+
+
+@pytest.mark.parametrize("model", UMAX_MODELS, ids=lambda m: m.tag)
+def test_umax_is_the_path_maximum(model):
+    # _umax reduces on the draw scale and maps only the row maxima; that must
+    # be bitwise the row maximum of the full uniform paths from the same draws
+    for block, n in enumerate((1, 4, 64, 512)):
+        stream = RngStream(2718, 3)
+        got = model._umax(stream.block_generator(block), 256, n)
+        want = model._uniform_paths(stream.block_generator(block), 256, n).max(axis=1)
+        assert got.shape == (256,)
+        assert np.array_equal(got, want), (model.tag, n)
