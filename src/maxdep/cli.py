@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -104,10 +105,18 @@ class Table:
         self.rows: list[list] = []
 
     def add(self, *values):
-        """Append one row; a NaN cell is a numeric error, never written out."""
-        if any(isinstance(v, float) and math.isnan(v) for v in values):
-            raise ValueError(f"NaN in {self.command} row {values}")
-        self.rows.append(list(values))
+        """Append one row per element of the 1-d array values; scalars repeat.
+
+        A NaN cell is a numeric error: it raises before any row is appended,
+        so it is never written out.  Cells are kept as Python numbers,
+        strings and None (``tolist``), since csv prints a numpy float as
+        ``np.float64(...)``.
+        """
+        columns = np.broadcast_arrays(*map(np.atleast_1d, values))
+        for name, col in zip(self.columns, columns):
+            if np.any(col != col):
+                raise ValueError(f"NaN in {self.command} column {name}")
+        self.rows.extend(map(list, zip(*(col.tolist() for col in columns))))
 
     def _meta(self) -> str:
         items = " ".join(f"{k}={v}" for k, v in sorted(self.config.items()))
@@ -119,15 +128,22 @@ class Table:
             buf.write(f"# {self._meta()}\n")
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(self.columns)
-            for row in self.rows:
-                writer.writerow(["" if v is None else str(v) for v in row])
+            writer.writerows(self.rows)
             return buf.getvalue()
         if fmt == "jsonl":
             lines = [json.dumps({"_meta": self._meta()}, sort_keys=True)]
             for row in self.rows:
-                lines.append(json.dumps(dict(zip(self.columns, row)), sort_keys=True))
+                cells = dict(zip(self.columns, map(_json_cell, row)))
+                lines.append(json.dumps(cells, sort_keys=True, allow_nan=False))
             return "\n".join(lines) + "\n"
         raise UsageError(f"unknown format {fmt!r}")
+
+
+def _json_cell(v):
+    """An infinite cell as the text the CSV shows; JSON has no infinity."""
+    if isinstance(v, float) and math.isinf(v):
+        return repr(v)
+    return v
 
 
 def _resolve(name: str, role: str, args) -> tuple[models.ModelSpec, dict]:
@@ -197,10 +213,7 @@ def cmd_diagonal(args) -> Table:
     }
     table = Table("diagonal", config, ["n", "u", "delta", "distortion"])
     for n in ns:
-        delta = np.atleast_1d(fam(n, grid))
-        dist = np.atleast_1d(diagonals.power_distortion(fam, rate, n, grid))
-        for u, dv, pv in zip(grid, delta, dist):
-            table.add(n, float(u), float(dv), float(pv))
+        table.add(n, grid, fam(n, grid), diagonals.power_distortion(fam, rate, n, grid))
     return table
 
 
@@ -230,9 +243,9 @@ def cmd_distortion(args) -> Table:
     for name, curve_args, label in curves:
         spec, params = _resolve(name, "limit", curve_args)
         D = spec.limit(**params)
-        quantiles = iter(D.quantile(grid[inside]))
-        for u, c, d, q in zip(grid, D.cdf(grid), D.density(grid), inside):
-            table.add(label or D.tag, float(u), float(c), float(d), float(next(quantiles)) if q else None)
+        quantile = np.full(grid.shape, None)
+        quantile[inside] = D.quantile(grid[inside])
+        table.add(label or D.tag, grid, D.cdf(grid), D.density(grid), quantile)
     return table
 
 
@@ -245,38 +258,36 @@ def cmd_bound(args) -> Table:
         config["k"] = params["k"]
         table = Table("bound", config, ["n", "bound", "margin_term", "ceiling_term", "distortion_term", "holder_K", "holder_kappa"])
         margin = margins.StandardNormal()
-        for n in ns:
-            rep = _composite_bound(spec, params, margin, n, float(n))
-            table.add(n, rep.bound, rep.margin_term, rep.ceiling_term, rep.distortion_term, rep.holder_K, rep.holder_kappa)
+        _add_reports(table, ns, [_composite_bound(spec, params, margin, n, float(n)) for n in ns])
         return table
     if scenario == "logistic-normal":
         theta = _require(args, "theta")
         config["theta"] = theta
         table = Table("bound", config, ["n", "bound", "margin_term", "ceiling_term"])
         margin = margins.StandardNormal()
-        for n in ns:
-            r_n = float(n) ** (1.0 / theta)
-            # display form of the bound: the ceiling term is kept even when
-            # r_n happens to be an integer (it only enlarges the bound)
-            beta = margin.uniform_rate(int(math.ceil(r_n)))
-            ceiling = ratebounds.ceil_power_cdf_bound(r_n)
-            table.add(n, beta + ceiling, beta, ceiling)
+        rates = [float(n) ** (1.0 / theta) for n in ns]
+        # display form of the bound: the ceiling term is kept even when
+        # r_n happens to be an integer (it only enlarges the bound)
+        beta = np.array([margin.uniform_rate(int(math.ceil(r_n))) for r_n in rates])
+        ceiling = np.array([ratebounds.ceil_power_cdf_bound(r_n) for r_n in rates])
+        table.add(ns, beta + ceiling, beta, ceiling)
         return table
     if scenario == "cuadras-auge":
         theta = _require(args, "theta")
         config["theta"] = theta
         table = Table("bound", config, ["n", "exact", "bound"])
-        for n in ns:
-            exact, bound = ratebounds.cuadras_auge_sup(n, theta)
-            table.add(n, exact, bound)
+        table.add(ns, *zip(*(ratebounds.cuadras_auge_sup(n, theta) for n in ns)))
         return table
     if scenario == "iid-frechet":
         table = Table("bound", config, ["n", "bound", "margin_term", "ceiling_term", "distortion_term"])
-        for n in ns:
-            rep = ratebounds.composite_rate_bound(0.0, 0.0, 1.0, 1.0, float(n))
-            table.add(n, rep.bound, rep.margin_term, rep.ceiling_term, rep.distortion_term)
+        _add_reports(table, ns, [ratebounds.composite_rate_bound(0.0, 0.0, 1.0, 1.0, float(n)) for n in ns])
         return table
     raise UsageError(f"unknown bound scenario {args.model!r}")
+
+
+def _add_reports(table: Table, ns: list[int], reports: list[ratebounds.RateBoundReport]) -> None:
+    """One row per n; the columns after n name fields of its report."""
+    table.add(ns, *([getattr(rep, col) for rep in reports] for col in table.columns[1:]))
 
 
 def cmd_converge(args) -> Table:
@@ -308,9 +319,9 @@ def cmd_converge(args) -> Table:
         ecdf, se = samplers.normalized_max_ecdf(
             model, margin, n, args.reps, c, d, grid, samplers.RngStream(seed, idx), workers=args.workers
         )
-        sup = float(np.max(np.abs(ecdf - target)))
+        sup = np.max(np.abs(ecdf - target))
         rep = _composite_bound(spec, params, margin, n, r_n)
-        table.add(n, sup, float(np.max(se)), rep.bound if rep else None)
+        table.add(n, sup, np.max(se), rep.bound if rep else None)
     return table
 
 
@@ -324,9 +335,8 @@ def cmd_mixing(args) -> Table:
     u = args.u
     config = {"family": fam.tag, "t1": args.t1, "t2": args.t2, "u": u, "n": args.n}
     table = Table("mixing", config, ["n", "v", "discrepancy"])
-    for n in ns:
-        v = math.exp(math.log(u) / rate(n))
-        table.add(n, v, diagonals.mixing_discrepancy(fam, n, args.t1, args.t2, v))
+    vs = [math.exp(math.log(u) / rate(n)) for n in ns]
+    table.add(ns, vs, [diagonals.mixing_discrepancy(fam, n, args.t1, args.t2, v) for n, v in zip(ns, vs)])
     return table
 
 
@@ -357,7 +367,12 @@ _DEFAULTS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it.
+
+    Parsing keeps no state in the parser: each call returns a fresh namespace.
+    """
     parser = argparse.ArgumentParser(prog="maxdep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

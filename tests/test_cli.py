@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -277,6 +280,50 @@ def test_amh_diagonal_mixed_grid_is_quiet(capsys):
     assert [r[2] for r in rows] == ["0.0", "0.99999998"]
 
 
+def test_diagonal_ballerini_output_is_pinned(capsys):
+    # the numeric-inverse path with both grid endpoints; generated before
+    # the table took whole columns
+    code, out = run_cli(capsys, "diagonal", "--family", "ballerini", "--n", "2,16,1024", "--u-grid", "0:1:11")
+    assert code == 0
+    assert out == (
+        "# maxdep diagonal family=archimedean[ballerini] n=2,16,1024 rate=1/(1-psi(1/eta)) u-grid=0:1:11 version=0.1.0\n"
+        "n,u,delta,distortion\n"
+        "2,0.0,0.0,0.0\n"
+        "2,0.1,0.05351597009273897,0.14304529038573102\n"
+        "2,0.2,0.11455858665521798,0.23917903554817102\n"
+        "2,0.30000000000000004,0.1839239883653273,0.3297276147608935\n"
+        "2,0.4,0.2624906051657514,0.41914244389351873\n"
+        "2,0.5,0.3512389186096473,0.509200571049222\n"
+        "2,0.6000000000000001,0.4512857243142231,0.6008950913830464\n"
+        "2,0.7000000000000001,0.5639481016637313,0.6949403803997556\n"
+        "2,0.8,0.6908795132515695,0.7920039807982237\n"
+        "2,0.9,0.8344416301825254,0.8929495200549092\n"
+        "2,1.0,1.0,1.0\n"
+        "16,0.0,0.0,0.0\n"
+        "16,0.1,0.007137567748483242,0.11405596101047703\n"
+        "16,0.2,0.01650254885008306,0.17382255418205209\n"
+        "16,0.30000000000000004,0.0290463456757918,0.23417633341268973\n"
+        "16,0.4,0.04629679991196563,0.2994746011943567\n"
+        "16,0.5,0.07084115532097292,0.37244981347825473\n"
+        "16,0.6000000000000001,0.10736545464004679,0.4558047848640948\n"
+        "16,0.7000000000000001,0.16514100755017924,0.552864980704704\n"
+        "16,0.8,0.2649064257688711,0.6683450324506136\n"
+        "16,0.9,0.4627750930222525,0.810139767012189\n"
+        "16,1.0,1.0,1.0\n"
+        "1024,0.0,0.0,0.0\n"
+        "1024,0.1,0.00011259797156207638,0.11884973450709226\n"
+        "1024,0.2,0.0002636513382873194,0.1670696893379516\n"
+        "1024,0.30000000000000004,0.00047207184403303147,0.21549400361725024\n"
+        "1024,0.4,0.000770611190414539,0.268468429526495\n"
+        "1024,0.5,0.0012207032633915326,0.3290724759879406\n"
+        "1024,0.6000000000000001,0.0019508912753740829,0.40080986295576354\n"
+        "1024,0.7000000000000001,0.0032767231558134,0.4886299854990381\n"
+        "1024,0.8,0.006202653421728802,0.6006285303740346\n"
+        "1024,0.9,0.01613478313065354,0.7527295603692286\n"
+        "1024,1.0,1.0,1.0\n"
+    )
+
+
 def test_nan_cell_is_a_numeric_error(capsys, monkeypatch):
     table = Table("t", {}, ["a", "b"])
     table.add(1, None)
@@ -284,7 +331,19 @@ def test_nan_cell_is_a_numeric_error(capsys, monkeypatch):
         table.add(1, float("nan"))
     with pytest.raises(ValueError):
         table.add(np.float64("nan"), 2.0)
+    # a NaN anywhere in an array column: the call appends no row at all
+    with pytest.raises(ValueError):
+        table.add(np.array([1, 2, 3]), np.array([0.5, 1.5, np.nan]))
+    with pytest.raises(ValueError):
+        table.add(2, np.array([None, 0.5, math.nan], dtype=object))
     assert table.rows == [[1, None]]
+    # a scalar repeats down the array column; cells are Python numbers
+    table.add(2, np.array([0.25, 0.5]))
+    assert table.rows == [[1, None], [2, 0.25], [2, 0.5]]
+    assert [type(v) for v in table.rows[1]] == [int, float]
+    # a None cell is an empty csv cell and a JSON null
+    assert table.render("csv").splitlines()[1:] == ["a,b", "1,", "2,0.25", "2,0.5"]
+    assert json.loads(table.render("jsonl").splitlines()[1]) == {"a": 1, "b": None}
     monkeypatch.setattr(cli.ratebounds, "cuadras_auge_sup", lambda n, theta: (math.nan, 0.0))
     code, out = run_cli(capsys, "bound", "--model", "cuadras-auge", "--theta", "0.5", "--n", "10")
     assert code == 3
@@ -298,6 +357,45 @@ def test_jsonl_format(capsys):
     assert json.loads(lines[0])["_meta"].endswith(f" version={maxdep.__version__}")
     rec = json.loads(lines[1])
     assert rec["n"] == 2 and rec["u"] == 0.5
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_jsonl_is_strict_json(capsys):
+    # the density of the Clayton limit is infinite at u = 0
+    code, out = run_cli(capsys, "distortion", "--generator", "clayton", "--theta", "2", "--u-grid", "0:1:3", "--format", "jsonl")
+    assert code == 0
+    recs = [json.loads(line, parse_constant=_no_constant) for line in out.splitlines()]
+    assert recs[1]["density"] == "inf"
+    table = Table("t", {}, ["a", "b"])
+    table.add(math.inf, -math.inf)
+    assert table.render("csv").splitlines()[2] == "inf,-inf"
+    assert json.loads(table.render("jsonl").splitlines()[1]) == {"a": "inf", "b": "-inf"}
+    # a NaN that got past add is refused, not printed
+    table.rows.append([0.0, math.nan])
+    with pytest.raises(ValueError):
+        table.render("jsonl")
+
+
+def test_distortion_jsonl_matches_csv(capsys):
+    argv = ["distortion", "--generator", "figure1", "--u-grid", "0:1:11"]
+    _, text = run_cli(capsys, *argv)
+    _, header, rows = parse_csv(text)
+    _, lines = run_cli(capsys, *argv, "--format", "jsonl")
+    recs = [json.loads(line, parse_constant=_no_constant) for line in lines.splitlines()[1:]]
+    assert len(recs) == len(rows) == 8 * 11
+    for row, rec in zip(rows, recs):
+        assert set(rec) == set(header)
+        for col, cell in zip(header, row):
+            value = rec[col]
+            if cell == "":
+                assert value is None
+            elif col == "family" or cell in ("inf", "-inf"):
+                assert value == cell
+            else:
+                assert value == float(cell)
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -390,3 +488,43 @@ def test_converge_path_model_output_is_pinned(capsys, model):
     code, out = run_cli(capsys, "converge", "--model", model, *flags, "--n", "16,64", "--reps", "8192", "--seed", "7")
     assert code == 0
     assert out == expected
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(maxdep.__file__)))
+
+
+def _fresh_main(argv, seed=None):
+    """(exit code, stdout, stderr) of argv as the first call of a new interpreter."""
+    env = {k: v for k, v in os.environ.items() if k != "MAXDEP_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    if seed is not None:
+        env["MAXDEP_SEED"] = seed
+    proc = subprocess.run([sys.executable, "-m", "maxdep.cli", *argv], env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_reused_parser_keeps_no_state(capsys, monkeypatch, tmp_path):
+    cfg = tmp_path / "theta.cfg"
+    cfg.write_text("theta=2\n")
+    diagonal = ["diagonal", "--family", "clayton", "--n", "2,16", "--u-grid", "0.25,0.5"]
+    converge = ["converge", "--model", "iid", "--margin", "unit-frechet", "--n", "32", "--reps", "2000", "--seed", "1"]
+    # (argv, MAXDEP_SEED, exit code): without the config clayton has no --theta
+    calls = [
+        (diagonal + ["--config", str(cfg), "--format", "jsonl"], None, 0),
+        (diagonal, None, 2),
+        (["diagonal", "--family", "independence", "--n", "2,16", "--u-grid", "0.25,0.5"], None, 0),
+        (converge, "999", 0),
+        (converge, None, 0),
+    ]
+    outputs = []
+    for argv, seed, expected in calls:
+        if seed is None:
+            monkeypatch.delenv("MAXDEP_SEED", raising=False)
+        else:
+            monkeypatch.setenv("MAXDEP_SEED", seed)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == expected, argv
+        assert (code, captured.out, captured.err) == _fresh_main(argv, seed), argv
+        outputs.append(captured.out)
+    assert outputs[3] != outputs[4]
