@@ -231,6 +231,8 @@ _FIGURE1_PRESET = [
 
 def cmd_distortion(args) -> Table:
     grid = _parse_grid(args.u_grid)
+    if not ((grid >= 0.0) & (grid <= 1.0)).all():
+        raise ValueError("distortion argument must lie in [0, 1]")
     config = {"generator": args.generator, "theta": args.theta, "u-grid": args.u_grid}
     table = Table("distortion", config, ["family", "u", "cdf", "density", "quantile"])
     if args.generator.lower() == "figure1":
@@ -333,6 +335,8 @@ def cmd_mixing(args) -> Table:
     rate = _rate_from_spec(fam, args.rate)
     ns = _parse_n_schedule(args.n)
     u = args.u
+    if not 0.0 < u < 1.0:
+        raise ValueError(f"--u must lie in (0, 1), got {u}")
     config = {"family": fam.tag, "t1": args.t1, "t2": args.t2, "u": u, "n": args.n}
     table = Table("mixing", config, ["n", "v", "discrepancy"])
     vs = [math.exp(math.log(u) / rate(n)) for n in ns]
@@ -457,6 +461,8 @@ def _fill_args(args):
     for attr in ("t1", "t2", "u"):
         if hasattr(args, attr) and getattr(args, attr) is None:
             raise UsageError(f"--{attr} is required")
+    if getattr(args, "workers", 1) < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
 
 
 def main(argv=None) -> int:

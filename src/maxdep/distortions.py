@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from ._numutil import scalar_or_array
 # bound under its earlier name, which the benchmark's tracer rebinds to count
@@ -228,6 +227,9 @@ def parameter_mixture(components: Sequence[Distortion], weights: Sequence[float]
 
 def mixture_over_interval(make: Callable[[float], Distortion], a: float, b: float, nodes: int = 64, tag: str = "mixture") -> Distortion:
     """Uniform mixture over theta in (a, b) via Gauss-Legendre quadrature."""
+    # imported here, at its one use, so `import maxdep` does not pay for scipy.special
+    from scipy.special import roots_legendre
+
     x, w = roots_legendre(nodes)
     thetas = 0.5 * (b - a) * x + 0.5 * (a + b)
     # the interval Jacobian (b-a)/2 and the uniform density 1/(b-a) reduce to

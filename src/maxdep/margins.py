@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import lambertw, ndtr, ndtri
 
 from ._numutil import scalar_or_array
 from .gev import GevParams
@@ -184,10 +183,15 @@ class StandardNormal(Margin):
 
     tag = "normal"
 
+    # scipy.special is imported at each use, so `import maxdep` loads numpy only
     def cdf(self, x):
+        from scipy.special import ndtr
+
         return scalar_or_array(ndtr(np.asarray(x, dtype=float)))
 
     def quantile(self, q):
+        from scipy.special import ndtri
+
         return scalar_or_array(ndtri(self._check_q(q)))
 
     def hall_constant(self, n: int) -> float:
@@ -196,6 +200,8 @@ class StandardNormal(Margin):
         W0 is the principal branch of Lambert W (Corless et al. 1996); the
         relative error is ~1e-16 for every n up to 2^59.
         """
+        from scipy.special import lambertw
+
         _require_n(n)
         return math.sqrt(lambertw(int(n) ** 2 / (2.0 * math.pi)).real)
 

@@ -30,7 +30,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .generators import ArchGenerator, builtin_generator
 from .margins import Margin
@@ -38,7 +37,13 @@ from .margins import Margin
 BLOCK_REPS = 4096  # stream-assignment unit; fixed so results ignore worker count
 _SLICE_ROWS = 256  # internal memory chunk inside a block (fixed: affects draws)
 _U_HI = float(np.nextafter(1.0, 0.0))
-_MASK64 = (1 << 64) - 1
+
+
+def _ndtr(x):
+    """Standard normal cdf; scipy.special loads at the first normal path, not at import."""
+    from scipy.special import ndtr
+
+    return ndtr(x)
 
 
 @dataclass(frozen=True)
@@ -53,10 +58,16 @@ class RngStream:
     seed: int
     index: int = 0
 
+    def __post_init__(self):
+        # the seed is the low 64 bits of the Philox key; reducing a wider or
+        # negative seed would give it the stream of another seed
+        if not 0 <= self.seed < (1 << 64):
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
+
     def block_generator(self, block: int = 0) -> np.random.Generator:
         if not 0 <= self.index < (1 << 40):
             raise ValueError("stream index out of range")
-        key = (self.seed & _MASK64) | (((self.index << 20) | block) << 64)
+        key = self.seed | (((self.index << 20) | block) << 64)
         return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -296,10 +307,10 @@ class GaussianAR1(SequenceModel):
         return y
 
     def _native_paths(self, gen, m, n):
-        return ndtr(self._draw(gen, m, n) / self.stat_sd)
+        return _ndtr(self._draw(gen, m, n) / self.stat_sd)
 
     def _umax(self, gen, m, n):
-        return ndtr(self._draw(gen, m, n).max(axis=1) / self.stat_sd)
+        return _ndtr(self._draw(gen, m, n).max(axis=1) / self.stat_sd)
 
 
 class EfgmExchangeable(SequenceModel):
@@ -353,14 +364,14 @@ class BermanEquicorrelated(SequenceModel):
         return math.sqrt(self.rho) * z0[:, None] + math.sqrt(1.0 - self.rho) * z
 
     def _to_uniform(self, x):
-        return ndtr(x)
+        return _ndtr(x)
 
     def _native_cdf(self, x):
-        return ndtr(x)
+        return _ndtr(x)
 
     def _umax(self, gen, m, n):
         z0, z = self._draw(gen, m, n)
-        return ndtr(math.sqrt(self.rho) * z0 + math.sqrt(1.0 - self.rho) * z.max(axis=1))
+        return _ndtr(math.sqrt(self.rho) * z0 + math.sqrt(1.0 - self.rho) * z.max(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,7 @@ def test_n_schedule_single_power_of_two(capsys):
         assert code == 2, bad
 
 
-def test_exit_codes(capsys, tmp_path):
+def test_exit_codes(capsys, monkeypatch, tmp_path):
     code, _ = run_cli(capsys, "diagonal", "--family", "nonsense", "--n", "2", "--u-grid", "0.5")
     assert code == 2
     code, _ = run_cli(capsys, "diagonal", "--family", "clayton", "--theta", "-1", "--n", "2", "--u-grid", "0.5")
@@ -220,6 +220,29 @@ def test_exit_codes(capsys, tmp_path):
         assert main(row + flags) == 2, flags
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    # a seed outside [0, 2^64) would alias another seed's stream: a domain error
+    converge = ["converge", "--model", "iid", "--margin", "unit-frechet", "--n", "16", "--reps", "4096"]
+    for seed in ("18446744073709551616", "18446744073709551621", "-5"):
+        code, out = run_cli(capsys, *converge, "--seed", seed)
+        assert code == 3 and out == "", seed
+    monkeypatch.setenv("MAXDEP_SEED", "-1")
+    code, out = run_cli(capsys, *converge)
+    assert code == 3 and out == ""
+    monkeypatch.delenv("MAXDEP_SEED")
+    # fewer than one worker is a usage error, not a silent inline run
+    for workers in ("0", "-3"):
+        code, _ = run_cli(capsys, *converge, "--workers", workers)
+        assert code == 2, workers
+    # a level outside [0, 1] is a domain error before any row is written
+    for argv in (["--generator", "figure1", "--u-grid", "2"], ["--generator", "clayton", "--theta", "2", "--u-grid", "1.5,-0.5"],
+                 ["--generator", "power", "--theta", "2", "--u-grid", "0.5,nan"]):
+        assert main(["distortion", *argv]) == 3, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "must lie in [0, 1]" in err, argv
+    # mixing names the domain of --u instead of a bare math domain error
+    for u in ("0", "1", "-0.5"):
+        assert main(["mixing", "--family", "clayton", "--theta", "2", "--t1", "0.2", "--t2", "0.3", "--u", u, "--n", "10"]) == 3
+        assert "(0, 1)" in capsys.readouterr().err, u
     # diagonal has no --phi flag, so the parser rejects it before any lookup
     with pytest.raises(SystemExit) as err:
         main(["diagonal", "--family", "ar1", "--phi", "0.5", "--n", "2", "--u-grid", "0.5"])

@@ -19,13 +19,56 @@ def _python(*args, cwd=None):
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
 
 
+def _scipy_after(*calls):
+    """(stdout, scipy modules loaded) after each argv of calls runs through
+    ``cli.main`` in one fresh interpreter; every call must exit 0."""
+    script = (
+        "import sys\n"
+        "from maxdep import cli\n"
+        f"for argv in {[list(c) for c in calls]!r}:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+    )
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, proc.stderr.split()
+
+
 def test_import_loads_no_heavy_scipy_module():
-    # scipy.optimize, scipy.signal and scipy.stats took most of the import
-    # time; the AR(1) sampler loads scipy.signal when it first draws
-    heavy = ("scipy.optimize", "scipy.signal", "scipy.stats")
-    proc = _python("-c", f"import sys, maxdep, maxdep.cli; print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+    # only the normal margin, the Gaussian samplers and Gauss-Legendre
+    # mixtures need scipy, and each imports it at its first use
+    proc = _python("-c", "import sys, maxdep, maxdep.cli; print(*(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_analytic_commands_load_no_scipy():
+    out, loaded = _scipy_after(
+        ["diagonal", "--family", "clayton", "--theta", "2", "--n", "2,1024", "--u-grid", "0:1:11"],
+        ["diagonal", "--family", "ballerini", "--n", "2^4", "--u-grid", "0.5"],
+        ["distortion", "--generator", "figure1", "--u-grid", "0:1:11"],
+        ["distortion", "--generator", "amh-mixture", "--u-grid", "0:1:11"],
+        ["distortion", "--generator", "efgm", "--theta", "0.5", "--u-grid", "0:1:11"],
+        ["mixing", "--family", "logistic", "--theta", "2", "--t1", "0.25", "--t2", "0.25", "--u", "0.5", "--n", "1000"],
+        ["bound", "--model", "movingmax-normal", "--k", "1", "--n", "100,10000"],
+        ["bound", "--model", "logistic-normal", "--theta", "2", "--n", "1000000"],
+        ["bound", "--model", "cuadras-auge", "--theta", "0.5", "--n", "10"],
+        ["bound", "--model", "iid-frechet", "--n", "2^3..2^5"],
+        ["converge", "--model", "movingmax", "--k", "1", "--margin", "unit-frechet", "--n", "16", "--reps", "4096", "--seed", "3"],
+    )
+    assert out.count("# maxdep ") == 11
+    assert loaded == []
+
+
+def test_deferred_scipy_path_prints_the_pinned_bytes():
+    # the normal margin and the AR(1) sampler load scipy.special and
+    # scipy.signal at their first call and print the bytes pinned in test_cli
+    from test_cli import PINNED_PATH_MODELS
+
+    flags, expected = PINNED_PATH_MODELS["ar1"]
+    out, loaded = _scipy_after(["converge", "--model", "ar1", *flags, "--n", "16,64", "--reps", "8192", "--seed", "7"])
+    assert out == expected
+    assert {"scipy.special", "scipy.signal"} <= set(loaded)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

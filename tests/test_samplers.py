@@ -238,6 +238,16 @@ def test_max_sample_margin_scale():
     assert kstest(m, lambda x: np.clip(x, 0, 1) ** 4).pvalue > 0.001
 
 
+def test_seed_outside_64_bits_is_rejected():
+    # the seed fills the low 64 bits of the Philox key; reducing it mod 2^64
+    # would hand 2^64 + 5 the stream of 5, and -5 that of 2^64 - 5
+    for seed in (-1, -5, 1 << 64, (1 << 64) + 5):
+        with pytest.raises(ValueError, match="seed"):
+            RngStream(seed, 0)
+    for seed in (0, (1 << 64) - 1):
+        assert RngStream(seed, 0).block_generator(0).random(2).shape == (2,)
+
+
 def test_invalid_inputs():
     with pytest.raises(ValueError):
         empirical_diagonal(IID(), 5, 0.5, 10, RngStream(0, 0))
