@@ -4,9 +4,12 @@ The diagonal of an n-variate copula, delta_n(u) = C_n(u, ..., u), equals the
 probability that the maximum of n dependent standard uniforms stays below u.
 Raising the argument to 1/r_n for a positive rate r gives the diagonal power
 distortion delta_n(u^(1/r_n)), whose n -> infinity limit is the distortion
-factor of the corresponding limit law.  Every dependence model treated in
-this package appears here with its diagonal in closed form and, where one
-exists, its canonical rate and limiting distortion.
+factor of the corresponding limit law.  Each diagonal takes that root as the
+pair (u, r), ``fam(n, u, r)``, so 1 - u^(1/r) is never taken from a rounded
+u^(1/r), which keeps only ~1e-16/(1 - u^(1/r)) of its digits.  Every
+dependence model treated in this package appears here with its diagonal in
+closed form and, where one exists, its canonical rate and limiting
+distortion.
 """
 
 from __future__ import annotations
@@ -38,7 +41,11 @@ class RateFn:
 
 @dataclass(frozen=True)
 class DiagonalFamily:
-    """Map (n, u) -> delta_n(u) plus optional rate/limit metadata.
+    """Map (n, u, r) -> delta_n(u^(1/r)) plus optional rate/limit metadata.
+
+    ``fn`` evaluates it for u in (0, 1); calling the family checks n, u and r
+    and fixes u = 0 and u = 1.  r = 1 (the default) is the diagonal itself,
+    r = r_n the diagonal power distortion.
 
     ``finite_rate_limit`` is set on families whose canonical rate converges to
     a finite constant rho; no stabilization applies there and the limit of the
@@ -52,15 +59,17 @@ class DiagonalFamily:
     exchangeable: bool = False
     finite_rate_limit: float | None = None
 
-    def __call__(self, n: int, u):
+    def __call__(self, n: int, u, r: float = 1.0):
         if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
             raise ValueError(f"n must be an integer >= 1, got {n!r}")
+        if not r > 0:
+            raise ValueError(f"rate must be positive, got {r}")
         u = np.asarray(u, dtype=float)
-        if np.any(u < 0) or np.any(u > 1):
+        if not ((u >= 0) & (u <= 1)).all():
             raise ValueError("diagonal argument must lie in [0, 1]")
         # endpoints are fixed for every copula diagonal; evaluate only inside
         interior = (u > 0.0) & (u < 1.0)
-        out = np.asarray(self.fn(int(n), np.where(interior, u, 0.5)), dtype=float)
+        out = np.asarray(self.fn(int(n), np.where(interior, u, 0.5), float(r)), dtype=float)
         return scalar_or_array(np.where(interior, out, np.where(u <= 0.0, 0.0, 1.0)))
 
 
@@ -71,7 +80,7 @@ def logistic_eta(theta: float) -> Callable[[int], float]:
 
 def independence_diagonal() -> DiagonalFamily:
     return DiagonalFamily(
-        fn=lambda n, u: u**n,
+        fn=lambda n, u, r: u ** (n / r),
         tag="independence",
         canonical_rate=RateFn(lambda n: float(n), "n"),
         limit_distortion=power(1.0),
@@ -80,7 +89,7 @@ def independence_diagonal() -> DiagonalFamily:
 
 
 def comonotone_diagonal() -> DiagonalFamily:
-    return DiagonalFamily(fn=lambda n, u: u, tag="comonotone", exchangeable=True)
+    return DiagonalFamily(fn=lambda n, u, r: u ** (1.0 / r), tag="comonotone", exchangeable=True)
 
 
 def logistic_power_diagonal(theta: float) -> DiagonalFamily:
@@ -89,7 +98,7 @@ def logistic_power_diagonal(theta: float) -> DiagonalFamily:
         raise ValueError(f"logistic theta must be >= 1, got {theta}")
     eta = logistic_eta(theta)
     return DiagonalFamily(
-        fn=lambda n, u: u ** eta(n),
+        fn=lambda n, u, r: u ** (eta(n) / r),
         tag=f"logistic({theta})",
         canonical_rate=RateFn(eta, "eta"),
         limit_distortion=power(1.0),
@@ -103,7 +112,7 @@ def moving_max_diagonal(k: int) -> DiagonalFamily:
         raise ValueError(f"window k must be an integer >= 0, got {k!r}")
     k = int(k)
     return DiagonalFamily(
-        fn=lambda n, u: u ** ((n + k) / (k + 1.0)),
+        fn=lambda n, u, r: u ** ((n + k) / (k + 1.0) / r),
         tag=f"movingmax({k})",
         canonical_rate=RateFn(lambda n: float(n), "n"),
         limit_distortion=power(1.0 / (k + 1.0)),
@@ -123,7 +132,7 @@ def cuadras_auge_diagonal(theta: float) -> DiagonalFamily:
         return -math.expm1(n * math.log1p(-theta)) / theta
 
     return DiagonalFamily(
-        fn=lambda n, u: u ** eta(n),
+        fn=lambda n, u, r: u ** (eta(n) / r),
         tag=f"cuadras-auge({theta})",
         canonical_rate=RateFn(eta, "eta"),
         limit_distortion=power(1.0),
@@ -137,10 +146,10 @@ def _arch_rate(g: ArchGenerator, eta: Callable[[int], float]) -> RateFn:
 
 
 def _scaled_inverse_diagonal(g: ArchGenerator, eta: Callable[[int], float]) -> Callable:
-    def fn(n, u):
-        # eta_n * psi_inv(u) may overflow to inf, where psi is 0
+    def fn(n, u, r):
+        # eta_n * psi_inv(u^(1/r)) may overflow to inf, where psi is 0
         with np.errstate(over="ignore"):
-            t = float(eta(n)) * np.asarray(g.psi_inv(u), dtype=float)
+            t = float(eta(n)) * np.asarray(g.psi_inv(u, r), dtype=float)
         out = np.array(g.psi(t), dtype=float)
         # below t = 1e-6, psi(t) near 1 carries an error of a few ulps, enough
         # to fall below the Frechet bound 2u - 1; its complement 1 - psi(t)
@@ -155,7 +164,7 @@ def _scaled_inverse_diagonal(g: ArchGenerator, eta: Callable[[int], float]) -> C
 
 
 def archimedean_diagonal(g: ArchGenerator) -> DiagonalFamily:
-    """delta_n(u) = psi(n * psi_inv(u)); canonical rate 1/(1 - psi(1/n))."""
+    """delta_n(u^(1/r)) = psi(n * psi_inv(u, r)); canonical rate 1/(1 - psi(1/n))."""
     return DiagonalFamily(
         fn=_scaled_inverse_diagonal(g, float),
         tag=f"archimedean[{g.tag}]",
@@ -166,7 +175,7 @@ def archimedean_diagonal(g: ArchGenerator) -> DiagonalFamily:
 
 
 def archimax_diagonal(g: ArchGenerator, eta: Callable[[int], float], tag: str | None = None) -> DiagonalFamily:
-    """delta_n(u) = psi(eta_n * psi_inv(u)); rate 1/(1 - psi(1/eta_n))."""
+    """delta_n(u^(1/r)) = psi(eta_n * psi_inv(u, r)); rate 1/(1 - psi(1/eta_n))."""
     return DiagonalFamily(
         fn=_scaled_inverse_diagonal(g, eta),
         tag=tag or f"archimax[{g.tag}]",
@@ -198,23 +207,23 @@ def efgm_mixture_diagonal(theta: float) -> DiagonalFamily:
     lo = u - c to hi = u + c, c = |theta|*u*(1-u), so the integral is
     (hi^(n+1) - lo^(n+1)) / (2c(n+1)) = hi^n * (1 - (1-e)^(n+1)) / ((n+1)*e)
     with e = 2c/hi = 2|theta|(1-u) / (1 + |theta|(1-u)).  It is evaluated in
-    log space, with log(1-e) = log1p(-e) and, where hi >= 1/2, log hi =
-    log1p(-(1-u)*(1-|theta|*u)); both keep full relative accuracy for tiny
-    theta and for u near 1.  Where (n+1)*e < 1e-3 the log of the mean comes
-    from its binomial series (``_log_binomial_mean``), so at e = 0
-    (theta = 0) it is hi^n = u^n.
+    log space at the root u^(1/r) = e^-s, s = -log(u)/r, with d = 1 - e^-s
+    = -expm1(-s), log hi = log1p(|theta|*d) - s and log(1-e) = log1p(-e);
+    these keep full relative accuracy for tiny theta and for u near 1.  Where
+    (n+1)*e < 1e-3 the log of the mean comes from its binomial series
+    (``_log_binomial_mean``), so at e = 0 (theta = 0) it is hi^n = u^n.
     """
     if not (-1.0 <= theta <= 1.0):
         raise ValueError(f"theta must lie in [-1, 1], got {theta}")
     th = abs(theta)
 
-    def fn(n: int, u):
-        u = np.asarray(u, dtype=float)
-        hi = u + th * u * (1.0 - u)
-        e = 2.0 * th * (1.0 - u) / (1.0 + th * (1.0 - u))
+    def fn(n: int, u, r):
+        s = -np.log(u) / r
+        d = -np.expm1(-s)
+        e = 2.0 * th * d / (1.0 + th * d)
         m = n + 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_hi = np.where(hi >= 0.5, np.log1p(-(1.0 - u) * (1.0 - th * u)), np.log(hi))
+            log_hi = np.log1p(th * d) - s
             log_mean = np.log(-np.expm1(m * np.log1p(-e))) - np.log(m * e)
             series = m * e < 1e-3
             if series.any():
@@ -230,14 +239,6 @@ def efgm_mixture_diagonal(theta: float) -> DiagonalFamily:
     )
 
 
-def _power_arg(u, r_n: float):
-    # u^(1/r_n) in log space so huge rates keep full accuracy near 0 and 1.
-    u = np.asarray(u, dtype=float)
-    with np.errstate(divide="ignore"):
-        out = np.exp(np.log(np.where(u > 0, u, 1.0)) / r_n)
-    return np.where(u <= 0, 0.0, np.where(u >= 1.0, 1.0, out))
-
-
 def power_distortion(fam: DiagonalFamily, r: RateFn | None, n: int, u):
     """Diagonal power distortion delta_n(u^(1/r_n)).
 
@@ -247,10 +248,7 @@ def power_distortion(fam: DiagonalFamily, r: RateFn | None, n: int, u):
     rate = r if r is not None else fam.canonical_rate
     if rate is None:
         raise ValueError(f"family {fam.tag} has no canonical rate; pass one explicitly")
-    r_n = rate(n)
-    u = np.asarray(u, dtype=float)
-    out = np.asarray(fam(n, _power_arg(u, r_n)), dtype=float)
-    return scalar_or_array(np.where(u <= 0, 0.0, np.where(u >= 1.0, 1.0, out)))
+    return fam(n, u, rate(n))
 
 
 # log(-log u) from u = 1 - 2^-53 down to the smallest positive double

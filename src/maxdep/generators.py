@@ -25,14 +25,32 @@ _LOG_T_GRID = np.array(
 )
 
 
+def _log1mexp(a):
+    """log(1 - e^-a) for a >= 0, by expm1 up to a = log 2 and log1p beyond (Maechler 2012)."""
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(a <= math.log(2.0), np.log(-np.expm1(-a)), np.log1p(-np.exp(-a)))
+
+
+def _neg_log_root(u, r=1.0):
+    """s = -log(u^(1/r)) = -log(u)/r for u in [0, 1]; raises elsewhere, NaN included."""
+    u = np.asarray(u, dtype=float)
+    if not ((u >= 0) & (u <= 1)).all():
+        raise ValueError("generator inverse defined on [0, 1]")
+    with np.errstate(divide="ignore"):
+        return -np.log(u) / r
+
+
 @dataclass(frozen=True)
 class ArchGenerator:
     """Archimedean generator bundle.
 
-    psi maps [0, inf) to [0, 1]; psi_inv is its inverse on (0, 1] with
-    psi_inv(0) = inf for strict generators; psi_prime is the derivative on
-    (0, inf).  rho is the index with 1 - psi(1/x) regularly varying of order
-    -rho at infinity; neg_psi_prime_0 is -psi'(0+) (math.inf allowed).
+    psi maps [0, inf) to [0, 1]; psi_inv(u, r=1.0) is psi^-1(u^(1/r)) for u
+    in [0, 1], r > 0, with psi^-1(0) = inf for strict generators, formed from
+    s = -log(u)/r and 1 - u^(1/r) = -expm1(-s), never from a rounded u^(1/r);
+    psi_prime is the derivative on (0, inf).  rho is the index with
+    1 - psi(1/x) regularly varying of order -rho at infinity;
+    neg_psi_prime_0 is -psi'(0+) (math.inf allowed).
     All callables must be pure and accept scalars or numpy arrays.
     """
 
@@ -64,7 +82,8 @@ def _numeric_inverse(f: Callable, f_prime: Callable, excess: Callable | None = N
     excess(t) = f(t) - log t, if given, forms the residual of that last step
     for t >= 1 as excess(t) + log(t*u): f(t) and -log u are then never
     rounded on their own, which at u = 0.005 for the ballerini generator
-    (t = 73) makes the difference between 5e-14 and 8e-15 in e^-t.
+    (t = 73) makes the difference between 5e-14 and 8e-15 in e^-t.  At
+    r != 1, where u^(1/r) is not exact, log(t) - s replaces log(t*u).
     """
 
     def log_f(s):
@@ -75,12 +94,10 @@ def _numeric_inverse(f: Callable, f_prime: Callable, excess: Callable | None = N
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         grid = log_f(_LOG_T_GRID)[0]
 
-    def inv(u):
+    def inv(u, r=1.0):
         arr = np.asarray(u, dtype=float)
-        if np.any(arr < 0) or np.any(arr > 1):
-            raise ValueError("generator inverse defined on [0, 1]")
+        y = _neg_log_root(arr, r).ravel()
         with np.errstate(divide="ignore"):
-            y = -np.log(arr.ravel())
             log_y = np.log(y)
         # each target's bracket is the last grid cell starting at or below it;
         # none exists at u = 1 or where t is below the smallest double, and
@@ -91,10 +108,11 @@ def _numeric_inverse(f: Callable, f_prime: Callable, excess: Callable | None = N
         k = below.shape[1] - 2 - np.argmax(below[inside, -2::-1], axis=1)
         t = np.exp(solve_increasing(log_f, log_y[inside], _LOG_T_GRID[k], _LOG_T_GRID[k + 1], 1e-10))
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.asarray(f(t), dtype=float) - y[inside]
+            res = np.asarray(f(t), dtype=float) - y[inside]
             if excess is not None:
-                r = np.where(t >= 1.0, np.asarray(excess(t), dtype=float) + np.log(t * arr.ravel()[inside]), r)
-            step = r / np.asarray(f_prime(t), dtype=float)
+                log_tv = np.log(t * arr.ravel()[inside]) if r == 1.0 else np.log(t) - y[inside]
+                res = np.where(t >= 1.0, np.asarray(excess(t), dtype=float) + log_tv, res)
+            step = res / np.asarray(f_prime(t), dtype=float)
         out[inside] = np.where(np.isfinite(step), t - step, t)
         return scalar_or_array(out.reshape(arr.shape))
 
@@ -135,7 +153,7 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
     if fam == "independence":
         return ArchGenerator(
             psi=lambda t: np.exp(-np.asarray(t, dtype=float)),
-            psi_inv=lambda u: -np.log(u),
+            psi_inv=_neg_log_root,
             psi_prime=lambda t: -np.exp(-np.asarray(t, dtype=float)),
             rho=1.0,
             neg_psi_prime_0=1.0,
@@ -163,14 +181,10 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
         if not 0.0 < th < 1.0:
             raise ValueError(f"AMH parameter must lie in (0, 1), got {th}")
 
-        def amh_inv(u):
-            # where 1 - u < 1e-6 the log of the quotient keeps only the first
-            # digits of its small value; the difference of log1p keeps them all
-            u = np.asarray(u, dtype=float)
-            d = 1.0 - u
-            with np.errstate(divide="ignore"):
-                near_one = np.log1p(-th * d) - np.log1p(-d)
-            return np.where(d < 1e-6, near_one, np.log((1.0 - th * d) / u))
+        def amh_inv(u, r=1.0):
+            # log((1 - th*(1-v))/v) at v = e^-s, 1 - v = -expm1(-s)
+            s = _neg_log_root(u, r)
+            return s + np.log1p(th * np.expm1(-s))
 
         # (1-th)/(e^t - th) written with e^{-t} so huge t cannot overflow
         return ArchGenerator(
@@ -191,14 +205,12 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
         if not th > 0.0:
             raise ValueError(f"Clayton parameter must be positive, got {th}")
 
-        def clayton_inv(u):
-            # u^-theta - 1 cancels where 1 - u < 1e-6; there it is formed as
-            # expm1(-theta*log1p(-(1-u))), whose 1 - u is exact
-            u = np.asarray(u, dtype=float)
-            d = 1.0 - u
-            # inf below DBL_MAX^(-1/theta), beyond the doubles, and at u = 0
+        def clayton_inv(u, r=1.0):
+            # v^-theta - 1 at v = u^(1/r): expm1(theta*s) below 1, where the
+            # subtraction cancels; above, the power, rounded once at r = 1
+            s = _neg_log_root(u, r)
             with np.errstate(over="ignore", divide="ignore"):
-                return np.where(d < 1e-6, np.expm1(-th * np.log1p(-d)), u ** (-th) - 1.0)
+                return np.where(th * s < math.log(2.0), np.expm1(th * s), np.asarray(u, dtype=float) ** (-th / r) - 1.0)
 
         return ArchGenerator(
             psi=lambda t: (1.0 + np.asarray(t, dtype=float)) ** (-1.0 / th),
@@ -233,16 +245,14 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
                 log_w[cancels] = np.log(-np.expm1(-t[cancels]) + np.exp(-th - t[cancels]))
             return -log_w / th
 
-        def psi_inv(u):
-            # -log r with r = e^{-t}; near r = 1, r - 1 is formed as
-            # -e^{-theta*u}*expm1(-theta*(1-u))/em and its log1p taken: for
-            # theta > 6.9 wherever r > 1/2, below that theta only where
-            # 1 - u < 1e-6, which keeps the digits of the Frank tables
-            u = np.asarray(u, dtype=float)
-            r = np.expm1(-th * u) / em
-            near_one = r > 0.5 if steep else u > 1.0 - 1e-6
+        def psi_inv(u, r=1.0):
+            # -log(e), e = expm1(-theta*v)/em at v = u^(1/r); above e = 1/2 the log1p of
+            # its complement e^{-theta*v}*expm1(-theta*(1-v))/em, 1 - v = -expm1(-s)
+            s = _neg_log_root(u, r)
+            v = np.asarray(u, dtype=float) ** (1.0 / r)
+            e = np.expm1(-th * v) / em
             with np.errstate(divide="ignore"):
-                return np.where(near_one, -np.log1p(-np.exp(-th * u) * np.expm1(-th * (1.0 - u)) / em), -np.log(r))
+                return np.where(e > 0.5, -np.log1p(-np.exp(-th * v) * np.expm1(th * np.expm1(-s)) / em), -np.log(e))
 
         def psi_prime(t):
             e = em * np.exp(-np.asarray(t, dtype=float))
@@ -267,7 +277,7 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
             raise ValueError(f"Gumbel parameter must be >= 1, got {th}")
         return ArchGenerator(
             psi=lambda t: np.exp(-np.asarray(t, dtype=float) ** (1.0 / th)),
-            psi_inv=lambda u: (-np.log(u)) ** th,
+            psi_inv=lambda u, r=1.0: _neg_log_root(u, r) ** th,
             psi_prime=lambda t: -(1.0 / th)
             * np.asarray(t, dtype=float) ** (1.0 / th - 1.0)
             * np.exp(-np.asarray(t, dtype=float) ** (1.0 / th)),
@@ -285,30 +295,17 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
             # 1 - psi(s) = (1 - e^{-s})^{1/theta}
             return (-np.expm1(-np.asarray(s, dtype=float))) ** (1.0 / th)
 
-        def psi(t):
-            # 1 - (1-e^{-t})^{1/theta} = -expm1(log(1-e^{-t})/theta).  log1p(-e^{-t})
-            # keeps the e^{-t}/theta tail instead of rounding to zero near t ~ 37,
-            # but 1 - e^{-t} formed inside it carries a relative error ~1e-16/t;
-            # below t = 1e-5, where that would pass ~1e-13 in psi, the log is
-            # taken of -expm1(-t) instead, on those elements only; at t = 0 it
-            # is -inf and psi = 1
-            t = np.asarray(t, dtype=float)
-            small = t < 1e-5
+        def psi_inv(u, r=1.0):
+            # -log(1 - w), w = (1-v)^theta at v = e^-s: log1p(-w) below w = 1/2;
+            # above, 1 - w = -expm1(theta*log(1-v)), with log(1-v) = log1mexp(s)
+            # keeping its digits where v is tiny and 1 - v rounds to 1
+            s = _neg_log_root(u, r)
+            w = (-np.expm1(-s)) ** th
             with np.errstate(divide="ignore"):
-                log_1m = np.log1p(-np.exp(-t), out=np.empty_like(t))
-                log_1m[small] = np.log(-np.expm1(-t[small]))
-                return -np.expm1(log_1m / th)
-
-        def psi_inv(u):
-            # -log1p(-(1-u)^theta) is inf once (1-u)^theta rounds to 1, below
-            # u ~ 1e-16, and already loses digits near 1e-10; below 1e-3 the
-            # complement 1 - (1-u)^theta comes from expm1 instead
-            u = np.asarray(u, dtype=float)
-            with np.errstate(divide="ignore"):
-                return np.where(u < 1e-3, -np.log(-np.expm1(th * np.log1p(-u))), -np.log1p(-((1.0 - u) ** th)))
+                return np.where(w < 0.5, -np.log1p(-w), -np.log(-np.expm1(th * _log1mexp(s))))
 
         return ArchGenerator(
-            psi=psi,
+            psi=lambda t: -np.expm1(_log1mexp(t) / th),
             psi_inv=psi_inv,
             psi_prime=lambda t: -(1.0 / th)
             * (-np.expm1(-np.asarray(t, dtype=float))) ** (1.0 / th - 1.0)
@@ -388,7 +385,7 @@ def scale_generator(g: ArchGenerator, c: float) -> ArchGenerator:
         raise ValueError(f"scale factor must be positive, got {c}")
     return ArchGenerator(
         psi=lambda t: g.psi(c * np.asarray(t, dtype=float)),
-        psi_inv=lambda u: g.psi_inv(u) / c,
+        psi_inv=lambda u, r=1.0: g.psi_inv(u, r) / c,
         psi_prime=lambda t: c * g.psi_prime(c * np.asarray(t, dtype=float)),
         rho=g.rho,
         neg_psi_prime_0=c * g.neg_psi_prime_0,

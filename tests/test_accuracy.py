@@ -1,0 +1,131 @@
+"""Accuracy against mpmath: the generator inverses psi^-1(u^(1/r)) and every
+model's diagonal power distortion delta_n(u^(1/r_n)), each within a fixed
+number of ulps of a 50-digit evaluation of its textbook formula at the same
+double arguments."""
+
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from maxdep.diagonals import RateFn, power_distortion
+from maxdep.generators import builtin_generator
+from maxdep.models import MODELS
+
+DPS = 50
+
+
+def _root(u, r):
+    return mp.mpf(u) ** (1 / mp.mpf(r))
+
+
+def _ulps(got, want):
+    return float(abs(mp.mpf(got) - want) / math.ulp(float(want)))
+
+
+def _ballerini_f(t):
+    return mp.log(t) + (1 + t) * mp.log1p(1 / t)
+
+
+def _ref_generator(family, theta, g):
+    """psi and (u, r) -> psi^-1(u^(1/r)) in mpmath, at the exact root of the
+    doubles u and r.  The ballerini inverse takes Newton steps on
+    f(t) = -log(u)/r, f'(t) = log(1 + 1/t), from the double g.psi_inv(u, r):
+    from a start good to ~1e-15 four of them reach every digit."""
+    if family == "ballerini":
+        def inv(u, r=1.0):
+            t = mp.mpf(float(g.psi_inv(u, r)))
+            for _ in range(4):
+                t -= (_ballerini_f(t) + mp.log(u) / r) / mp.log1p(1 / t)
+            return t
+
+        return (lambda t: mp.exp(-_ballerini_f(t))), inv
+    th = mp.mpf(theta or 0)
+    em = lambda: 1 - mp.exp(-th)  # at the working precision of the call
+    psi, inv = {
+        "independence": (lambda t: mp.exp(-t), lambda v: -mp.log(v)),
+        "clayton": (lambda t: (1 + t) ** (-1 / th), lambda v: v ** (-th) - 1),
+        "gumbel": (lambda t: mp.exp(-(t ** (1 / th))), lambda v: (-mp.log(v)) ** th),
+        "joe": (lambda t: 1 - (1 - mp.exp(-t)) ** (1 / th), lambda v: -mp.log(1 - (1 - v) ** th)),
+        "frank": (lambda t: -mp.log(1 - em() * mp.exp(-t)) / th, lambda v: -mp.log((1 - mp.exp(-th * v)) / em())),
+        "amh": (lambda t: (1 - th) / (mp.exp(t) - th), lambda v: mp.log((1 - th * (1 - v)) / v)),
+    }[family]
+    return psi, lambda u, r=1.0: inv(_root(u, r))
+
+
+def _ref_diagonal(name, params):
+    """(n, u, r) -> delta_n(u^(1/r)) in mpmath, from the model's closed form."""
+    th = mp.mpf(params.get("theta", 0))
+    k = params.get("k", 0)
+    exponent = {
+        "independence": lambda n: n,
+        "comonotone": lambda n: 1,
+        "movingmax": lambda n: mp.mpf(n + k) / (k + 1),
+        "cuadras-auge": lambda n: (1 - (1 - th) ** n) / th,
+        "logistic": lambda n: mp.mpf(n) ** (1 / th),
+    }
+    if name in exponent:
+        return lambda n, u, r: _root(u, r) ** exponent[name](n)
+    if name == "efgm":
+        def delta(n, u, r):
+            v = _root(u, r)
+            c = abs(th) * v * (1 - v)
+            return ((v + c) ** (n + 1) - (v - c) ** (n + 1)) / (2 * c * (n + 1))
+
+        return delta
+    theta = params.get("theta")
+    psi, inv = _ref_generator(name, theta, builtin_generator(name, theta))
+    return lambda n, u, r: psi(n * inv(u, r))
+
+
+# the tables' parameters; comonotone has no canonical rate and takes r_n = n
+PARAMS = {
+    "independence": {},
+    "comonotone": {},
+    "movingmax": {"k": 2},
+    "cuadras-auge": {"theta": 0.4},
+    "logistic": {"theta": 2.0},
+    "efgm": {"theta": -0.8},
+    "ballerini": {},
+    "clayton": {"theta": 2.0},
+    "frank": {"theta": 3.0},
+    "gumbel": {"theta": 2.0},
+    "joe": {"theta": 2.0},
+    "amh": {"theta": 0.6},
+}
+
+# from u = 0.01 up to 1 - 1e-12, denser toward 1
+POWER_U = 1.0 - np.geomspace(0.99, 1e-12, 23)
+
+
+@pytest.mark.parametrize("name", [name for name, spec in MODELS.items() if spec.diagonal])
+def test_power_distortion_against_mpmath(name):
+    params = PARAMS[name]
+    fam = MODELS[name].diagonal(**params)
+    rate = fam.canonical_rate or RateFn(float, "n")
+    ref = _ref_diagonal(name, params)
+    worst = []
+    with mp.workdps(DPS):
+        for n in (2, 64, 2**14, 2**20):
+            got = np.asarray(power_distortion(fam, rate, n, POWER_U), dtype=float)
+            for u, p in zip(POWER_U, got):
+                want = ref(n, u, rate(n))
+                worst.append((_ulps(p, want), n, u, p, want))
+    err, n, u, p, want = max(worst)
+    assert err <= 64.0, (name, n, u, p, mp.nstr(want, 20), err)
+
+
+# 1 - u from 1e-6 to 1e-3, where each inverse is small and a form that
+# cancels near u = 1 loses 3 to 6 of its digits
+BAND_U = 1.0 - np.geomspace(1e-6, 1e-3, 40)
+
+
+@pytest.mark.parametrize("family,theta", [("clayton", 2.0), ("amh", 0.6), ("frank", 3.0), ("joe", 2.0)])
+def test_inverse_near_one_against_mpmath(family, theta):
+    g = builtin_generator(family, theta)
+    _, inv = _ref_generator(family, theta, g)
+    got = np.asarray(g.psi_inv(BAND_U), dtype=float)
+    with mp.workdps(DPS):
+        err, u = max((_ulps(t, inv(u)), u) for u, t in zip(BAND_U, got))
+    assert err <= 16.0, (family, theta, u, err)

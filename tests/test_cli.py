@@ -239,6 +239,10 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
         assert main(["distortion", *argv]) == 3, argv
         out, err = capsys.readouterr()
         assert out == "" and "must lie in [0, 1]" in err, argv
+    # so is a NaN level of diagonal, which once read as u = 1
+    assert main(["diagonal", "--family", "clayton", "--theta", "2", "--n", "2", "--u-grid", "0.5,nan"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "diagonal argument must lie in [0, 1]" in err
     # mixing names the domain of --u instead of a bare math domain error
     for u in ("0", "1", "-0.5"):
         assert main(["mixing", "--family", "clayton", "--theta", "2", "--t1", "0.2", "--t2", "0.3", "--u", u, "--n", "10"]) == 3
@@ -304,8 +308,8 @@ def test_amh_diagonal_mixed_grid_is_quiet(capsys):
 
 
 def test_diagonal_ballerini_output_is_pinned(capsys):
-    # the numeric-inverse path with both grid endpoints; generated before
-    # the table took whole columns
+    # the numeric-inverse path with both grid endpoints, at u (delta) and
+    # at the root u^(1/r_n) (distortion)
     code, out = run_cli(capsys, "diagonal", "--family", "ballerini", "--n", "2,16,1024", "--u-grid", "0:1:11")
     assert code == 0
     assert out == (
@@ -315,34 +319,34 @@ def test_diagonal_ballerini_output_is_pinned(capsys):
         "2,0.1,0.05351597009273897,0.14304529038573102\n"
         "2,0.2,0.11455858665521798,0.23917903554817102\n"
         "2,0.30000000000000004,0.1839239883653273,0.3297276147608935\n"
-        "2,0.4,0.2624906051657514,0.41914244389351873\n"
+        "2,0.4,0.2624906051657514,0.4191424438935188\n"
         "2,0.5,0.3512389186096473,0.509200571049222\n"
         "2,0.6000000000000001,0.4512857243142231,0.6008950913830464\n"
         "2,0.7000000000000001,0.5639481016637313,0.6949403803997556\n"
         "2,0.8,0.6908795132515695,0.7920039807982237\n"
-        "2,0.9,0.8344416301825254,0.8929495200549092\n"
+        "2,0.9,0.8344416301825254,0.8929495200549091\n"
         "2,1.0,1.0,1.0\n"
         "16,0.0,0.0,0.0\n"
         "16,0.1,0.007137567748483242,0.11405596101047703\n"
         "16,0.2,0.01650254885008306,0.17382255418205209\n"
-        "16,0.30000000000000004,0.0290463456757918,0.23417633341268973\n"
+        "16,0.30000000000000004,0.0290463456757918,0.23417633341268965\n"
         "16,0.4,0.04629679991196563,0.2994746011943567\n"
-        "16,0.5,0.07084115532097292,0.37244981347825473\n"
-        "16,0.6000000000000001,0.10736545464004679,0.4558047848640948\n"
+        "16,0.5,0.07084115532097292,0.3724498134782548\n"
+        "16,0.6000000000000001,0.10736545464004679,0.45580478486409487\n"
         "16,0.7000000000000001,0.16514100755017924,0.552864980704704\n"
-        "16,0.8,0.2649064257688711,0.6683450324506136\n"
+        "16,0.8,0.2649064257688711,0.6683450324506138\n"
         "16,0.9,0.4627750930222525,0.810139767012189\n"
         "16,1.0,1.0,1.0\n"
         "1024,0.0,0.0,0.0\n"
-        "1024,0.1,0.00011259797156207638,0.11884973450709226\n"
-        "1024,0.2,0.0002636513382873194,0.1670696893379516\n"
-        "1024,0.30000000000000004,0.00047207184403303147,0.21549400361725024\n"
-        "1024,0.4,0.000770611190414539,0.268468429526495\n"
-        "1024,0.5,0.0012207032633915326,0.3290724759879406\n"
-        "1024,0.6000000000000001,0.0019508912753740829,0.40080986295576354\n"
-        "1024,0.7000000000000001,0.0032767231558134,0.4886299854990381\n"
-        "1024,0.8,0.006202653421728802,0.6006285303740346\n"
-        "1024,0.9,0.01613478313065354,0.7527295603692286\n"
+        "1024,0.1,0.00011259797156207638,0.11884973450709231\n"
+        "1024,0.2,0.0002636513382873194,0.16706968933795116\n"
+        "1024,0.30000000000000004,0.00047207184403303147,0.21549400361724952\n"
+        "1024,0.4,0.000770611190414539,0.2684684295264944\n"
+        "1024,0.5,0.0012207032633915326,0.32907247598794137\n"
+        "1024,0.6000000000000001,0.0019508912753740829,0.40080986295576515\n"
+        "1024,0.7000000000000001,0.0032767231558134,0.48862998549904174\n"
+        "1024,0.8,0.006202653421728802,0.6006285303740297\n"
+        "1024,0.9,0.01613478313065354,0.7527295603692192\n"
         "1024,1.0,1.0,1.0\n"
     )
 

@@ -85,6 +85,28 @@ def test_non_integer_n_rejected():
             fam(bad, 0.5)
 
 
+def test_domain_errors():
+    # NaN is neither inside [0, 1] nor an endpoint, so it is refused like 1.5
+    cl = MODELS["clayton"].diagonal(theta=2.0)
+    for bad in ([0.5, math.nan], math.nan, 1.5, -0.5):
+        with pytest.raises(ValueError, match=r"diagonal argument must lie in \[0, 1\]"):
+            cl(2, bad)
+        with pytest.raises(ValueError, match=r"diagonal argument must lie in \[0, 1\]"):
+            power_distortion(cl, None, 16, bad)
+    for r in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="rate must be positive"):
+            cl(2, 0.5, r)
+
+
+@pytest.mark.parametrize("fam", all_families(), ids=lambda f: f.tag)
+def test_diagonal_of_root(fam):
+    # fam(n, u, r) is delta_n(u^(1/r)); r = 1 is the diagonal itself
+    us = np.linspace(0.0, 1.0, 101)
+    assert np.array_equal(fam(5, us, 1.0), fam(5, us))
+    for r in (0.5, 7.0):
+        assert fam(5, us, r) == pytest.approx(fam(5, us ** (1.0 / r)), rel=1e-12, abs=1e-300), r
+
+
 @pytest.mark.parametrize("fam", all_families(), ids=lambda f: f.tag)
 def test_frechet_hoeffding_sandwich(fam):
     us = np.linspace(0.0, 1.0, 1000)

@@ -66,6 +66,23 @@ def test_inverse_roundtrip(builtin):
     assert np.max(np.abs(back - us)) < 1e-10
 
 
+def test_inverse_of_root(builtin):
+    # psi_inv(u, r) is the inverse at u^(1/r), and r = 1 is the plain inverse
+    g, _, _ = builtin
+    us = np.array([1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999])
+    assert np.array_equal(g.psi_inv(us, 1.0), g.psi_inv(us))
+    for r in (0.25, 3.0, 1e6):
+        want = np.asarray(g.psi_inv(us ** (1.0 / r)), dtype=float)
+        assert np.asarray(g.psi_inv(us, r), dtype=float) == pytest.approx(want, rel=1e-9), r
+
+
+def test_inverse_rejects_levels_outside_the_unit_interval(builtin):
+    g, _, _ = builtin
+    for bad in (math.nan, -0.1, 1.5, [0.5, math.nan]):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            g.psi_inv(bad)
+
+
 def test_psi_prime_matches_finite_differences(builtin):
     g, _, _ = builtin
     for t in np.logspace(-3, math.log10(50.0), 40):
