@@ -130,6 +130,27 @@ def solve_increasing(f, target, lo, hi, tol: float = 1e-12):
     return scalar_or_array(out.reshape(shape))
 
 
+def scalar_exponent_power(x, e):
+    """x ** e, broadcast, with one scalar-exponent power per distinct e.
+
+    numpy takes exact fast paths for some scalar exponents (x ** 2.0 is a
+    square) that an array exponent skips, so each element gets the double
+    x ** float(e) gives on its own.  A scalar e is plain x ** e.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.ndim(e) == 0:
+        return x ** e
+    # the distinct exponents from a set, not np.unique, whose first call
+    # imports numpy.ma (about 1.4 MB of resident memory)
+    distinct = set(np.ravel(e).tolist())
+    x, e = np.broadcast_arrays(x, e)
+    out = np.empty(x.shape)
+    for v in distinct:
+        at = e == v
+        out[at] = x[at] ** v
+    return out
+
+
 def scalar_or_array(out):
     """out as a float where it is 0-d, else as a float array: a scalar in, a float out."""
     out = np.asarray(out, dtype=float)

@@ -105,14 +105,15 @@ class Table:
         self.rows: list[list] = []
 
     def add(self, *values):
-        """Append one row per element of the 1-d array values; scalars repeat.
+        """Append one row per element of the broadcast values, in C order.
 
-        A NaN cell is a numeric error: it raises before any row is appended,
-        so it is never written out.  Cells are kept as Python numbers,
-        strings and None (``tolist``), since csv prints a numpy float as
-        ``np.float64(...)``.
+        Scalars repeat, and an n column of shape (k, 1) against a grid of
+        shape (m,) gives k*m rows, grid fastest.  A NaN cell is a numeric
+        error: it raises before any row is appended, so it is never written
+        out.  Cells are kept as Python numbers, strings and None
+        (``tolist``), since csv prints a numpy float as ``np.float64(...)``.
         """
-        columns = np.broadcast_arrays(*map(np.atleast_1d, values))
+        columns = [col.ravel() for col in np.broadcast_arrays(*map(np.atleast_1d, values))]
         for name, col in zip(self.columns, columns):
             if np.any(col != col):
                 raise ValueError(f"NaN in {self.command} column {name}")
@@ -212,8 +213,10 @@ def cmd_diagonal(args) -> Table:
         "u-grid": args.u_grid,
     }
     table = Table("diagonal", config, ["n", "u", "delta", "distortion"])
-    for n in ns:
-        table.add(n, grid, fam(n, grid), diagonals.power_distortion(fam, rate, n, grid))
+    # the whole schedule in one call: one row of the table per (n, u); an
+    # object array keeps an n past the int64 range exact
+    n = np.array(ns, dtype=object)[:, None]
+    table.add(n, grid, fam(n, grid), diagonals.power_distortion(fam, rate, n, grid))
     return table
 
 

@@ -6,10 +6,11 @@ Raising the argument to 1/r_n for a positive rate r gives the diagonal power
 distortion delta_n(u^(1/r_n)), whose n -> infinity limit is the distortion
 factor of the corresponding limit law.  Each diagonal takes that root as the
 pair (u, r), ``fam(n, u, r)``, so 1 - u^(1/r) is never taken from a rounded
-u^(1/r), which keeps only ~1e-16/(1 - u^(1/r)) of its digits.  Every
-dependence model treated in this package appears here with its diagonal in
-closed form and, where one exists, its canonical rate and limiting
-distortion.
+u^(1/r), which keeps only ~1e-16/(1 - u^(1/r)) of its digits.  n, u and r
+broadcast: ``fam(ns[:, None], u, rs[:, None])`` evaluates a whole n schedule
+in one call, bit for bit the rows ``fam(n, u, r)``.  Every dependence model
+treated in this package appears here with its diagonal in closed form and,
+where one exists, its canonical rate and limiting distortion.
 """
 
 from __future__ import annotations
@@ -20,19 +21,53 @@ from typing import Callable
 
 import numpy as np
 
-from ._numutil import golden_max, scalar_or_array
+from ._numutil import golden_max, scalar_exponent_power, scalar_or_array
 from .distortions import Distortion, archimedean_limit, efgm_limit, power
 from .generators import ArchGenerator
 
 
+def _per_n(f, n):
+    """float(f(n)) for a scalar n; over an array n, f of each element as a
+    Python number, as a float array of n's shape.
+
+    Functions of n are evaluated one n at a time, as Python scalars, so an
+    n schedule gets the very doubles its n would get alone, and an n past
+    the int64 range (an object array) stays exact.
+    """
+    if np.ndim(n) == 0:
+        return float(f(n))
+    n = np.asarray(n)
+    return np.array([float(f(k)) for k in n.ravel().tolist()]).reshape(n.shape)
+
+
+def _check_n(n):
+    """n as an int, or as an integer array (object arrays of ints included).
+
+    Anything else, bools and float arrays included, or any n below 1 raises.
+    """
+    if isinstance(n, np.ndarray):
+        if n.dtype.kind not in "iuO":
+            raise ValueError(f"n must be an integer array, got dtype {n.dtype}")
+        for k in n.flat:
+            if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+                raise ValueError(f"n must be an integer >= 1, got {k!r}")
+        return n
+    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class RateFn:
-    """Positive rate function n -> r_n."""
+    """Positive rate function n -> r_n; over an array n, one r_n per element."""
 
     fn: Callable[[int], float]
     tag: str = ""
 
-    def __call__(self, n: int) -> float:
+    def __call__(self, n):
+        return _per_n(self._rate, n)
+
+    def _rate(self, n: int) -> float:
         v = float(self.fn(n))
         if not v > 0:
             raise ValueError(f"rate must be positive, got {v} at n={n}")
@@ -45,7 +80,11 @@ class DiagonalFamily:
 
     ``fn`` evaluates it for u in (0, 1); calling the family checks n, u and r
     and fixes u = 0 and u = 1.  r = 1 (the default) is the diagonal itself,
-    r = r_n the diagonal power distortion.
+    r = r_n the diagonal power distortion.  n (an int or an integer array),
+    u and r broadcast against each other, and each element is bit for bit
+    what the call with its own n and r gives on the same u array.  (A 0-d u
+    takes numpy's scalar pow, which may differ from the array one in the
+    last digit.)
 
     ``finite_rate_limit`` is set on families whose canonical rate converges to
     a finite constant rho; no stabilization applies there and the limit of the
@@ -59,18 +98,32 @@ class DiagonalFamily:
     exchangeable: bool = False
     finite_rate_limit: float | None = None
 
-    def __call__(self, n: int, u, r: float = 1.0):
-        if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
-            raise ValueError(f"n must be an integer >= 1, got {n!r}")
-        if not r > 0:
-            raise ValueError(f"rate must be positive, got {r}")
+    def __call__(self, n, u, r=1.0):
+        n = _check_n(n)
+        if np.ndim(r) == 0:
+            if not r > 0:
+                raise ValueError(f"rate must be positive, got {r}")
+            r = float(r)
+        else:
+            r = np.asarray(r, dtype=float)
+            if not (r > 0).all():
+                raise ValueError(f"rate must be positive, got {r[~(r > 0)][0]}")
         u = np.asarray(u, dtype=float)
         if not ((u >= 0) & (u <= 1)).all():
             raise ValueError("diagonal argument must lie in [0, 1]")
         # endpoints are fixed for every copula diagonal; evaluate only inside
         interior = (u > 0.0) & (u < 1.0)
-        out = np.asarray(self.fn(int(n), np.where(interior, u, 0.5), float(r)), dtype=float)
+        out = np.asarray(self.fn(n, np.where(interior, u, 0.5), r), dtype=float)
         return scalar_or_array(np.where(interior, out, np.where(u <= 0.0, 0.0, 1.0)))
+
+
+def _power_diagonal(eta: Callable[[int], float]) -> Callable:
+    """fn(n, u, r) = u^(eta(n)/r), one scalar-exponent power per distinct exponent.
+
+    A scalar exponent keeps numpy's exact fast paths (u ** 2.0 squares), which
+    an array exponent would skip.
+    """
+    return lambda n, u, r: scalar_exponent_power(u, _per_n(eta, n) / r)
 
 
 def logistic_eta(theta: float) -> Callable[[int], float]:
@@ -80,7 +133,7 @@ def logistic_eta(theta: float) -> Callable[[int], float]:
 
 def independence_diagonal() -> DiagonalFamily:
     return DiagonalFamily(
-        fn=lambda n, u, r: u ** (n / r),
+        fn=_power_diagonal(float),
         tag="independence",
         canonical_rate=RateFn(lambda n: float(n), "n"),
         limit_distortion=power(1.0),
@@ -89,7 +142,7 @@ def independence_diagonal() -> DiagonalFamily:
 
 
 def comonotone_diagonal() -> DiagonalFamily:
-    return DiagonalFamily(fn=lambda n, u, r: u ** (1.0 / r), tag="comonotone", exchangeable=True)
+    return DiagonalFamily(fn=_power_diagonal(lambda n: 1.0), tag="comonotone", exchangeable=True)
 
 
 def logistic_power_diagonal(theta: float) -> DiagonalFamily:
@@ -98,7 +151,7 @@ def logistic_power_diagonal(theta: float) -> DiagonalFamily:
         raise ValueError(f"logistic theta must be >= 1, got {theta}")
     eta = logistic_eta(theta)
     return DiagonalFamily(
-        fn=lambda n, u, r: u ** (eta(n) / r),
+        fn=_power_diagonal(eta),
         tag=f"logistic({theta})",
         canonical_rate=RateFn(eta, "eta"),
         limit_distortion=power(1.0),
@@ -112,7 +165,7 @@ def moving_max_diagonal(k: int) -> DiagonalFamily:
         raise ValueError(f"window k must be an integer >= 0, got {k!r}")
     k = int(k)
     return DiagonalFamily(
-        fn=lambda n, u, r: u ** ((n + k) / (k + 1.0) / r),
+        fn=_power_diagonal(lambda n: (n + k) / (k + 1.0)),
         tag=f"movingmax({k})",
         canonical_rate=RateFn(lambda n: float(n), "n"),
         limit_distortion=power(1.0 / (k + 1.0)),
@@ -132,7 +185,7 @@ def cuadras_auge_diagonal(theta: float) -> DiagonalFamily:
         return -math.expm1(n * math.log1p(-theta)) / theta
 
     return DiagonalFamily(
-        fn=lambda n, u, r: u ** (eta(n) / r),
+        fn=_power_diagonal(eta),
         tag=f"cuadras-auge({theta})",
         canonical_rate=RateFn(eta, "eta"),
         limit_distortion=power(1.0),
@@ -149,7 +202,7 @@ def _scaled_inverse_diagonal(g: ArchGenerator, eta: Callable[[int], float]) -> C
     def fn(n, u, r):
         # eta_n * psi_inv(u^(1/r)) may overflow to inf, where psi is 0
         with np.errstate(over="ignore"):
-            t = float(eta(n)) * np.asarray(g.psi_inv(u, r), dtype=float)
+            t = _per_n(eta, n) * np.asarray(g.psi_inv(u, r), dtype=float)
         out = np.array(g.psi(t), dtype=float)
         # below t = 1e-6, psi(t) near 1 carries an error of a few ulps, enough
         # to fall below the Frechet bound 2u - 1; its complement 1 - psi(t)
@@ -217,7 +270,8 @@ def efgm_mixture_diagonal(theta: float) -> DiagonalFamily:
         raise ValueError(f"theta must lie in [-1, 1], got {theta}")
     th = abs(theta)
 
-    def fn(n: int, u, r):
+    def fn(n, u, r):
+        n = _per_n(float, n)
         s = -np.log(u) / r
         d = -np.expm1(-s)
         e = 2.0 * th * d / (1.0 + th * d)
@@ -239,15 +293,17 @@ def efgm_mixture_diagonal(theta: float) -> DiagonalFamily:
     )
 
 
-def power_distortion(fam: DiagonalFamily, r: RateFn | None, n: int, u):
+def power_distortion(fam: DiagonalFamily, r: RateFn | None, n, u):
     """Diagonal power distortion delta_n(u^(1/r_n)).
 
-    Uses the family's canonical rate when r is None.  Exact at the endpoints:
-    0 at u = 0 and 1 at u = 1.
+    Uses the family's canonical rate when r is None.  n is an int or an
+    integer array broadcasting against u, with one rate r_n per element.
+    Exact at the endpoints: 0 at u = 0 and 1 at u = 1.
     """
     rate = r if r is not None else fam.canonical_rate
     if rate is None:
         raise ValueError(f"family {fam.tag} has no canonical rate; pass one explicitly")
+    n = _check_n(n)  # before the rate, which need not be defined at n < 1
     return fam(n, u, rate(n))
 
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._numutil import scalar_or_array, solve_increasing
+from ._numutil import scalar_exponent_power, scalar_or_array, solve_increasing
 
 # bracket grid of the numeric inverse: log t from the smallest positive double
 # to the largest, through -512, ..., -1, 1, ..., 512
@@ -46,10 +46,10 @@ class ArchGenerator:
     """Archimedean generator bundle.
 
     psi maps [0, inf) to [0, 1]; psi_inv(u, r=1.0) is psi^-1(u^(1/r)) for u
-    in [0, 1], r > 0, with psi^-1(0) = inf for strict generators, formed from
-    s = -log(u)/r and 1 - u^(1/r) = -expm1(-s), never from a rounded u^(1/r);
-    psi_prime is the derivative on (0, inf).  rho is the index with
-    1 - psi(1/x) regularly varying of order -rho at infinity;
+    in [0, 1], r > 0 (u and r broadcast), with psi^-1(0) = inf for strict
+    generators, formed from s = -log(u)/r and 1 - u^(1/r) = -expm1(-s), never
+    from a rounded u^(1/r); psi_prime is the derivative on (0, inf).  rho is
+    the index with 1 - psi(1/x) regularly varying of order -rho at infinity;
     neg_psi_prime_0 is -psi'(0+) (math.inf allowed).
     All callables must be pure and accept scalars or numpy arrays.
     """
@@ -83,7 +83,8 @@ def _numeric_inverse(f: Callable, f_prime: Callable, excess: Callable | None = N
     for t >= 1 as excess(t) + log(t*u): f(t) and -log u are then never
     rounded on their own, which at u = 0.005 for the ballerini generator
     (t = 73) makes the difference between 5e-14 and 8e-15 in e^-t.  At
-    r != 1, where u^(1/r) is not exact, log(t) - s replaces log(t*u).
+    r != 1, where u^(1/r) is not exact, log(t) - s replaces log(t*u).  u and
+    r broadcast, and that choice is made per element.
     """
 
     def log_f(s):
@@ -96,7 +97,9 @@ def _numeric_inverse(f: Callable, f_prime: Callable, excess: Callable | None = N
 
     def inv(u, r=1.0):
         arr = np.asarray(u, dtype=float)
-        y = _neg_log_root(arr, r).ravel()
+        y = _neg_log_root(arr, r)
+        shape = y.shape
+        y = y.ravel()
         with np.errstate(divide="ignore"):
             log_y = np.log(y)
         # each target's bracket is the last grid cell starting at or below it;
@@ -110,11 +113,17 @@ def _numeric_inverse(f: Callable, f_prime: Callable, excess: Callable | None = N
         with np.errstate(divide="ignore", invalid="ignore"):
             res = np.asarray(f(t), dtype=float) - y[inside]
             if excess is not None:
-                log_tv = np.log(t * arr.ravel()[inside]) if r == 1.0 else np.log(t) - y[inside]
+                # t over the whole shape (1 where none is solved for), so
+                # that u and r broadcast against it inside the ufuncs
+                t_all = np.ones(y.size)
+                t_all[inside] = t
+                t_all = t_all.reshape(shape)
+                log_tv = np.where(np.equal(r, 1.0), np.log(t_all * arr), np.log(t_all) - y.reshape(shape))
+                log_tv = log_tv.ravel()[inside]
                 res = np.where(t >= 1.0, np.asarray(excess(t), dtype=float) + log_tv, res)
             step = res / np.asarray(f_prime(t), dtype=float)
         out[inside] = np.where(np.isfinite(step), t - step, t)
-        return scalar_or_array(out.reshape(arr.shape))
+        return scalar_or_array(out.reshape(shape))
 
     return inv
 
@@ -182,9 +191,13 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
             raise ValueError(f"AMH parameter must lie in (0, 1), got {th}")
 
         def amh_inv(u, r=1.0):
-            # log((1 - th*(1-v))/v) at v = e^-s, 1 - v = -expm1(-s)
+            # log((1 - th*(1-v))/v) at v = e^-s is log1p((1-th)*expm1(s)),
+            # which nothing cancels in while expm1(s) is finite; past s = 700
+            # it is s + log1p(-th*(1-v)), 1 - v = -expm1(-s), whose two terms
+            # cancel only for small s
             s = _neg_log_root(u, r)
-            return s + np.log1p(th * np.expm1(-s))
+            with np.errstate(over="ignore"):
+                return np.where(s < 700.0, np.log1p((1.0 - th) * np.expm1(s)), s + np.log1p(th * np.expm1(-s)))
 
         # (1-th)/(e^t - th) written with e^{-t} so huge t cannot overflow
         return ArchGenerator(
@@ -210,7 +223,7 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
             # subtraction cancels; above, the power, rounded once at r = 1
             s = _neg_log_root(u, r)
             with np.errstate(over="ignore", divide="ignore"):
-                return np.where(th * s < math.log(2.0), np.expm1(th * s), np.asarray(u, dtype=float) ** (-th / r) - 1.0)
+                return np.where(th * s < math.log(2.0), np.expm1(th * s), scalar_exponent_power(u, -th / r) - 1.0)
 
         return ArchGenerator(
             psi=lambda t: (1.0 + np.asarray(t, dtype=float)) ** (-1.0 / th),
@@ -249,7 +262,7 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
             # -log(e), e = expm1(-theta*v)/em at v = u^(1/r); above e = 1/2 the log1p of
             # its complement e^{-theta*v}*expm1(-theta*(1-v))/em, 1 - v = -expm1(-s)
             s = _neg_log_root(u, r)
-            v = np.asarray(u, dtype=float) ** (1.0 / r)
+            v = scalar_exponent_power(u, 1.0 / r)
             e = np.expm1(-th * v) / em
             with np.errstate(divide="ignore"):
                 return np.where(e > 0.5, -np.log1p(-np.exp(-th * v) * np.expm1(th * np.expm1(-s)) / em), -np.log(e))

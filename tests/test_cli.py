@@ -307,6 +307,55 @@ def test_amh_diagonal_mixed_grid_is_quiet(capsys):
     assert [r[2] for r in rows] == ["0.0", "0.99999998"]
 
 
+def _rows(capsys, *argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    return parse_csv(out)[2]
+
+
+@pytest.mark.parametrize("family", [["ballerini"], ["movingmax", "--k", "2"], ["logistic", "--theta", "2"],
+                                    ["efgm", "--theta", "-0.8"], ["amh", "--theta", "0.6"], ["frank", "--theta", "3"]])
+def test_diagonal_schedule_equals_per_n_rows(capsys, family):
+    # the schedule is evaluated in one call; unsorted and with a repeat, it
+    # prints the rows of one call per n, in the order of the schedule
+    ns = ["16", "2", "4", "2^10", "16"]
+    grid = ["--u-grid", "0:1:23"]
+    rows = _rows(capsys, "diagonal", "--family", *family, "--n", ",".join(ns), *grid)
+    assert rows == [row for n in ns for row in _rows(capsys, "diagonal", "--family", *family, "--n", n, *grid)]
+    assert [row[0] for row in rows[::23]] == ["16", "2", "4", "1024", "16"]
+
+
+def test_diagonal_n_past_int64(capsys):
+    # n is exact in its column and in the rate past 2^63, with no wraparound
+    argv = ["diagonal", "--n", "2^63,2^70", "--u-grid", "0.3,0.999", "--family"]
+    assert _rows(capsys, *argv, "clayton", "--theta", "2") == [
+        ["9223372036854775808", "0.3", "1.0355133330371713e-10", "0.6735919438354738"],
+        ["9223372036854775808", "0.999", "7.35722821588712e-09", "0.9995001248958567"],
+        ["1180591620717411303424", "0.3", "9.152731247495845e-12", "0.6735919438354738"],
+        ["1180591620717411303424", "0.999", "6.502932452738484e-10", "0.9995001248958567"],
+    ]
+    assert _rows(capsys, *argv, "ballerini") == [
+        ["9223372036854775808", "0.3", "5.244414825714687e-20", "0.218421575469236"],
+        ["9223372036854775808", "0.999", "4.079414608863648e-16", "0.9930648186954967"],
+        ["1180591620717411303424", "0.3", "4.0971990825896038e-22", "0.218489527195804"],
+        ["1180591620717411303424", "0.999", "3.1870426631747286e-18", "0.9929814331457363"],
+    ]
+    assert _rows(capsys, *argv, "movingmax", "--k", "2") == [
+        ["9223372036854775808", "0.3", "0.0", "0.6694329500821695"],
+        ["9223372036854775808", "0.999", "0.0", "0.9996665554937859"],
+        ["1180591620717411303424", "0.3", "0.0", "0.6694329500821695"],
+        ["1180591620717411303424", "0.999", "0.0", "0.9996665554937859"],
+    ]
+
+
+def test_diagonal_schedule_with_n_below_one(capsys):
+    # wherever n = 0 sits in the schedule, nothing is printed
+    for ns in ("0,4", "4,0"):
+        assert main(["diagonal", "--family", "clayton", "--theta", "2", "--n", ns, "--u-grid", "0.5"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: n must be an integer >= 1, got 0\n", ns
+
+
 def test_diagonal_ballerini_output_is_pinned(capsys):
     # the numeric-inverse path with both grid endpoints, at u (delta) and
     # at the root u^(1/r_n) (distortion)

@@ -17,6 +17,12 @@ from maxdep.models import MODELS, make_diagonal, model_spec
 from maxdep.ratebounds import movingmax_s
 
 
+# the tables' parameters
+PARAMS = {"movingmax": {"k": 2}, "cuadras-auge": {"theta": 0.4}, "logistic": {"theta": 2.0}, "efgm": {"theta": -0.8},
+          "clayton": {"theta": 2.0}, "frank": {"theta": 3.0}, "gumbel": {"theta": 2.0}, "joe": {"theta": 2.0},
+          "amh": {"theta": 0.6}}
+
+
 def all_families():
     return [
         make_diagonal("independence"),
@@ -80,9 +86,63 @@ def test_model_limit_roles():
 
 def test_non_integer_n_rejected():
     fam = make_diagonal("independence")
-    for bad in (2.5, 2.0, "3", True):
-        with pytest.raises(ValueError):
+    for bad in (2.5, 2.0, "3", True, np.array([2.0, 4.0]), np.array([True, False]), np.array([2, 2.5], dtype=object),
+                np.array([2, True], dtype=object), np.array([[4], [0]]), np.array([3, -1])):
+        with pytest.raises(ValueError, match="n must be an integer"):
             fam(bad, 0.5)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            power_distortion(fam, None, bad, 0.5)
+
+
+# grid points inside (0, 1), near both ends and the endpoints themselves
+BATCH_U = np.concatenate(([0.0, 1.0], np.linspace(0.01, 0.99, 41), 1.0 - np.geomspace(1e-3, 1e-13, 6),
+                          np.geomspace(1e-300, 1e-3, 6)))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [(name, PARAMS.get(name, {})) for name, spec in MODELS.items() if spec.diagonal]
+    + [("archimax", {"family": "clayton", "theta": 2.0, "theta_stdf": 2.0}),
+       ("archimax", {"family": "joe", "theta": 2.0, "theta_stdf": 3.0})],
+)
+def test_batched_call_equals_per_n_calls(name, params):
+    # movingmax(2) and logistic(2) take the exponent 2.0 at n = 4, which
+    # numpy squares exactly for a scalar exponent; n repeats and is unsorted
+    fam = make_diagonal(name, **params)
+    rate = fam.canonical_rate or RateFn(float, "n")
+    ns = np.array([4, 1, 2, 3, 4, 7, 64, 1000, 2**20, 2**14, 2**40])
+    for rs in (np.ones(ns.size), rate(ns), np.geomspace(0.01, 37.3, ns.size)):
+        want = np.array([fam(int(n), BATCH_U, float(r)) for n, r in zip(ns, rs)])
+        assert np.array_equal(_bits(fam(ns[:, None], BATCH_U, rs[:, None])), _bits(want)), rs
+        # an object array of Python ints, and a scalar r against an n column
+        assert np.array_equal(_bits(fam(ns.astype(object)[:, None], BATCH_U, rs[:, None])), _bits(want)), rs
+    want = np.array([fam(int(n), BATCH_U) for n in ns])
+    assert np.array_equal(_bits(fam(ns[:, None], BATCH_U)), _bits(want))
+    want = np.array([power_distortion(fam, rate, int(n), BATCH_U) for n in ns])
+    assert np.array_equal(_bits(power_distortion(fam, rate, ns[:, None], BATCH_U)), _bits(want))
+    # n and r per grid point (each against a one-point grid: a 0-d u takes
+    # numpy's scalar pow, not the array one), and one n against a column of rates
+    rs = np.geomspace(0.5, 3.0, BATCH_U.size)
+    nn = np.resize(ns, BATCH_U.size)
+    want = [fam(int(n), [u], float(r))[0] for n, u, r in zip(nn, BATCH_U, rs)]
+    assert np.array_equal(_bits(fam(nn, BATCH_U, rs)), _bits(want))
+    want = np.array([fam(5, BATCH_U, float(r)) for r in rs[:7]])
+    assert np.array_equal(_bits(fam(5, BATCH_U, rs[:7, None])), _bits(want))
+
+
+def test_rate_over_n_array():
+    rate = MODELS["clayton"].diagonal(theta=2.0).canonical_rate
+    ns = np.array([[2, 16], [1024, 2**63]], dtype=object)
+    assert rate(ns).shape == (2, 2)
+    assert rate(ns).tolist() == [[rate(2), rate(16)], [rate(1024), rate(2**63)]]
+    with pytest.raises(ValueError, match="rate must be positive"):
+        RateFn(lambda n: 1.0 - n, "1-n")(np.array([0, 1]))
+    # each element is passed on as it is, a float not cut to an int
+    assert RateFn(lambda n: n * n, "n^2")(np.array([2.5, 3.0])).tolist() == [6.25, 9.0]
 
 
 def test_domain_errors():
