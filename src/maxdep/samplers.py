@@ -7,6 +7,14 @@ blocks.  Each model samples full paths; estimators never shortcut through the
 analytic law of the maximum, so the Monte Carlo route stays an independent
 check on the analytic diagonals.
 
+One driver, ``_slices``, draws every estimator's rows in 256-row slices of
+each block and concatenates them in block order.  ``sample_paths`` returns
+that array of paths; the other estimators each reduce one block-ordered
+array of row maxima: ``max_sample`` maps it through the margin,
+``empirical_diagonal`` counts the maxima at or below u, and
+``normalized_max_ecdf`` sorts them once and counts against every threshold
+by binary search.
+
 Reduce on the draw scale: every model draws its raw variates in one ``_draw``
 helper that both ``_native_paths`` and ``_umax`` call, so the two see the same
 variates in the same order.  ``_umax`` takes each row's maximum (or minimum,
@@ -378,45 +386,32 @@ class BermanEquicorrelated(SequenceModel):
 # block-partitioned estimators
 
 
-def _block_sizes(reps: int):
-    full, rem = divmod(reps, BLOCK_REPS)
-    sizes = [BLOCK_REPS] * full + ([rem] if rem else [])
-    return list(enumerate(sizes))
+def _slices(rng: RngStream, n: int, reps: int, workers: int, draw) -> np.ndarray:
+    """draw(gen, m, n) on each 256-row slice of fixed 4096-rep blocks, in block order.
 
-
-def _run_blocks(rng: RngStream, reps: int, workers: int, block_fn):
-    """Sum block_fn(generator, block_size) over fixed 4096-rep blocks.
-
-    Block j always uses substream (rng.index, j); the reduction is an integer
-    sum, so the result is identical for any worker count.
+    Block j always uses substream (rng.index, j) and fills rows
+    [4096 j, 4096 (j + 1)) of the result, so the array is identical for any
+    worker count.
     """
+    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if reps < 1:
         raise ValueError("reps must be positive")
-    jobs = _block_sizes(reps)
 
-    def one(job):
-        j, size = job
-        return block_fn(rng.block_generator(j), size)
+    def block(start):
+        gen = rng.block_generator(start // BLOCK_REPS)
+        size = min(BLOCK_REPS, reps - start)
+        # one array per block, not per slice: holding hundreds of 256-row
+        # arrays until the last block ends raised converge's peak resident size
+        return np.concatenate([draw(gen, min(_SLICE_ROWS, size - off), n) for off in range(0, size, _SLICE_ROWS)])
 
+    blocks = range(0, reps, BLOCK_REPS)
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, jobs))
+            parts = list(pool.map(block, blocks))
     else:
-        parts = [one(job) for job in jobs]
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    return total
-
-
-def _sliced_umax_counts(model, n, counter, gen, size):
-    """Accumulate counts over fixed 256-row slices of one block."""
-    out = None
-    for off in range(0, size, _SLICE_ROWS):
-        m = min(_SLICE_ROWS, size - off)
-        c = counter(model._umax(gen, m, n))
-        out = c if out is None else out + c
-    return out
+        parts = [block(start) for start in blocks]
+    return np.concatenate(parts)
 
 
 def sample_paths(model: SequenceModel, margin: Margin | None, n: int, reps: int, rng: RngStream) -> np.ndarray:
@@ -425,37 +420,17 @@ def sample_paths(model: SequenceModel, margin: Margin | None, n: int, reps: int,
     margin=None returns the model's native scale: uniform margins for the
     copula-built models, standard normal for the equicorrelated model.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-
-    def block(gen, size):
-        rows = []
-        for off in range(0, size, _SLICE_ROWS):
-            m = min(_SLICE_ROWS, size - off)
-            if margin is None:
-                rows.append(model._native_paths(gen, m, n))
-            else:
-                u = _clip_unit(model._uniform_paths(gen, m, n))
-                rows.append(np.asarray(margin.quantile(u), dtype=float))
-        return [np.vstack(rows)]
-
-    parts = _run_blocks(rng, reps, 1, block)
-    return np.vstack(parts)
+    if margin is None:
+        return _slices(rng, n, reps, 1, model._native_paths)
+    u = _slices(rng, n, reps, 1, model._uniform_paths)
+    return np.asarray(margin.quantile(_clip_unit(u)), dtype=float)
 
 
 def max_sample(
     model: SequenceModel, margin: Margin | None, n: int, reps: int, rng: RngStream, workers: int = 1
 ) -> np.ndarray:
     """Vector of reps path maxima M_n on the margin scale (uniform if None)."""
-
-    def block(gen, size):
-        parts = []
-        for off in range(0, size, _SLICE_ROWS):
-            m = min(_SLICE_ROWS, size - off)
-            parts.append(model._umax(gen, m, n))
-        return [np.concatenate(parts)]
-
-    umax = np.concatenate(_run_blocks(rng, reps, workers, block))
+    umax = _slices(rng, n, reps, workers, model._umax)
     if margin is None:
         return umax
     return np.asarray(margin.quantile(_clip_unit(umax)), dtype=float)
@@ -473,11 +448,7 @@ def empirical_diagonal(
         raise ValueError("use at least 1000 repetitions")
     if not 0.0 <= u <= 1.0:
         raise ValueError("u must lie in [0, 1]")
-
-    def block(gen, size):
-        return _sliced_umax_counts(model, n, lambda mx: int(np.count_nonzero(mx <= u)), gen, size)
-
-    hits = _run_blocks(rng, reps, workers, block)
+    hits = int(np.count_nonzero(_slices(rng, n, reps, workers, model._umax) <= u))
     p = hits / reps
     return McEstimate(p, math.sqrt(max(p * (1.0 - p), 0.0) / reps), reps)
 
@@ -496,7 +467,8 @@ def normalized_max_ecdf(
     """Empirical cdf of (M_n - d_n)/c_n on x_grid, with binomial standard errors.
 
     The comparison happens on the uniform scale (thresholds are pushed through
-    the margin cdf), so only one cdf evaluation per grid point is needed.
+    the margin cdf), so only one cdf evaluation per grid point is needed; the
+    sorted row maxima are counted against every threshold by binary search.
     """
     if reps < 1000:
         raise ValueError("use at least 1000 repetitions")
@@ -508,13 +480,12 @@ def normalized_max_ecdf(
         uthresh = np.asarray(model._native_cdf(raw_thresholds), dtype=float)
     else:
         uthresh = np.asarray(margin.cdf(raw_thresholds), dtype=float)
-
-    def block(gen, size):
-        return _sliced_umax_counts(
-            model, n, lambda mx: (mx[:, None] <= uthresh[None, :]).sum(axis=0, dtype=np.int64), gen, size
-        )
-
-    counts = _run_blocks(rng, reps, workers, block)
-    p = counts / reps
+    # the binary search would count a NaN level above every maximum, and
+    # some margin cdfs map a NaN threshold to 0
+    if np.isnan(raw_thresholds).any() or np.isnan(uthresh).any():
+        raise ValueError("x_grid gives a NaN threshold")
+    umax = _slices(rng, n, reps, workers, model._umax)
+    umax.sort()
+    p = np.searchsorted(umax, uthresh, side="right") / reps
     se = np.sqrt(np.maximum(p * (1.0 - p), 0.0) / reps)
     return p, se

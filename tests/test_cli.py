@@ -233,6 +233,15 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     for workers in ("0", "-3"):
         code, _ = run_cli(capsys, *converge, "--workers", workers)
         assert code == 2, workers
+    # a NaN --x-grid point is a domain error raised before any block is drawn;
+    # unit-frechet once read it as ecdf = target = 0 and exited 0
+    with monkeypatch.context() as patch:
+        patch.setattr(maxdep.samplers.RngStream, "block_generator", lambda *a: pytest.fail("drew a block"))
+        for margin in ("unit-frechet", "normal"):
+            argv = ["converge", "--model", "iid", "--margin", margin, "--n", "8", "--reps", "4096", "--x-grid", "nan,1"]
+            assert main(argv) == 3, margin
+            out, err = capsys.readouterr()
+            assert out == "" and "NaN threshold" in err, margin
     # a level outside [0, 1] is a domain error before any row is written
     for argv in (["--generator", "figure1", "--u-grid", "2"], ["--generator", "clayton", "--theta", "2", "--u-grid", "1.5,-0.5"],
                  ["--generator", "power", "--theta", "2", "--u-grid", "0.5,nan"]):

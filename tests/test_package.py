@@ -1,5 +1,6 @@
 """Whole-package checks, each in a fresh interpreter: what `import maxdep`
-loads, and that every demo script runs to the end."""
+loads, that the benchmark's tracer still finds the names it rebinds, and
+that every demo script runs to the end."""
 
 import os
 import subprocess
@@ -11,7 +12,8 @@ import pytest
 import maxdep
 
 SRC = str(Path(maxdep.__file__).resolve().parent.parent)
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _python(*args, cwd=None):
@@ -69,6 +71,37 @@ def test_deferred_scipy_path_prints_the_pinned_bytes():
     out, loaded = _scipy_after(["converge", "--model", "ar1", *flags, "--n", "16,64", "--reps", "8192", "--seed", "7"])
     assert out == expected
     assert {"scipy.special", "scipy.signal"} <= set(loaded)
+
+
+def test_tracer_sees_one_span_per_estimator_call():
+    # bench/tracing.py rebinds the public estimator names, RngStream.block_generator
+    # and samplers.ThreadPoolExecutor; an estimator that called another public
+    # estimator would nest a second span and count its path elements twice.
+    # bench/ is only read: no bytecode is written there
+    script = (
+        "import sys\n"
+        "sys.dont_write_bytecode = True\n"
+        f"sys.path.insert(0, {str(ROOT / 'bench')!r})\n"
+        "from tracing import Tracer, instrument\n"
+        "from maxdep import margins, samplers\n"
+        "tracer = Tracer()\n"
+        "instrument(tracer)\n"
+        "tracer.on = True\n"
+        "model, rng = samplers.IID(), samplers.RngStream(1, 0)\n"
+        "samplers.empirical_diagonal(model, 4, 0.5, 3 * 4096, rng, workers=2)\n"
+        "print(len(tracer.spans), tracer.spans[0][1], tracer.spans[0][6], *sorted(tracer.counts.items()))\n"
+        "samplers.max_sample(model, margins.UnitFrechet(), 4, 4097, rng)\n"
+        "samplers.sample_paths(model, None, 4, 10, rng)\n"
+        "samplers.normalized_max_ecdf(model, None, 4, 5000, 1.0, 0.0, [0.5], rng, workers=2)\n"
+        "print(sum(s[1] == 'samplers.estimator' for s in tracer.spans), sum(s[6] for s in tracer.spans),\n"
+        "      *sorted(tracer.counts.items()))\n"
+    )
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    one, four = proc.stdout.splitlines()
+    assert one == "1 samplers.estimator 49152 ('samplers.blocks', 3.0) ('samplers.pool_starts', 1.0)"
+    elems = 4 * (3 * 4096 + 4097 + 10 + 5000)
+    assert four == f"4 {elems} ('samplers.blocks', 8.0) ('samplers.pool_starts', 2.0)"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

@@ -19,6 +19,7 @@ from maxdep.samplers import (
     IID,
     MovingMax,
     RngStream,
+    _slices,
     empirical_diagonal,
     frailty_sample,
     max_sample,
@@ -71,9 +72,64 @@ def test_estimators_are_worker_invariant(workers):
     got = empirical_diagonal(model, 5, 0.6, 50_000, RngStream(77, 0), workers=workers)
     assert got == ref
     grid = np.linspace(0.3, 4.0, 7)
-    p0, s0 = normalized_max_ecdf(IID(), UnitFrechet(), 50, 20_000, 50.0, 0.0, grid, RngStream(5, 1), workers=1)
-    p1, s1 = normalized_max_ecdf(IID(), UnitFrechet(), 50, 20_000, 50.0, 0.0, grid, RngStream(5, 1), workers=workers)
-    assert np.array_equal(p0, p1) and np.array_equal(s0, s1)
+    # a lone short block (4097) and a partial last slice (5000) as well
+    for reps in (20_000, 4097, 5000):
+        p0, s0 = normalized_max_ecdf(IID(), UnitFrechet(), 50, reps, 50.0, 0.0, grid, RngStream(5, 1), workers=1)
+        p1, s1 = normalized_max_ecdf(IID(), UnitFrechet(), 50, reps, 50.0, 0.0, grid, RngStream(5, 1), workers=workers)
+        assert np.array_equal(p0, p1) and np.array_equal(s0, s1), reps
+        m0 = max_sample(model, Exponential(1.0), 7, reps, RngStream(6, 2), workers=1)
+        m1 = max_sample(model, Exponential(1.0), 7, reps, RngStream(6, 2), workers=workers)
+        assert m0.shape == (reps,) and np.array_equal(m0, m1), reps
+        # sample_paths draws inline; the driver it uses is checked at this worker count
+        paths = sample_paths(model, None, 3, reps, RngStream(7, 3))
+        assert np.array_equal(paths, _slices(RngStream(7, 3), 3, reps, workers, model._native_paths)), reps
+
+
+def test_rows_are_laid_out_in_block_order():
+    # rep r always comes from block r // 4096, so adding reps appends rows
+    model = ArchimedeanFrailty("clayton", 2.0)
+    for workers in (1, 2):
+        short = max_sample(model, None, 6, 4096, RngStream(40, 1), workers=workers)
+        long = max_sample(model, None, 6, 4097, RngStream(40, 1), workers=workers)
+        assert np.array_equal(long[:4096], short)
+    paths = sample_paths(model, None, 6, 4097, RngStream(40, 1))
+    assert np.array_equal(paths[:4096], sample_paths(model, None, 6, 4096, RngStream(40, 1)))
+    assert np.array_equal(paths[4096:], model._native_paths(RngStream(40, 1).block_generator(1), 1, 6))
+
+
+def test_ecdf_counts_every_maximum_at_or_below_each_level():
+    # normalized_max_ecdf sorts the maxima and binary-searches each level;
+    # that must count exactly the maxima <= t, ties included, for unsorted
+    # levels, infinite levels and levels equal to observed maxima
+    model, n, reps = ArchimedeanFrailty("gumbel", 2.0), 8, 5000
+    umax = max_sample(model, None, n, reps, RngStream(41, 0))
+    levels = np.array([0.7, np.inf, umax[17], 0.2, -np.inf, umax[4999], umax.min(), 0.95, umax.max(), umax[0]])
+    p, _ = normalized_max_ecdf(model, None, n, reps, 1.0, 0.0, levels, RngStream(41, 0))
+    want = (umax[:, None] <= np.clip(levels, 0.0, 1.0)).sum(axis=0)
+    assert np.array_equal(p, want / reps)
+    assert p[1] == 1.0 and p[4] == 0.0 and p[6] == 1 / reps
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.5, True, False, np.float64(4.0), "4"])
+def test_every_estimator_rejects_a_bad_n(n):
+    stream = RngStream(0, 0)
+    calls = [
+        lambda: sample_paths(IID(), None, n, 10, stream),
+        lambda: max_sample(IID(), None, n, 10, stream),
+        lambda: empirical_diagonal(IID(), n, 0.5, 1000, stream),
+        lambda: normalized_max_ecdf(IID(), UnitFrechet(), n, 1000, 1.0, 0.0, [1.0], stream),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            call()
+
+
+def test_ecdf_rejects_a_nan_threshold():
+    # searchsorted would count a NaN level above every maximum, and the
+    # unit-Frechet cdf maps a NaN threshold to 0: both must raise instead
+    for margin in (UnitFrechet(), StandardNormal(), None):
+        with pytest.raises(ValueError, match="NaN"):
+            normalized_max_ecdf(IID(), margin, 8, 4096, 1.0, 0.0, [np.nan, 1.0], RngStream(0, 0))
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.tag)
