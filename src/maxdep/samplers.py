@@ -23,6 +23,16 @@ those m values through the model's monotone map, in place of mapping all m*n
 path elements first.  Every variate is still drawn, and the result is bitwise
 the row maximum of the uniform paths (tested for every sampled model).
 
+Bulk paths are drawn as raw Philox words (``bit_generator.random_raw``) and
+reduced on the word scale.  A uniform is ``_unit(w)``, the top 53 bits of the
+word scaled by 2^-53: exactly the double ``Generator.random`` makes of the
+same word, so the uniform-driven models (IID, MovingMax, EFGM) draw the same
+doubles they would through ``Generator.random``.  A unit exponential is drawn
+by inversion, E = -log1p(-U) (Devroye 1986, ch. 2), which is finite and
+increasing in the word, so the frailty models reduce a row to its smallest
+word and map that one.  Frailty variables and the Gaussian models' normals
+still come from the ``Generator`` methods.
+
 Frailty constructions: Clayton uses a Gamma(1/theta) frailty, Gumbel a
 positive alpha-stable (alpha = 1/theta) drawn by the Chambers-Mallows-Stuck
 transform, Frank a logarithmic-series variable, Joe a Sibuya(1/theta)
@@ -90,6 +100,21 @@ class McEstimate:
 
 def _clip_unit(u):
     return np.clip(u, 1e-300, _U_HI)
+
+
+def _unit(w):
+    """Uniforms in [0, 1) from Philox words: the map ``Generator.random`` applies."""
+    return (w >> 11) * 2.0**-53
+
+
+def _exponential(w):
+    """Unit exponentials from Philox words by inversion; increasing in the word."""
+    return -np.log1p(-_unit(w))
+
+
+def _check_count(name: str, value, least: int = 1):
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +198,8 @@ def frailty_sample(family: str, theta: float | None, gen, m: int):
 class SequenceModel:
     """Samplable dependence model; subclasses draw native-scale paths.
 
-    The default ``_umax`` maps every path element and then reduces; a model
-    whose map to the uniform scale is not the identity overrides it to reduce
-    its raw draws first.
+    The default ``_umax`` maps every path element and then reduces; each
+    built-in model overrides it to reduce its raw draws first.
     """
 
     tag = "model"
@@ -200,8 +224,14 @@ class SequenceModel:
 class IID(SequenceModel):
     tag = "iid"
 
+    def _draw(self, gen, m, n):
+        return gen.bit_generator.random_raw((m, n))
+
     def _native_paths(self, gen, m, n):
-        return gen.random((m, n))
+        return _unit(self._draw(gen, m, n))
+
+    def _umax(self, gen, m, n):
+        return _unit(self._draw(gen, m, n).max(axis=1))
 
 
 class MovingMax(SequenceModel):
@@ -214,15 +244,15 @@ class MovingMax(SequenceModel):
         self.tag = f"movingmax({k})"
 
     def _draw(self, gen, m, n):
-        """Uniforms behind the Frechet noise, n + k per path."""
-        return gen.random((m, n + self.k))
+        """Words of the uniforms behind the Frechet noise, n + k per path."""
+        return gen.bit_generator.random_raw((m, n + self.k))
 
     @staticmethod
     def _frechet(u):
         return -1.0 / np.log(_clip_unit(u))
 
     def _native_paths(self, gen, m, n):
-        z = self._frechet(self._draw(gen, m, n))
+        z = self._frechet(_unit(self._draw(gen, m, n)))
         y = z[:, self.k :].copy()
         for j in range(self.k):
             np.maximum(y, z[:, j : j + n], out=y)
@@ -230,8 +260,8 @@ class MovingMax(SequenceModel):
 
     def _umax(self, gen, m, n):
         # every noise variable lands in some window, so max Y = max Z/(k+1),
-        # and Z is increasing in its uniform
-        zmax = self._frechet(self._draw(gen, m, n).max(axis=1))
+        # and Z is increasing in its word
+        zmax = self._frechet(_unit(self._draw(gen, m, n).max(axis=1)))
         return np.exp(-(self.k + 1.0) / zmax)
 
 
@@ -245,17 +275,19 @@ class ArchimedeanFrailty(SequenceModel):
         self.tag = f"arch-frailty[{self.generator.tag}]"
 
     def _draw(self, gen, m, n):
+        """Frailty V per row and the (m, n) words of the exponentials E."""
         v = frailty_sample(self.family, self.theta, gen, m)
-        return v, gen.standard_exponential((m, n))
+        return v, gen.bit_generator.random_raw((m, n))
 
     def _native_paths(self, gen, m, n):
-        v, e = self._draw(gen, m, n)
-        return np.asarray(self.generator.psi(e / v[:, None]), dtype=float)
+        v, w = self._draw(gen, m, n)
+        return np.asarray(self.generator.psi(_exponential(w) / v[:, None]), dtype=float)
 
     def _umax(self, gen, m, n):
-        # psi decreases, so the largest uniform comes from the smallest E
-        v, e = self._draw(gen, m, n)
-        return np.asarray(self.generator.psi(e.min(axis=1) / v), dtype=float)
+        # psi decreases and E increases in its word, so the largest uniform
+        # comes from the smallest word
+        v, w = self._draw(gen, m, n)
+        return np.asarray(self.generator.psi(_exponential(w.min(axis=1)) / v), dtype=float)
 
 
 class ArchimaxLogistic(SequenceModel):
@@ -278,16 +310,16 @@ class ArchimaxLogistic(SequenceModel):
     def _draw(self, gen, m, n):
         v = frailty_sample(self.family, self.theta_gen, gen, m)
         s = _stable_frailty(gen, m, 1.0 / self.theta_stdf)
-        return v, s, gen.standard_exponential((m, n))
+        return v, s, gen.bit_generator.random_raw((m, n))
 
     def _native_paths(self, gen, m, n):
-        v, s, e = self._draw(gen, m, n)
-        y = v[:, None] * (s[:, None] / e) ** (1.0 / self.theta_stdf)
+        v, s, w = self._draw(gen, m, n)
+        y = v[:, None] * (s[:, None] / _exponential(w)) ** (1.0 / self.theta_stdf)
         return np.asarray(self.generator.psi(1.0 / y), dtype=float)
 
     def _umax(self, gen, m, n):
-        v, s, e = self._draw(gen, m, n)
-        ymax = v * (s / e.min(axis=1)) ** (1.0 / self.theta_stdf)
+        v, s, w = self._draw(gen, m, n)
+        ymax = v * (s / _exponential(w.min(axis=1))) ** (1.0 / self.theta_stdf)
         return np.asarray(self.generator.psi(1.0 / ymax), dtype=float)
 
 
@@ -336,9 +368,9 @@ class EfgmExchangeable(SequenceModel):
         self.tag = f"efgm({theta})"
 
     def _draw(self, gen, m, n):
-        """Link a = theta*(2W - 1) per row and the (m, n) uniforms V it inverts."""
+        """Link a = theta*(2W - 1) per row and the (m, n) words of the uniforms V it inverts."""
         a = self.theta * (2.0 * gen.random(m) - 1.0)
-        return a, gen.random((m, n))
+        return a, gen.bit_generator.random_raw((m, n))
 
     @staticmethod
     def _invert(a, v):
@@ -346,13 +378,13 @@ class EfgmExchangeable(SequenceModel):
         return np.where(np.abs(a) < 1e-12, v, 2.0 * v / den)
 
     def _native_paths(self, gen, m, n):
-        a, v = self._draw(gen, m, n)
-        return self._invert(a[:, None], v)
+        a, w = self._draw(gen, m, n)
+        return self._invert(a[:, None], _unit(w))
 
     def _umax(self, gen, m, n):
         # the conditional quantile is increasing in v for every a in [-1, 1]
-        a, v = self._draw(gen, m, n)
-        return self._invert(a, v.max(axis=1))
+        a, w = self._draw(gen, m, n)
+        return self._invert(a, _unit(w.max(axis=1)))
 
 
 class BermanEquicorrelated(SequenceModel):
@@ -393,10 +425,8 @@ def _slices(rng: RngStream, n: int, reps: int, workers: int, draw) -> np.ndarray
     [4096 j, 4096 (j + 1)) of the result, so the array is identical for any
     worker count.
     """
-    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if reps < 1:
-        raise ValueError("reps must be positive")
+    _check_count("n", n)
+    _check_count("reps", reps)
 
     def block(start):
         gen = rng.block_generator(start // BLOCK_REPS)
@@ -444,8 +474,7 @@ def empirical_diagonal(
     This is the diagonal delta_n(u) of the model's copula; the binomial
     standard error sqrt(p*(1-p)/reps) is attached.
     """
-    if reps < 1000:
-        raise ValueError("use at least 1000 repetitions")
+    _check_count("reps", reps, 1000)
     if not 0.0 <= u <= 1.0:
         raise ValueError("u must lie in [0, 1]")
     hits = int(np.count_nonzero(_slices(rng, n, reps, workers, model._umax) <= u))
@@ -470,8 +499,7 @@ def normalized_max_ecdf(
     the margin cdf), so only one cdf evaluation per grid point is needed; the
     sorted row maxima are counted against every threshold by binary search.
     """
-    if reps < 1000:
-        raise ValueError("use at least 1000 repetitions")
+    _check_count("reps", reps, 1000)
     if not c_n > 0:
         raise ValueError("c_n must be positive")
     x = np.asarray(x_grid, dtype=float)

@@ -535,13 +535,14 @@ def test_converge_frank_output_is_pinned(capsys):
         "# maxdep converge margin=exponential(1.0) model=arch-frailty[frank(3.0)] n=16,64 reps=8192 seed=7"
         " x-grid=auto41 version=0.1.0\n"
         "n,sup_distance,max_se,bound\n"
-        "16,0.08933854844603373,0.005521820740183226,\n"
-        "64,0.0406322342450155,0.005524234684767131,\n"
+        "16,0.08421852484570652,0.0055225248271436305,\n"
+        "64,0.0339436605834329,0.005523659083020005,\n"
     )
 
 
-# generated before the samplers took their row maxima on the draw scale; the
-# path models must print these bytes however they reduce a row
+# generated before the samplers took their row maxima on the draw scale (iid:
+# before paths were drawn as raw Philox words); the path models must print
+# these bytes however they draw and reduce a row
 PINNED_PATH_MODELS = {
     "efgm": (
         ["--theta", "0.8", "--margin", "unit-frechet"],
@@ -556,6 +557,13 @@ PINNED_PATH_MODELS = {
         "n,sup_distance,max_se,bound\n"
         "16,0.17538867187499996,0.005524133267301905,\n"
         "64,0.11380078124999998,0.005523191444764823,\n",
+    ),
+    "iid": (
+        ["--margin", "unit-frechet"],
+        "# maxdep converge margin=unit-frechet model=iid n=16,64 reps=8192 seed=7 x-grid=auto41 version=0.1.0\n"
+        "n,sup_distance,max_se,bound\n"
+        "16,0.008465820312499983,0.005523938329802191,0.0\n"
+        "64,0.009882812500000004,0.005524113510436149,0.0\n",
     ),
     "movingmax": (
         ["--k", "2", "--margin", "unit-frechet"],

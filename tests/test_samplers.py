@@ -19,7 +19,9 @@ from maxdep.samplers import (
     IID,
     MovingMax,
     RngStream,
+    _exponential,
     _slices,
+    _unit,
     empirical_diagonal,
     frailty_sample,
     max_sample,
@@ -122,6 +124,29 @@ def test_every_estimator_rejects_a_bad_n(n):
     for call in calls:
         with pytest.raises(ValueError, match="n must be an integer >= 1"):
             call()
+
+
+@pytest.mark.parametrize("reps", [0, -3, 2.5, 1000.7, True, False, None, np.float64(4096.0), "4096"])
+def test_every_estimator_rejects_a_bad_reps(reps):
+    # a bool reps drew one repetition, and a float one raised a TypeError
+    stream = RngStream(0, 0)
+    calls = [
+        lambda: sample_paths(IID(), None, 3, reps, stream),
+        lambda: max_sample(IID(), None, 3, reps, stream),
+        lambda: empirical_diagonal(IID(), 3, 0.5, reps, stream),
+        lambda: normalized_max_ecdf(IID(), UnitFrechet(), 3, reps, 1.0, 0.0, [1.0], stream),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="reps must be an integer >= 1"):
+            call()
+
+
+def test_binomial_estimators_reject_fewer_than_1000_reps():
+    stream = RngStream(0, 0)
+    with pytest.raises(ValueError, match="reps must be an integer >= 1000, got 999"):
+        empirical_diagonal(IID(), 3, 0.5, 999, stream)
+    with pytest.raises(ValueError, match="reps must be an integer >= 1000, got 999"):
+        normalized_max_ecdf(IID(), UnitFrechet(), 3, 999, 1.0, 0.0, [1.0], stream)
 
 
 def test_ecdf_rejects_a_nan_threshold():
@@ -333,10 +358,33 @@ UMAX_MODELS = [spec.sampler(**SAMPLER_PARAMS[name]) for name, spec in MODEL_TABL
 @pytest.mark.parametrize("model", UMAX_MODELS, ids=lambda m: m.tag)
 def test_umax_is_the_path_maximum(model):
     # _umax reduces on the draw scale and maps only the row maxima; that must
-    # be bitwise the row maximum of the full uniform paths from the same draws
-    for block, n in enumerate((1, 4, 64, 512)):
+    # be bitwise the row maximum of the full uniform paths from the same draws;
+    # a block's last slice has fewer than 256 rows, and odd widths reach the
+    # vector tails of the elementwise maps
+    shapes = [(m, n) for m in (256, 100) for n in (1, 3, 4, 64, 512)]
+    for block, (m, n) in enumerate(shapes):
         stream = RngStream(2718, 3)
-        got = model._umax(stream.block_generator(block), 256, n)
-        want = model._uniform_paths(stream.block_generator(block), 256, n).max(axis=1)
-        assert got.shape == (256,)
-        assert np.array_equal(got, want), (model.tag, n)
+        got = model._umax(stream.block_generator(block), m, n)
+        want = model._uniform_paths(stream.block_generator(block), m, n).max(axis=1)
+        assert got.shape == (m,)
+        assert np.array_equal(got, want), (model.tag, m, n)
+
+
+def test_unit_is_the_double_generator_random_makes():
+    # the uniform models draw raw Philox words and map them with _unit; that
+    # must be the double Generator.random makes of the same word, leaving both
+    # generators at the same stream position
+    raw, ref = RngStream(99, 5).block_generator(2), RngStream(99, 5).block_generator(2)
+    for k in (1, 7, 1000):
+        assert np.array_equal(_unit(raw.bit_generator.random_raw(k)), ref.random(k))
+    assert raw.random() == ref.random()
+    assert raw.standard_exponential() == ref.standard_exponential()
+
+
+def test_exponential_is_finite_and_increasing_in_the_word():
+    # the frailty models reduce a row to its smallest word, so E must not
+    # decrease in the word, and the largest word must not give +inf
+    w = np.array([0, 2**11 - 1, 2**11, 2**63, 2**64 - 2**11 - 1, 2**64 - 2**11, 2**64 - 1], dtype=np.uint64)
+    e = _exponential(w)
+    assert np.all(np.isfinite(e)) and np.all(np.diff(e) >= 0)
+    assert e[0] == e[1] == 0.0 and e[2] > 0.0 and e[-1] == -math.log(2.0**-53)
