@@ -13,7 +13,8 @@ that array of paths; the other estimators each reduce one block-ordered
 array of row maxima: ``max_sample`` maps it through the margin,
 ``empirical_diagonal`` counts the maxima at or below u, and
 ``normalized_max_ecdf`` sorts them once and counts against every threshold
-by binary search.
+by binary search.  Blocks go to a pool of ``workers`` threads only where
+threads pay: more than one block and n >= 64 (see ``_slices``).
 
 Reduce on the draw scale: every model draws its raw variates in one ``_draw``
 helper that both ``_native_paths`` and ``_umax`` call, so the two see the same
@@ -30,7 +31,14 @@ same word, so the uniform-driven models (IID, MovingMax, EFGM) draw the same
 doubles they would through ``Generator.random``.  A unit exponential is drawn
 by inversion, E = -log1p(-U) (Devroye 1986, ch. 2), which is finite and
 increasing in the word, so the frailty models reduce a row to its smallest
-word and map that one.  Frailty variables and the Gaussian models' normals
+word and map that one.  Berman's normals Z_i are drawn by inversion too,
+``_normal(w)``: the word's top 52 bits pick the midpoint u of one of 2^52
+equal cells of (0, 1), and Z = sqrt(2) erfinv(2u - 1), which is finite,
+odd in the cell and non-decreasing in the word, so ``_umax`` maps one word
+per row.  The normal is thereby truncated at |Z| <= 8.2095, the value at
+the extreme words; the standard normal puts about 2.2e-16 of its mass past
+that, per draw.  Frailty variables, Berman's common factor Z_0 (one draw
+per row) and the AR(1) noise, which ``lfilter`` needs element by element,
 still come from the ``Generator`` methods.
 
 Frailty constructions: Clayton uses a Gamma(1/theta) frailty, Gumbel a
@@ -54,6 +62,7 @@ from .margins import Margin
 
 BLOCK_REPS = 4096  # stream-assignment unit; fixed so results ignore worker count
 _SLICE_ROWS = 256  # internal memory chunk inside a block (fixed: affects draws)
+_POOL_MIN_N = 64  # a pool pays only from 256 x 64 = 2^14 words a slice
 _U_HI = float(np.nextafter(1.0, 0.0))
 
 
@@ -110,6 +119,19 @@ def _unit(w):
 def _exponential(w):
     """Unit exponentials from Philox words by inversion; increasing in the word."""
     return -np.log1p(-_unit(w))
+
+
+def _normal(w):
+    """Standard normals from Philox words by inversion; non-decreasing in the word.
+
+    2u - 1 = ((w >> 12) + 1/2) * 2^-51 - 1 is exact, so the extreme words give
+    exactly opposite values, -+8.2095.  sqrt(2) erfinv(2u - 1) is used rather
+    than ndtri(u), which falls by an ulp at some neighbouring words near
+    u = e^-2, where its approximation switches branch.
+    """
+    from scipy.special import erfinv
+
+    return math.sqrt(2.0) * erfinv(((w >> 12) + 0.5) * 2.0**-51 - 1.0)
 
 
 def _check_count(name: str, value, least: int = 1):
@@ -397,11 +419,12 @@ class BermanEquicorrelated(SequenceModel):
         self.tag = f"berman({rho_corr})"
 
     def _draw(self, gen, m, n):
-        return gen.standard_normal(m), gen.standard_normal((m, n))
+        """Common factor Z_0 per row and the (m, n) words of the normals Z_i."""
+        return gen.standard_normal(m), gen.bit_generator.random_raw((m, n))
 
     def _native_paths(self, gen, m, n):
-        z0, z = self._draw(gen, m, n)
-        return math.sqrt(self.rho) * z0[:, None] + math.sqrt(1.0 - self.rho) * z
+        z0, w = self._draw(gen, m, n)
+        return math.sqrt(self.rho) * z0[:, None] + math.sqrt(1.0 - self.rho) * _normal(w)
 
     def _to_uniform(self, x):
         return _ndtr(x)
@@ -410,8 +433,9 @@ class BermanEquicorrelated(SequenceModel):
         return _ndtr(x)
 
     def _umax(self, gen, m, n):
-        z0, z = self._draw(gen, m, n)
-        return _ndtr(math.sqrt(self.rho) * z0 + math.sqrt(1.0 - self.rho) * z.max(axis=1))
+        # Z_i is non-decreasing in its word, so the row's largest comes from its largest word
+        z0, w = self._draw(gen, m, n)
+        return _ndtr(math.sqrt(self.rho) * z0 + math.sqrt(1.0 - self.rho) * _normal(w.max(axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +447,12 @@ def _slices(rng: RngStream, n: int, reps: int, workers: int, draw) -> np.ndarray
 
     Block j always uses substream (rng.index, j) and fills rows
     [4096 j, 4096 (j + 1)) of the result, so the array is identical for any
-    worker count.
+    worker count.  A pool of ``workers`` threads starts only for more than
+    one block and n >= 64; other calls run on the calling thread.  Their
+    slices are too short for threads to pay: the per-slice Python and numpy
+    work holds the interpreter lock, which changes hands at every draw that
+    releases it; on a 2-vCPU host two workers ran n = 4 and n = 16 calls
+    0.5-0.9 times as fast as one.
     """
     _check_count("n", n)
     _check_count("reps", reps)
@@ -436,7 +465,7 @@ def _slices(rng: RngStream, n: int, reps: int, workers: int, draw) -> np.ndarray
         return np.concatenate([draw(gen, min(_SLICE_ROWS, size - off), n) for off in range(0, size, _SLICE_ROWS)])
 
     blocks = range(0, reps, BLOCK_REPS)
-    if workers and workers > 1:
+    if workers and workers > 1 and len(blocks) > 1 and n >= _POOL_MIN_N:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(block, blocks))
     else:

@@ -77,6 +77,7 @@ def test_tracer_sees_one_span_per_estimator_call():
     # bench/tracing.py rebinds the public estimator names, RngStream.block_generator
     # and samplers.ThreadPoolExecutor; an estimator that called another public
     # estimator would nest a second span and count its path elements twice.
+    # n = 64, so that the multi-block calls at workers=2 start a pool.
     # bench/ is only read: no bytecode is written there
     script = (
         "import sys\n"
@@ -88,19 +89,19 @@ def test_tracer_sees_one_span_per_estimator_call():
         "instrument(tracer)\n"
         "tracer.on = True\n"
         "model, rng = samplers.IID(), samplers.RngStream(1, 0)\n"
-        "samplers.empirical_diagonal(model, 4, 0.5, 3 * 4096, rng, workers=2)\n"
+        "samplers.empirical_diagonal(model, 64, 0.5, 3 * 4096, rng, workers=2)\n"
         "print(len(tracer.spans), tracer.spans[0][1], tracer.spans[0][6], *sorted(tracer.counts.items()))\n"
-        "samplers.max_sample(model, margins.UnitFrechet(), 4, 4097, rng)\n"
-        "samplers.sample_paths(model, None, 4, 10, rng)\n"
-        "samplers.normalized_max_ecdf(model, None, 4, 5000, 1.0, 0.0, [0.5], rng, workers=2)\n"
+        "samplers.max_sample(model, margins.UnitFrechet(), 64, 4097, rng)\n"
+        "samplers.sample_paths(model, None, 64, 10, rng)\n"
+        "samplers.normalized_max_ecdf(model, None, 64, 5000, 1.0, 0.0, [0.5], rng, workers=2)\n"
         "print(sum(s[1] == 'samplers.estimator' for s in tracer.spans), sum(s[6] for s in tracer.spans),\n"
         "      *sorted(tracer.counts.items()))\n"
     )
     proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
     one, four = proc.stdout.splitlines()
-    assert one == "1 samplers.estimator 49152 ('samplers.blocks', 3.0) ('samplers.pool_starts', 1.0)"
-    elems = 4 * (3 * 4096 + 4097 + 10 + 5000)
+    assert one == "1 samplers.estimator 786432 ('samplers.blocks', 3.0) ('samplers.pool_starts', 1.0)"
+    elems = 64 * (3 * 4096 + 4097 + 10 + 5000)
     assert four == f"4 {elems} ('samplers.blocks', 8.0) ('samplers.pool_starts', 2.0)"
 
 

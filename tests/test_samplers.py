@@ -4,9 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammaln, ndtri
 from scipy.stats import kstest
 
+from maxdep import samplers
 from maxdep.generators import builtin_generator
 from maxdep.margins import Exponential, StandardNormal, UnitFrechet, Uniform01
 from maxdep.models import MODELS as MODEL_TABLE, make_diagonal, model_spec
@@ -20,6 +21,7 @@ from maxdep.samplers import (
     MovingMax,
     RngStream,
     _exponential,
+    _normal,
     _slices,
     _unit,
     empirical_diagonal,
@@ -69,22 +71,47 @@ def test_margin_transform_matches_native():
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_estimators_are_worker_invariant(workers):
+    # n = 4 runs on the calling thread at any worker count, n = 64 in a pool
     model = ArchimedeanFrailty("clayton", 2.0)
-    ref = empirical_diagonal(model, 5, 0.6, 50_000, RngStream(77, 0), workers=1)
-    got = empirical_diagonal(model, 5, 0.6, 50_000, RngStream(77, 0), workers=workers)
-    assert got == ref
+    berman = BermanEquicorrelated(0.5)
     grid = np.linspace(0.3, 4.0, 7)
-    # a lone short block (4097) and a partial last slice (5000) as well
-    for reps in (20_000, 4097, 5000):
-        p0, s0 = normalized_max_ecdf(IID(), UnitFrechet(), 50, reps, 50.0, 0.0, grid, RngStream(5, 1), workers=1)
-        p1, s1 = normalized_max_ecdf(IID(), UnitFrechet(), 50, reps, 50.0, 0.0, grid, RngStream(5, 1), workers=workers)
-        assert np.array_equal(p0, p1) and np.array_equal(s0, s1), reps
-        m0 = max_sample(model, Exponential(1.0), 7, reps, RngStream(6, 2), workers=1)
-        m1 = max_sample(model, Exponential(1.0), 7, reps, RngStream(6, 2), workers=workers)
-        assert m0.shape == (reps,) and np.array_equal(m0, m1), reps
-        # sample_paths draws inline; the driver it uses is checked at this worker count
-        paths = sample_paths(model, None, 3, reps, RngStream(7, 3))
-        assert np.array_equal(paths, _slices(RngStream(7, 3), 3, reps, workers, model._native_paths)), reps
+    for n in (4, 64):
+        ref = empirical_diagonal(model, n, 0.6, 50_000, RngStream(77, 0), workers=1)
+        got = empirical_diagonal(model, n, 0.6, 50_000, RngStream(77, 0), workers=workers)
+        assert got == ref, n
+        # a lone short block (4097) and a partial last slice (5000) as well
+        for reps in (20_000, 4097, 5000):
+            p0, s0 = normalized_max_ecdf(IID(), UnitFrechet(), n, reps, n, 0.0, grid, RngStream(5, 1), workers=1)
+            p1, s1 = normalized_max_ecdf(IID(), UnitFrechet(), n, reps, n, 0.0, grid, RngStream(5, 1), workers=workers)
+            assert np.array_equal(p0, p1) and np.array_equal(s0, s1), (n, reps)
+            for mod, margin in ((model, Exponential(1.0)), (berman, None)):
+                m0 = max_sample(mod, margin, n, reps, RngStream(6, 2), workers=1)
+                m1 = max_sample(mod, margin, n, reps, RngStream(6, 2), workers=workers)
+                assert m0.shape == (reps,) and np.array_equal(m0, m1), (mod.tag, n, reps)
+            # sample_paths draws inline; the driver it uses is checked at this worker count
+            paths = sample_paths(model, None, n, reps, RngStream(7, 3))
+            assert np.array_equal(paths, _slices(RngStream(7, 3), n, reps, workers, model._native_paths)), (n, reps)
+
+
+def test_pool_starts_only_for_several_blocks_of_long_paths(monkeypatch):
+    # one block, or n < 64, runs on the calling thread at any worker count
+    starts = []
+
+    class CountedPool(samplers.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(samplers, "ThreadPoolExecutor", CountedPool)
+    for n, reps in ((4, 20_000), (63, 8192), (64, 4096), (512, 100)):
+        max_sample(IID(), None, n, reps, RngStream(3, 1), workers=2)
+        empirical_diagonal(IID(), n, 0.5, max(reps, 1000), RngStream(3, 2), workers=3)
+    assert starts == []
+    max_sample(IID(), None, 64, 4097, RngStream(3, 1), workers=1)
+    assert starts == []
+    max_sample(IID(), None, 64, 4097, RngStream(3, 1), workers=2)
+    empirical_diagonal(IID(), 512, 0.5, 8192, RngStream(3, 2), workers=3)
+    assert starts == [2, 3]
 
 
 def test_rows_are_laid_out_in_block_order():
@@ -388,3 +415,34 @@ def test_exponential_is_finite_and_increasing_in_the_word():
     e = _exponential(w)
     assert np.all(np.isfinite(e)) and np.all(np.diff(e) >= 0)
     assert e[0] == e[1] == 0.0 and e[2] > 0.0 and e[-1] == -math.log(2.0**-53)
+
+
+def _check_normal_map(z):
+    """Assert what Berman's _umax needs of a word-to-normal map z."""
+    lo, hi = z(np.array([0, 2**64 - 1], dtype=np.uint64))
+    assert np.isfinite(lo) and np.isfinite(hi)
+    assert lo == -hi
+    # 2^20 cells either side of each branch point: ndtri's (u = e^-2, 1 - e^-2),
+    # erfinv's (|2u - 1| = 1/2, 3/4, 1 - e^-9, 1 - e^-36) and the sign change
+    branches = [math.exp(-2.0), -math.expm1(-2.0), 0.25, 0.75, 0.125, 0.875, 0.5]
+    branches += [t / 2.0 for t in (math.exp(-9.0), math.exp(-36.0))]
+    branches += [1.0 - t / 2.0 for t in (math.exp(-9.0), math.exp(-36.0))]
+    for u in branches:
+        cell = int(u * 2**52)
+        cells = np.arange(max(cell - 2**20, 0), min(cell + 2**20, 2**52), dtype=np.uint64)
+        assert np.all(np.diff(z(cells << np.uint64(12))) >= 0), u
+
+
+def test_normal_is_finite_odd_and_non_decreasing_in_the_word():
+    # Berman's _umax maps only each row's largest word, so Z must not decrease
+    # in the word, and the extreme words must give finite, opposite normals
+    _check_normal_map(_normal)
+    # truncated at the quantile of the outermost cells' midpoint, about 8.2095
+    assert _normal(np.uint64(2**64 - 1)) == pytest.approx(-ndtri(2.0**-53), rel=1e-14)
+    # the check rejects a 2^-54 offset on the 53-bit uniform, which rounds to 1
+    # at the top 2^11 words, and ndtri on the 52-bit cells, which falls by an
+    # ulp near u = e^-2
+    with pytest.raises(AssertionError):
+        _check_normal_map(lambda w: ndtri(_unit(w) + 2.0**-54))
+    with pytest.raises(AssertionError):
+        _check_normal_map(lambda w: ndtri(((w >> 12) + 0.5) * 2.0**-52))
