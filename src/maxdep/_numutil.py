@@ -10,6 +10,12 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
+def check_count(name: str, value, least: int = 1):
+    """Raise unless value is an integer (not a bool) >= least."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def golden_max(f, a: float, b: float, tol: float = 1e-12) -> tuple[float, float]:
     """Golden-section maximization of f on [a, b].
 

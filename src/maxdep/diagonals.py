@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._numutil import golden_max, scalar_exponent_power, scalar_or_array
+from ._numutil import check_count, golden_max, scalar_exponent_power, scalar_or_array
 from .distortions import Distortion, archimedean_limit, efgm_limit, power
 from .generators import ArchGenerator
 
@@ -49,11 +49,9 @@ def _check_n(n):
         if n.dtype.kind not in "iuO":
             raise ValueError(f"n must be an integer array, got dtype {n.dtype}")
         for k in n.flat:
-            if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-                raise ValueError(f"n must be an integer >= 1, got {k!r}")
+            check_count("n", k)
         return n
-    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    check_count("n", n)
     return int(n)
 
 
@@ -161,8 +159,7 @@ def logistic_power_diagonal(theta: float) -> DiagonalFamily:
 
 def moving_max_diagonal(k: int) -> DiagonalFamily:
     """Sliding-maximum model of window k: delta_n(u) = u^((n+k)/(k+1))."""
-    if not (isinstance(k, (int, np.integer)) and k >= 0):
-        raise ValueError(f"window k must be an integer >= 0, got {k!r}")
+    check_count("window k", k, 0)
     k = int(k)
     return DiagonalFamily(
         fn=_power_diagonal(lambda n: (n + k) / (k + 1.0)),

@@ -16,13 +16,16 @@ array of row maxima: ``max_sample`` maps it through the margin,
 by binary search.  Blocks go to a pool of ``workers`` threads only where
 threads pay: more than one block and n >= 64 (see ``_slices``).
 
-Reduce on the draw scale: every model draws its raw variates in one ``_draw``
-helper that both ``_native_paths`` and ``_umax`` call, so the two see the same
-variates in the same order.  ``_umax`` takes each row's maximum (or minimum,
-where the map to the uniform scale decreases) of the raw draws and pushes only
-those m values through the model's monotone map, in place of mapping all m*n
-path elements first.  Every variate is still drawn, and the result is bitwise
-the row maximum of the uniform paths (tested for every sampled model).
+Reduce on the draw scale: a model is one ``_draw``, which returns its
+per-row variables and then the (m, n') array x of raw draws, and one map
+``_native(*rows, x)`` to the native scale, monotone in x.  ``SequenceModel``
+derives both reductions from that pair, so they see the same variates in the
+same order: ``_native_paths`` maps every element, and ``_umax`` takes each
+row's maximum of x (its minimum where the map decreases, ``_decreasing``)
+and pushes only those m values through the map and ``_to_uniform``, in place
+of mapping all m*n path elements first.  Every variate is still drawn, and
+the result is bitwise the row maximum of the uniform paths (tested for every
+sampled model).
 
 Bulk paths are drawn as raw Philox words (``bit_generator.random_raw``) and
 reduced on the word scale.  A uniform is ``_unit(w)``, the top 53 bits of the
@@ -57,6 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numutil import check_count
 from .generators import ArchGenerator, builtin_generator
 from .margins import Margin
 
@@ -90,10 +94,10 @@ class RngStream:
         # negative seed would give it the stream of another seed
         if not 0 <= self.seed < (1 << 64):
             raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
-
-    def block_generator(self, block: int = 0) -> np.random.Generator:
         if not 0 <= self.index < (1 << 40):
             raise ValueError("stream index out of range")
+
+    def block_generator(self, block: int = 0) -> np.random.Generator:
         key = self.seed | (((self.index << 20) | block) << 64)
         return np.random.Generator(np.random.Philox(key=key))
 
@@ -132,11 +136,6 @@ def _normal(w):
     from scipy.special import erfinv
 
     return math.sqrt(2.0) * erfinv(((w >> 12) + 0.5) * 2.0**-51 - 1.0)
-
-
-def _check_count(name: str, value, least: int = 1):
-    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -195,22 +194,27 @@ def _geometric_frailty(gen, m: int, theta: float):
     return np.maximum(np.ceil(np.log(u) / math.log(theta)), 1.0)
 
 
+_FRAILTIES = {
+    "independence": lambda gen, m, theta: np.ones(m),
+    "clayton": lambda gen, m, theta: gen.gamma(1.0 / theta, 1.0, m),
+    "gumbel": lambda gen, m, theta: _stable_frailty(gen, m, 1.0 / theta),
+    "frank": _logseries_frailty,
+    "joe": lambda gen, m, theta: _sibuya_frailty(gen, m, 1.0 / theta),
+    "amh": _geometric_frailty,
+}
+
+
+def _frailty_draw(family: str):
+    """The frailty draw (gen, m, theta) of a generator family, or ValueError."""
+    draw = _FRAILTIES.get(family.lower().replace("-", "").replace("_", ""))
+    if draw is None:
+        raise ValueError(f"no frailty sampler for generator family {family!r}")
+    return draw
+
+
 def frailty_sample(family: str, theta: float | None, gen, m: int):
     """Draw m frailty variables whose Laplace transform is the family generator."""
-    fam = family.lower().replace("-", "").replace("_", "")
-    if fam == "independence":
-        return np.ones(m)
-    if fam == "clayton":
-        return gen.gamma(1.0 / theta, 1.0, m)
-    if fam == "gumbel":
-        return _stable_frailty(gen, m, 1.0 / theta)
-    if fam == "frank":
-        return _logseries_frailty(gen, m, theta)
-    if fam == "joe":
-        return _sibuya_frailty(gen, m, 1.0 / theta)
-    if fam == "amh":
-        return _geometric_frailty(gen, m, theta)
-    raise ValueError(f"no frailty sampler for generator family {family!r}")
+    return _frailty_draw(family)(gen, m, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -218,98 +222,96 @@ def frailty_sample(family: str, theta: float | None, gen, m: int):
 
 
 class SequenceModel:
-    """Samplable dependence model; subclasses draw native-scale paths.
+    """Samplable dependence model: one draw and one monotone map.
 
-    The default ``_umax`` maps every path element and then reduces; each
-    built-in model overrides it to reduce its raw draws first.
+    ``_draw(gen, m, n)`` returns the model's per-row variables (arrays of m)
+    and then the (m, n') array x of its raw draws; ``_native(*rows, x)`` maps
+    x to the native scale, monotone in x (decreasing where ``_decreasing``),
+    with the rows broadcast against it; ``_to_uniform`` maps the native
+    scale to the uniform one.  The paths and the row maxima both derive from
+    that pair.
     """
 
     tag = "model"
+    _decreasing = False
 
-    def _native_paths(self, gen, m: int, n: int) -> np.ndarray:
+    def _draw(self, gen, m: int, n: int) -> tuple:
+        raise NotImplementedError
+
+    def _native(self, *rows_and_x) -> np.ndarray:
         raise NotImplementedError
 
     def _to_uniform(self, x: np.ndarray) -> np.ndarray:
-        return x
-
-    def _native_cdf(self, x: np.ndarray) -> np.ndarray:
         """cdf of the native marginal scale (uniform unless overridden)."""
-        return np.clip(x, 0.0, 1.0)
+        # the method, not np.clip, whose dispatch costs a few microseconds a slice
+        return x.clip(0.0, 1.0)
 
-    def _uniform_paths(self, gen, m: int, n: int) -> np.ndarray:
-        return self._to_uniform(self._native_paths(gen, m, n))
+    def _native_paths(self, gen, m: int, n: int) -> np.ndarray:
+        *rows, x = self._draw(gen, m, n)
+        return self._native(*(r[:, None] for r in rows), x)
 
     def _umax(self, gen, m: int, n: int) -> np.ndarray:
-        return self._uniform_paths(gen, m, n).max(axis=1)
+        # the map is monotone in x, so the row's largest uniform comes from
+        # its largest raw draw (its smallest, where the map decreases)
+        *rows, x = self._draw(gen, m, n)
+        return self._to_uniform(self._native(*rows, x.min(axis=1) if self._decreasing else x.max(axis=1)))
 
 
 class IID(SequenceModel):
     tag = "iid"
 
     def _draw(self, gen, m, n):
-        return gen.bit_generator.random_raw((m, n))
+        return (gen.bit_generator.random_raw((m, n)),)
 
-    def _native_paths(self, gen, m, n):
-        return _unit(self._draw(gen, m, n))
-
-    def _umax(self, gen, m, n):
-        return _unit(self._draw(gen, m, n).max(axis=1))
+    def _native(self, w):
+        return _unit(w)
 
 
 class MovingMax(SequenceModel):
     """Y_i = max(Z_{i-k}, ..., Z_i)/(k+1) over iid standard Frechet Z."""
 
     def __init__(self, k: int):
-        if not (isinstance(k, (int, np.integer)) and k >= 0):
-            raise ValueError(f"window k must be an integer >= 0, got {k!r}")
+        check_count("window k", k, 0)
         self.k = int(k)
         self.tag = f"movingmax({k})"
 
     def _draw(self, gen, m, n):
         """Words of the uniforms behind the Frechet noise, n + k per path."""
-        return gen.bit_generator.random_raw((m, n + self.k))
+        return (gen.bit_generator.random_raw((m, n + self.k)),)
 
-    @staticmethod
-    def _frechet(u):
-        return -1.0 / np.log(_clip_unit(u))
+    def _native(self, w):
+        # Y of the largest word in its window, which the row maximum may take
+        # as well: every noise variable lands in some window, so max Y =
+        # max Z/(k+1), and Z is increasing in its word
+        z = -1.0 / np.log(_clip_unit(_unit(w)))
+        return np.exp(-(self.k + 1.0) / z)  # uniform via the Frechet margin of Y
 
     def _native_paths(self, gen, m, n):
-        z = self._frechet(_unit(self._draw(gen, m, n)))
-        y = z[:, self.k :].copy()
+        (w,) = self._draw(gen, m, n)
+        y = w[:, self.k :].copy()
         for j in range(self.k):
-            np.maximum(y, z[:, j : j + n], out=y)
-        return np.exp(-(self.k + 1.0) / y)  # uniform via the Frechet margin of Y
-
-    def _umax(self, gen, m, n):
-        # every noise variable lands in some window, so max Y = max Z/(k+1),
-        # and Z is increasing in its word
-        zmax = self._frechet(_unit(self._draw(gen, m, n).max(axis=1)))
-        return np.exp(-(self.k + 1.0) / zmax)
+            np.maximum(y, w[:, j : j + n], out=y)
+        return self._native(y)
 
 
 class ArchimedeanFrailty(SequenceModel):
     """U_i = psi(E_i / V) for iid unit exponentials E and frailty V."""
 
+    _decreasing = True  # psi decreases and E increases in its word
+
     def __init__(self, family: str, theta: float | None = None):
         self.family = family
         self.theta = theta
         self.generator: ArchGenerator = builtin_generator(family, theta)
+        _frailty_draw(family)  # fail here, not at the first draw in some pool thread
         self.tag = f"arch-frailty[{self.generator.tag}]"
 
     def _draw(self, gen, m, n):
         """Frailty V per row and the (m, n) words of the exponentials E."""
-        v = frailty_sample(self.family, self.theta, gen, m)
-        return v, gen.bit_generator.random_raw((m, n))
+        return frailty_sample(self.family, self.theta, gen, m), gen.bit_generator.random_raw((m, n))
 
-    def _native_paths(self, gen, m, n):
-        v, w = self._draw(gen, m, n)
-        return np.asarray(self.generator.psi(_exponential(w) / v[:, None]), dtype=float)
-
-    def _umax(self, gen, m, n):
-        # psi decreases and E increases in its word, so the largest uniform
-        # comes from the smallest word
-        v, w = self._draw(gen, m, n)
-        return np.asarray(self.generator.psi(_exponential(w.min(axis=1)) / v), dtype=float)
+    def _native(self, v, w):
+        return np.asarray(self.generator.psi(_exponential(w) / v), dtype=float)
 
 
 class ArchimaxLogistic(SequenceModel):
@@ -320,6 +322,8 @@ class ArchimaxLogistic(SequenceModel):
     extremal coefficient n^(1/theta_stdf).  The margin of Y is psi(1/y).
     """
 
+    _decreasing = True  # Y decreases in E, and psi(1/y) increases in y
+
     def __init__(self, family: str, theta_gen: float | None, theta_stdf: float):
         if not theta_stdf >= 1.0:
             raise ValueError(f"theta_stdf must be >= 1, got {theta_stdf}")
@@ -327,6 +331,7 @@ class ArchimaxLogistic(SequenceModel):
         self.theta_gen = theta_gen
         self.theta_stdf = float(theta_stdf)
         self.generator = builtin_generator(family, theta_gen)
+        _frailty_draw(family)  # fail here, not at the first draw in some pool thread
         self.tag = f"archimax[{self.generator.tag},logistic({theta_stdf})]"
 
     def _draw(self, gen, m, n):
@@ -334,15 +339,9 @@ class ArchimaxLogistic(SequenceModel):
         s = _stable_frailty(gen, m, 1.0 / self.theta_stdf)
         return v, s, gen.bit_generator.random_raw((m, n))
 
-    def _native_paths(self, gen, m, n):
-        v, s, w = self._draw(gen, m, n)
-        y = v[:, None] * (s[:, None] / _exponential(w)) ** (1.0 / self.theta_stdf)
+    def _native(self, v, s, w):
+        y = v * (s / _exponential(w)) ** (1.0 / self.theta_stdf)
         return np.asarray(self.generator.psi(1.0 / y), dtype=float)
-
-    def _umax(self, gen, m, n):
-        v, s, w = self._draw(gen, m, n)
-        ymax = v * (s / _exponential(w.min(axis=1))) ** (1.0 / self.theta_stdf)
-        return np.asarray(self.generator.psi(1.0 / ymax), dtype=float)
 
 
 class GaussianAR1(SequenceModel):
@@ -366,13 +365,10 @@ class GaussianAR1(SequenceModel):
         y0 = gen.standard_normal(m) * self.stat_sd
         z = gen.standard_normal((m, n)) * self.sigma
         y, _ = lfilter([1.0], [1.0, -self.phi], z, axis=1, zi=(self.phi * y0)[:, None])
-        return y
+        return (y,)
 
-    def _native_paths(self, gen, m, n):
-        return _ndtr(self._draw(gen, m, n) / self.stat_sd)
-
-    def _umax(self, gen, m, n):
-        return _ndtr(self._draw(gen, m, n).max(axis=1) / self.stat_sd)
+    def _native(self, y):
+        return _ndtr(y / self.stat_sd)
 
 
 class EfgmExchangeable(SequenceModel):
@@ -380,7 +376,8 @@ class EfgmExchangeable(SequenceModel):
 
     Given W = w, each component is drawn by inverting the conditional cdf
     a*u^2 + (1-a)*u with a = theta*(2w - 1); the solve uses the rationalized
-    quadratic root u = 2v / (1 - a + sqrt((1-a)^2 + 4av)), stable as a -> 0.
+    quadratic root u = 2v / (1 - a + sqrt((1-a)^2 + 4av)), stable as a -> 0,
+    and increasing in v for every a in [-1, 1].
     """
 
     def __init__(self, theta: float):
@@ -394,19 +391,10 @@ class EfgmExchangeable(SequenceModel):
         a = self.theta * (2.0 * gen.random(m) - 1.0)
         return a, gen.bit_generator.random_raw((m, n))
 
-    @staticmethod
-    def _invert(a, v):
+    def _native(self, a, w):
+        v = _unit(w)
         den = (1.0 - a) + np.sqrt((1.0 - a) ** 2 + 4.0 * a * v)
         return np.where(np.abs(a) < 1e-12, v, 2.0 * v / den)
-
-    def _native_paths(self, gen, m, n):
-        a, w = self._draw(gen, m, n)
-        return self._invert(a[:, None], _unit(w))
-
-    def _umax(self, gen, m, n):
-        # the conditional quantile is increasing in v for every a in [-1, 1]
-        a, w = self._draw(gen, m, n)
-        return self._invert(a, _unit(w.max(axis=1)))
 
 
 class BermanEquicorrelated(SequenceModel):
@@ -422,20 +410,12 @@ class BermanEquicorrelated(SequenceModel):
         """Common factor Z_0 per row and the (m, n) words of the normals Z_i."""
         return gen.standard_normal(m), gen.bit_generator.random_raw((m, n))
 
-    def _native_paths(self, gen, m, n):
-        z0, w = self._draw(gen, m, n)
-        return math.sqrt(self.rho) * z0[:, None] + math.sqrt(1.0 - self.rho) * _normal(w)
+    def _native(self, z0, w):
+        # Z_i is non-decreasing in its word
+        return math.sqrt(self.rho) * z0 + math.sqrt(1.0 - self.rho) * _normal(w)
 
     def _to_uniform(self, x):
         return _ndtr(x)
-
-    def _native_cdf(self, x):
-        return _ndtr(x)
-
-    def _umax(self, gen, m, n):
-        # Z_i is non-decreasing in its word, so the row's largest comes from its largest word
-        z0, w = self._draw(gen, m, n)
-        return _ndtr(math.sqrt(self.rho) * z0 + math.sqrt(1.0 - self.rho) * _normal(w.max(axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +434,8 @@ def _slices(rng: RngStream, n: int, reps: int, workers: int, draw) -> np.ndarray
     releases it; on a 2-vCPU host two workers ran n = 4 and n = 16 calls
     0.5-0.9 times as fast as one.
     """
-    _check_count("n", n)
-    _check_count("reps", reps)
+    check_count("n", n)
+    check_count("reps", reps)
 
     def block(start):
         gen = rng.block_generator(start // BLOCK_REPS)
@@ -479,10 +459,10 @@ def sample_paths(model: SequenceModel, margin: Margin | None, n: int, reps: int,
     margin=None returns the model's native scale: uniform margins for the
     copula-built models, standard normal for the equicorrelated model.
     """
+    paths = _slices(rng, n, reps, 1, model._native_paths)
     if margin is None:
-        return _slices(rng, n, reps, 1, model._native_paths)
-    u = _slices(rng, n, reps, 1, model._uniform_paths)
-    return np.asarray(margin.quantile(_clip_unit(u)), dtype=float)
+        return paths
+    return np.asarray(margin.quantile(_clip_unit(model._to_uniform(paths))), dtype=float)
 
 
 def max_sample(
@@ -503,7 +483,7 @@ def empirical_diagonal(
     This is the diagonal delta_n(u) of the model's copula; the binomial
     standard error sqrt(p*(1-p)/reps) is attached.
     """
-    _check_count("reps", reps, 1000)
+    check_count("reps", reps, 1000)
     if not 0.0 <= u <= 1.0:
         raise ValueError("u must lie in [0, 1]")
     hits = int(np.count_nonzero(_slices(rng, n, reps, workers, model._umax) <= u))
@@ -528,13 +508,13 @@ def normalized_max_ecdf(
     the margin cdf), so only one cdf evaluation per grid point is needed; the
     sorted row maxima are counted against every threshold by binary search.
     """
-    _check_count("reps", reps, 1000)
+    check_count("reps", reps, 1000)
     if not c_n > 0:
         raise ValueError("c_n must be positive")
     x = np.asarray(x_grid, dtype=float)
     raw_thresholds = c_n * x + d_n
     if margin is None:
-        uthresh = np.asarray(model._native_cdf(raw_thresholds), dtype=float)
+        uthresh = np.asarray(model._to_uniform(raw_thresholds), dtype=float)
     else:
         uthresh = np.asarray(margin.cdf(raw_thresholds), dtype=float)
     # the binary search would count a NaN level above every maximum, and

@@ -53,8 +53,9 @@ def test_construction_examples():
 def test_parameter_validation():
     with pytest.raises(ValueError):
         make_diagonal("cuadras-auge", theta=1.5)
-    with pytest.raises(ValueError):
-        make_diagonal("movingmax", k=-1)
+    for k in (-1, True, False):
+        with pytest.raises(ValueError, match="window k must be an integer >= 0"):
+            make_diagonal("movingmax", k=k)
     with pytest.raises(ValueError):
         make_diagonal("efgm", theta=2.0)
     with pytest.raises(ValueError):

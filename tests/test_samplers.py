@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import gammaln, ndtri
+from scipy.special import gammaln, ndtr, ndtri
 from scipy.stats import kstest
 
 from maxdep import samplers
@@ -126,15 +126,27 @@ def test_rows_are_laid_out_in_block_order():
     assert np.array_equal(paths[4096:], model._native_paths(RngStream(40, 1).block_generator(1), 1, 6))
 
 
-def test_ecdf_counts_every_maximum_at_or_below_each_level():
+@pytest.mark.parametrize(
+    "model, cdf, quantile",
+    [
+        (ArchimedeanFrailty("gumbel", 2.0), lambda x: np.clip(x, 0.0, 1.0), lambda u: u),
+        (BermanEquicorrelated(0.5), ndtr, ndtri),
+    ],
+    ids=["gumbel", "berman"],
+)
+def test_ecdf_counts_every_maximum_at_or_below_each_level(model, cdf, quantile):
     # normalized_max_ecdf sorts the maxima and binary-searches each level;
     # that must count exactly the maxima <= t, ties included, for unsorted
-    # levels, infinite levels and levels equal to observed maxima
-    model, n, reps = ArchimedeanFrailty("gumbel", 2.0), 8, 5000
+    # levels, infinite levels and levels equal to observed maxima.  With no
+    # margin the levels lie on the model's native scale, uniform for gumbel
+    # and normal for Berman, and reach the uniform maxima through its cdf
+    n, reps = 8, 5000
     umax = max_sample(model, None, n, reps, RngStream(41, 0))
-    levels = np.array([0.7, np.inf, umax[17], 0.2, -np.inf, umax[4999], umax.min(), 0.95, umax.max(), umax[0]])
+    xmax = sample_paths(model, None, n, reps, RngStream(41, 0)).max(axis=1)
+    levels = np.array([quantile(0.7), np.inf, xmax[17], quantile(0.2), -np.inf, xmax[4999], xmax.min(),
+                       quantile(0.95), xmax.max(), xmax[0]])
     p, _ = normalized_max_ecdf(model, None, n, reps, 1.0, 0.0, levels, RngStream(41, 0))
-    want = (umax[:, None] <= np.clip(levels, 0.0, 1.0)).sum(axis=0)
+    want = (umax[:, None] <= cdf(levels)).sum(axis=0)
     assert np.array_equal(p, want / reps)
     assert p[1] == 1.0 and p[4] == 0.0 and p[6] == 1 / reps
 
@@ -245,6 +257,11 @@ def test_frailty_unknown_family():
     gen = RngStream(0, 0).block_generator(0)
     with pytest.raises(ValueError):
         frailty_sample("ballerini", None, gen, 10)
+    # a family without a frailty draw fails at construction, not at the first draw
+    with pytest.raises(ValueError, match="no frailty sampler"):
+        ArchimedeanFrailty("ballerini")
+    with pytest.raises(ValueError, match="no frailty sampler"):
+        ArchimaxLogistic("ballerini", None, 2.0)
 
 
 # parameters of every model table entry that has both a sampler and a diagonal
@@ -354,6 +371,11 @@ def test_seed_outside_64_bits_is_rejected():
             RngStream(seed, 0)
     for seed in (0, (1 << 64) - 1):
         assert RngStream(seed, 0).block_generator(0).random(2).shape == (2,)
+    # the stream index fills 40 bits of the counter; it is checked at construction too
+    for index in (-1, 1 << 40):
+        with pytest.raises(ValueError, match="stream index out of range"):
+            RngStream(1, index)
+    assert RngStream(1, (1 << 40) - 1).block_generator(0).random(2).shape == (2,)
 
 
 def test_invalid_inputs():
@@ -367,6 +389,9 @@ def test_invalid_inputs():
         BermanEquicorrelated(0.0)
     with pytest.raises(ValueError):
         EfgmExchangeable(1.5)
+    for k in (-1, 1.0, True, False):
+        with pytest.raises(ValueError, match="window k must be an integer >= 0"):
+            MovingMax(k)
     with pytest.raises(ValueError):
         model_spec("unknown-model")
 
@@ -392,7 +417,7 @@ def test_umax_is_the_path_maximum(model):
     for block, (m, n) in enumerate(shapes):
         stream = RngStream(2718, 3)
         got = model._umax(stream.block_generator(block), m, n)
-        want = model._uniform_paths(stream.block_generator(block), m, n).max(axis=1)
+        want = model._to_uniform(model._native_paths(stream.block_generator(block), m, n)).max(axis=1)
         assert got.shape == (m,)
         assert np.array_equal(got, want), (model.tag, m, n)
 
