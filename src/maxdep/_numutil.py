@@ -16,6 +16,43 @@ def check_count(name: str, value, least: int = 1):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def check_real(name: str, value):
+    """Raise if value is a bool: True and False are flags, not model parameters."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def check_level(q):
+    """q as a float array; raises unless every level lies in (0, 1), NaN included."""
+    q = np.asarray(q, dtype=float)
+    if not ((q > 0.0) & (q < 1.0)).all():
+        raise ValueError("quantile level must lie strictly in (0, 1)")
+    return q
+
+
+def on_unit(what: str, f, ends):
+    """A formula f on the open interval (0, 1) as a function on [0, 1].
+
+    The function, called as (u, *args), raises ValueError for a u outside
+    [0, 1], NaN included.  f(u, *args) sees the interior points only, each
+    endpoint read as 0.5; ends() gives the pair of values at 0 and 1 and is
+    called only when u holds an endpoint.  A scalar u gives a float.
+    """
+
+    def on_closed(u, *args):
+        u = np.asarray(u, dtype=float)
+        if not ((u >= 0.0) & (u <= 1.0)).all():
+            raise ValueError(f"{what} argument must lie in [0, 1]")
+        interior = (u > 0.0) & (u < 1.0)
+        out = np.asarray(f(np.where(interior, u, 0.5), *args), dtype=float)
+        if not interior.all():
+            at0, at1 = ends()
+            out = np.where(interior, out, np.where(u <= 0.0, at0, at1))
+        return scalar_or_array(out)
+
+    return on_closed
+
+
 def golden_max(f, a: float, b: float, tol: float = 1e-12) -> tuple[float, float]:
     """Golden-section maximization of f on [a, b].
 

@@ -234,8 +234,6 @@ _FIGURE1_PRESET = [
 
 def cmd_distortion(args) -> Table:
     grid = _parse_grid(args.u_grid)
-    if not ((grid >= 0.0) & (grid <= 1.0)).all():
-        raise ValueError("distortion argument must lie in [0, 1]")
     config = {"generator": args.generator, "theta": args.theta, "u-grid": args.u_grid}
     table = Table("distortion", config, ["family", "u", "cdf", "density", "quantile"])
     if args.generator.lower() == "figure1":
@@ -320,10 +318,11 @@ def cmd_converge(args) -> Table:
         r_n = rate(n)
         c, d, limit = margin.normalizers(int(math.ceil(r_n)))
         grid = x_grid if x_grid is not None else gev_quantile(limit, np.linspace(0.02, 0.98, 41))
-        target = np.asarray(D.cdf(gev_cdf(limit, grid)), dtype=float)
+        # the estimator first, so that a NaN threshold fails before any draw and before D sees it
         ecdf, se = samplers.normalized_max_ecdf(
             model, margin, n, args.reps, c, d, grid, samplers.RngStream(seed, idx), workers=args.workers
         )
+        target = np.asarray(D.cdf(gev_cdf(limit, grid)), dtype=float)
         sup = np.max(np.abs(ecdf - target))
         rep = _composite_bound(spec, params, margin, n, r_n)
         table.add(n, sup, np.max(se), rep.bound if rep else None)

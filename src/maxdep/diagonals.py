@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._numutil import check_count, golden_max, scalar_exponent_power, scalar_or_array
+from ._numutil import check_count, check_real, golden_max, on_unit, scalar_exponent_power
 from .distortions import Distortion, archimedean_limit, efgm_limit, power
 from .generators import ArchGenerator
 
@@ -106,13 +106,11 @@ class DiagonalFamily:
             r = np.asarray(r, dtype=float)
             if not (r > 0).all():
                 raise ValueError(f"rate must be positive, got {r[~(r > 0)][0]}")
-        u = np.asarray(u, dtype=float)
-        if not ((u >= 0) & (u <= 1)).all():
-            raise ValueError("diagonal argument must lie in [0, 1]")
-        # endpoints are fixed for every copula diagonal; evaluate only inside
-        interior = (u > 0.0) & (u < 1.0)
-        out = np.asarray(self.fn(n, np.where(interior, u, 0.5), r), dtype=float)
-        return scalar_or_array(np.where(interior, out, np.where(u <= 0.0, 0.0, 1.0)))
+        return _delta(u, self.fn, n, r)
+
+
+# endpoints are fixed for every copula diagonal; fn is evaluated only inside
+_delta = on_unit("diagonal", lambda u, fn, n, r: fn(n, u, r), lambda: (0.0, 1.0))
 
 
 def _power_diagonal(eta: Callable[[int], float]) -> Callable:
@@ -224,11 +222,11 @@ def archimedean_diagonal(g: ArchGenerator) -> DiagonalFamily:
     )
 
 
-def archimax_diagonal(g: ArchGenerator, eta: Callable[[int], float], tag: str | None = None) -> DiagonalFamily:
+def archimax_diagonal(g: ArchGenerator, eta: Callable[[int], float]) -> DiagonalFamily:
     """delta_n(u^(1/r)) = psi(eta_n * psi_inv(u, r)); rate 1/(1 - psi(1/eta_n))."""
     return DiagonalFamily(
         fn=_scaled_inverse_diagonal(g, eta),
-        tag=tag or f"archimax[{g.tag}]",
+        tag=f"archimax[{g.tag}]",
         canonical_rate=_arch_rate(g, eta),
         limit_distortion=archimedean_limit(g),
     )
@@ -263,6 +261,7 @@ def efgm_mixture_diagonal(theta: float) -> DiagonalFamily:
     (n+1)*e < 1e-3 the log of the mean comes from its binomial series
     (``_log_binomial_mean``), so at e = 0 (theta = 0) it is hi^n = u^n.
     """
+    check_real("theta", theta)
     if not (-1.0 <= theta <= 1.0):
         raise ValueError(f"theta must lie in [-1, 1], got {theta}")
     th = abs(theta)

@@ -12,6 +12,7 @@ come from one vectorized Newton solve in log u over all levels at once.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -19,11 +20,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numutil import scalar_or_array
+from ._numutil import check_level, on_unit, scalar_or_array
 # bound under its earlier name, which the benchmark's tracer rebinds to count
 # the cdf evaluations of the quantile solves
 from ._numutil import solve_increasing as bisect_increasing
-from .generators import ArchGenerator, builtin_generator
+from .generators import ArchGenerator
 from .gev import GevParams, gev_cdf
 
 
@@ -31,14 +32,25 @@ from .gev import GevParams, gev_cdf
 class Distortion:
     """cdf/density/quantile bundle on [0, 1].
 
-    density is defined on the open interval with boundary limits at 0 and 1
-    (possibly infinite); quantile maps (0, 1) to (0, 1).
+    cdf and density take u in [0, 1] and raise elsewhere, NaN included; the
+    density at 0 and 1 is its boundary limit (possibly infinite).  quantile
+    maps levels in (0, 1) to [0, 1] and raises at any other level.
     """
 
     cdf: Callable
     density: Callable
     quantile: Callable
     tag: str = "distortion"
+
+
+def _distortion(tag: str, cdf, density, density_ends, quantile=None) -> Distortion:
+    """The Distortion of formulas on (0, 1): D(0) = 0, D(1) = 1, the density's
+    boundary values from density_ends(), called once at the first call that
+    needs one, and the quantile solved numerically where no formula is given."""
+    cdf = on_unit("distortion", cdf, lambda: (0.0, 1.0))
+    density = on_unit("distortion", density, functools.cache(density_ends))
+    quantile = quantile or _numeric_quantile(cdf, density)
+    return Distortion(cdf, density, lambda q: scalar_or_array(quantile(check_level(q))), tag)
 
 
 # log of the smallest normal double: the lower end of every quantile solve
@@ -62,13 +74,10 @@ def _numeric_quantile(cdf, density) -> Callable:
         floor = float(np.log(cdf(sys.float_info.min)))
 
     def quantile(q):
-        arr = np.asarray(q, dtype=float)
-        if ((arr <= 0) | (arr >= 1)).any():
-            raise ValueError("quantile level must lie strictly in (0, 1)")
-        logq = np.log(arr)
+        logq = np.log(q)
         inside = logq > floor
         x = bisect_increasing(log_cdf, np.where(inside, logq, 0.0), _LOG_DBL_MIN, 0.0, 1e-10)
-        return scalar_or_array(np.where(inside, np.exp(x), 0.0))
+        return np.where(inside, np.exp(x), 0.0)
 
     return quantile
 
@@ -78,16 +87,9 @@ def power(theta: float) -> Distortion:
     if not theta > 0:
         raise ValueError(f"power exponent must be positive, got {theta}")
 
-    def density(u):
-        with np.errstate(divide="ignore"):
-            return scalar_or_array(theta * np.asarray(u, dtype=float) ** (theta - 1.0))
-
-    return Distortion(
-        cdf=lambda u: scalar_or_array(np.asarray(u, dtype=float) ** theta),
-        density=density,
-        quantile=lambda q: scalar_or_array(np.asarray(q, dtype=float) ** (1.0 / theta)),
-        tag=f"power({theta})",
-    )
+    return _distortion(f"power({theta})", lambda u: u**theta, lambda u: theta * u ** (theta - 1.0),
+                       lambda: (theta * 0.0 ** (theta - 1.0) if theta >= 1.0 else math.inf, theta),
+                       lambda q: q ** (1.0 / theta))
 
 
 def _arch_density_at_zero(g: ArchGenerator) -> float:
@@ -131,30 +133,16 @@ def archimedean_limit(g: ArchGenerator) -> Distortion:
         raise ValueError(f"generator rho must lie in (0, 1], got {rho}")
 
     def cdf(u):
-        u = np.asarray(u, dtype=float)
-        with np.errstate(divide="ignore", over="ignore"):
-            y = (-np.log(np.where(u > 0, u, 0.5))) ** (1.0 / rho)
-            core = np.asarray(g.psi(y), dtype=float)
-        return scalar_or_array(np.where(u <= 0, 0.0, np.where(u >= 1, 1.0, core)))
-
-    d0 = _arch_density_at_zero(g)
-    d1 = _arch_density_at_one(g)
+        with np.errstate(over="ignore"):
+            return g.psi((-np.log(u)) ** (1.0 / rho))
 
     def density(u):
-        u = np.asarray(u, dtype=float)
-        inner = (u > 0) & (u < 1)
-        uu = np.where(inner, u, 0.5)
-        y = (-np.log(uu)) ** (1.0 / rho)
-        core = -np.asarray(g.psi_prime(y), dtype=float) * y ** (1.0 - rho) / (rho * uu)
-        return scalar_or_array(np.where(inner, core, np.where(u <= 0, d0, d1)))
+        y = (-np.log(u)) ** (1.0 / rho)
+        return -np.asarray(g.psi_prime(y), dtype=float) * y ** (1.0 - rho) / (rho * u)
 
-    def quantile(q):
-        q = np.asarray(q, dtype=float)
-        if np.any(q <= 0) or np.any(q >= 1):
-            raise ValueError("quantile level must lie strictly in (0, 1)")
-        return scalar_or_array(np.exp(-np.asarray(g.psi_inv(q), dtype=float) ** rho))
-
-    return Distortion(cdf, density, quantile, tag=f"arch-limit[{g.tag}]")
+    return _distortion(f"arch-limit[{g.tag}]", cdf, density,
+                       lambda: (_arch_density_at_zero(g), _arch_density_at_one(g)),
+                       lambda q: np.exp(-np.asarray(g.psi_inv(q), dtype=float) ** rho))
 
 
 def efgm_limit(theta: float) -> Distortion:
@@ -169,15 +157,11 @@ def efgm_limit(theta: float) -> Distortion:
         raise ValueError(f"theta must lie in [-1, 1] and differ from 0, got {theta}")
 
     def cdf(u):
-        u = np.asarray(u, dtype=float)
-        inner = (u > 0) & (u < 1)
-        uu = np.where(inner, u, 0.5)
-        L = np.log(uu)
+        L = np.log(u)
         z = theta * L
-        direct = (uu ** (1.0 + theta) - uu ** (1.0 - theta)) / (2.0 * theta * L)
+        direct = (u ** (1.0 + theta) - u ** (1.0 - theta)) / (2.0 * theta * L)
         with np.errstate(over="ignore"):
-            core = np.where(np.abs(z) < 1e-3, uu * np.sinh(z) / z, direct)
-        return scalar_or_array(np.where(inner, core, np.where(u <= 0, 0.0, 1.0)))
+            return np.where(np.abs(z) < 1e-3, u * np.sinh(z) / z, direct)
 
     th = abs(theta)
 
@@ -187,10 +171,7 @@ def efgm_limit(theta: float) -> Distortion:
         # their series, which keep full precision as u -> 1.  Elsewhere
         # d = c_plus*u^|t| + c_minus*u^-|t|, the u^-|t| term taken in log
         # space so that it overflows only where d exceeds DBL_MAX.
-        # d(0+) = +inf; d(1) = 1.
-        u = np.asarray(u, dtype=float)
-        inner = (u > 0) & (u < 1)
-        z = th * np.log(np.where(inner, u, 0.5))
+        z = th * np.log(u)
         small = np.abs(z) < 0.1
         zl = np.where(small, -1.0, z)
         w = 0.5 / (zl * zl)
@@ -202,9 +183,10 @@ def efgm_limit(theta: float) -> Distortion:
             sinhc = 1.0 + zz * (1 / 6 + zz * (1 / 120 + zz * (1 / 5040 + zz * (1 / 362880 + zz / 39916800))))
             odd = zs * (1 / 3 + zz * (1 / 30 + zz * (1 / 840 + zz * (1 / 45360 + zz / 3991680))))
             out[small] = sinhc + th * odd
-        return scalar_or_array(np.where(inner, out, np.where(u <= 0, np.inf, 1.0)))
+        return out
 
-    return Distortion(cdf, density, _numeric_quantile(cdf, density), tag=f"efgm({theta})")
+    # d(0+) = +inf; d(1) = 1
+    return _distortion(f"efgm({theta})", cdf, density, lambda: (math.inf, 1.0))
 
 
 def parameter_mixture(components: Sequence[Distortion], weights: Sequence[float], tag: str = "mixture") -> Distortion:
@@ -217,12 +199,12 @@ def parameter_mixture(components: Sequence[Distortion], weights: Sequence[float]
     comps = list(components)
 
     def cdf(u):
-        return scalar_or_array(sum(wi * np.asarray(c.cdf(u), dtype=float) for wi, c in zip(w, comps)))
+        return sum(wi * np.asarray(c.cdf(u), dtype=float) for wi, c in zip(w, comps))
 
     def density(u):
-        return scalar_or_array(sum(wi * np.asarray(c.density(u), dtype=float) for wi, c in zip(w, comps)))
+        return sum(wi * np.asarray(c.density(u), dtype=float) for wi, c in zip(w, comps))
 
-    return Distortion(cdf, density, _numeric_quantile(cdf, density), tag=tag)
+    return _distortion(tag, cdf, density, lambda: density(np.array([0.0, 1.0])))
 
 
 def mixture_over_interval(make: Callable[[float], Distortion], a: float, b: float, nodes: int = 64, tag: str = "mixture") -> Distortion:
@@ -249,46 +231,37 @@ def amh_uniform_mixture() -> Distortion:
     Closed form D(u) = 1 + ((1-u)/u) * log1p(-u), density
     -log1p(-u)/u^2 - 1/u.  Both subtract nearly equal terms as u -> 0, so
     below u = 0.1 they come from the series D(u) = sum u^k/(k(k+1)) and
-    d(u) = sum u^(k-1)/(k+1): D ~ u/2 and d(0) = 1/2.  d(1) = +inf.  The
-    tests check this against a Gauss-Legendre mixture built with
-    ``mixture_over_interval``.
+    d(u) = sum u^(k-1)/(k+1), each summed by Horner's rule: D ~ u/2 and
+    d(0) = 1/2.  d(1) = +inf.  The tests check this against a Gauss-Legendre
+    mixture built with ``mixture_over_interval``.
     """
 
-    def cdf(u):
-        u = np.asarray(u, dtype=float)
-        small = u < _AMH_SERIES_U
-        ud = np.where(small | (u >= 1.0), 0.5, u)
-        out = np.where(u >= 1.0, 1.0, 1.0 + (1.0 - ud) / ud * np.log1p(-ud))
-        if np.count_nonzero(small):
-            out[small] = np.maximum(u[small], 0.0)[:, None] ** _AMH_K @ (1.0 / (_AMH_K * (_AMH_K + 1)))
-        return scalar_or_array(out)
+    def series(closed, coefs):
+        # the closed form, and below u = 0.1 sum_j coefs[j]*u^j by Horner's rule
+        def f(u):
+            small = u < _AMH_SERIES_U
+            out = np.asarray(closed(np.where(small, 0.5, u)))
+            if np.count_nonzero(small):
+                us = u[small]
+                acc = np.full(us.shape, coefs[-1])
+                for c in coefs[-2::-1]:
+                    acc = acc * us + c
+                out[small] = acc
+            return out
 
-    def density(u):
-        u = np.asarray(u, dtype=float)
-        small = u < _AMH_SERIES_U
-        ud = np.where(small | (u >= 1.0), 0.5, u)
-        out = np.where(u >= 1.0, np.inf, -np.log1p(-ud) / ud**2 - 1.0 / ud)
-        if np.count_nonzero(small):
-            out[small] = np.maximum(u[small], 0.0)[:, None] ** (_AMH_K - 1) @ (1.0 / (_AMH_K + 1))
-        return scalar_or_array(out)
+        return f
 
-    return Distortion(cdf, density, _numeric_quantile(cdf, density), tag="amh-uniform-mixture")
+    cdf = series(lambda u: 1.0 + (1.0 - u) / u * np.log1p(-u), np.append(0.0, 1.0 / (_AMH_K * (_AMH_K + 1))))
+    density = series(lambda u: -np.log1p(-u) / u**2 - 1.0 / u, 1.0 / (_AMH_K + 1))
+    return _distortion("amh-uniform-mixture", cdf, density, lambda: (0.5, math.inf))
 
 
 def make_distortion(variant: str, **params) -> Distortion:
-    v = variant.lower().replace("_", "-")
-    if v == "power":
-        return power(params["theta"])
-    if v in ("archimedean", "arch-limit", "archimedean-limit"):
-        g = params.get("generator")
-        if g is None:
-            g = builtin_generator(params["family"], params.get("theta"))
-        return archimedean_limit(g)
-    if v == "efgm":
-        return efgm_limit(params["theta"])
-    if v in ("amh-mixture", "amh-uniform-mixture"):
-        return amh_uniform_mixture()
-    raise ValueError(f"unknown distortion variant {variant!r}")
+    """The limit distortion D of a model by name (its ``MODELS`` limit); other parameters are ignored."""
+    from .models import model_spec  # imported here: models imports this module
+
+    spec = model_spec(variant, "limit")
+    return spec.limit(**{p: params[p] for p in spec.params})
 
 
 def limit_law_cdf(D: Distortion, H: GevParams, x):

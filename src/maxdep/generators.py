@@ -11,12 +11,12 @@ the diagonal machinery would otherwise lose up to half their digits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ._numutil import scalar_exponent_power, scalar_or_array, solve_increasing
+from ._numutil import check_real, scalar_exponent_power, scalar_or_array, solve_increasing
 
 # bracket grid of the numeric inverse: log t from the smallest positive double
 # to the largest, through -512, ..., -1, 1, ..., 512
@@ -60,11 +60,7 @@ class ArchGenerator:
     rho: float
     neg_psi_prime_0: float
     tag: str
-    one_minus_psi: Callable = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.one_minus_psi is None:
-            object.__setattr__(self, "one_minus_psi", lambda s: 1.0 - self.psi(s))
+    one_minus_psi: Callable
 
 
 def _numeric_inverse(f: Callable, f_prime: Callable, excess: Callable | None = None) -> Callable:
@@ -184,6 +180,7 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
 
     if theta is None:
         raise ValueError(f"family {family!r} requires a parameter")
+    check_real("theta", theta)
     th = float(theta)
 
     if fam == "amh":

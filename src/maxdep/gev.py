@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numutil import scalar_or_array
+from ._numutil import check_level, scalar_or_array
 
 # |xi| below this is treated as the Gumbel branch; the xi != 0 formula has a
 # removable limit there, and the two differ by about xi*z^2/2 in log(-log H).
@@ -50,16 +50,16 @@ def _t_power(p: GevParams, z):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if abs(p.xi) < XI_LOG1P:
             # t^(-1/xi) would multiply the rounding of t by 1/|xi|
-            w = np.exp(-np.log1p(np.where(t > 0, p.xi * z, 0.0)) / p.xi)
+            w = np.exp(-np.log1p(np.where(t <= 0, 0.0, p.xi * z)) / p.xi)
         else:
-            w = np.where(t > 0, t, 1.0) ** (-1.0 / p.xi)
+            w = np.where(t <= 0, 1.0, t) ** (-1.0 / p.xi)
     return t, w
 
 
 def gev_cdf(p: GevParams, x):
     """Distribution function of H_{xi,mu,sigma}, clamped to 0/1 outside support.
 
-    Total in x (scalar or array); continuous everywhere.
+    Total in x (scalar or array); continuous everywhere.  A NaN x gives NaN.
     """
     x = np.asarray(x, dtype=float)
     z = (x - p.mu) / p.sigma
@@ -68,16 +68,13 @@ def gev_cdf(p: GevParams, x):
     else:
         t, w = _t_power(p, z)
         below = 0.0 if p.xi > 0 else 1.0
-        out = np.where(t > 0, np.exp(-w), below)
+        out = np.where(t <= 0, below, np.exp(-w))
     return scalar_or_array(out)
 
 
 def gev_quantile(p: GevParams, q):
     """Inverse of ``gev_cdf`` on (0, 1)."""
-    q = np.asarray(q, dtype=float)
-    if np.any(q <= 0.0) or np.any(q >= 1.0):
-        raise ValueError("quantile level must lie strictly in (0, 1)")
-    ell = -np.log(q)
+    ell = -np.log(check_level(q))
     if p.is_gumbel:
         out = p.mu - p.sigma * np.log(ell)
     else:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ._numutil import scalar_or_array
+from ._numutil import check_count, check_level, scalar_or_array
 from .gev import GevParams
 
 
@@ -43,17 +43,6 @@ class Margin:
         """Known bound on sup_x |F^n(c_n x + d_n) - limit(x)|."""
         raise NoKnownRateError(f"no uniform rate known for {self.tag}")
 
-    def _check_q(self, q):
-        q = np.asarray(q, dtype=float)
-        if np.any(q <= 0.0) or np.any(q >= 1.0):
-            raise ValueError("quantile level must lie strictly in (0, 1)")
-        return q
-
-
-def _require_n(n):
-    if not (isinstance(n, (int, np.integer)) and n >= 2):
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
-
 
 class UnitFrechet(Margin):
     """F(x) = exp(-1/x) for x > 0.  Exactly max-stable: F^n(n x) = F(x)."""
@@ -63,17 +52,17 @@ class UnitFrechet(Margin):
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore"):
-            return scalar_or_array(np.where(x > 0, np.exp(-1.0 / np.where(x > 0, x, 1.0)), 0.0))
+            return scalar_or_array(np.where(x <= 0, 0.0, np.exp(-1.0 / np.where(x <= 0, 1.0, x))))
 
     def quantile(self, q):
-        return -1.0 / np.log(self._check_q(q))
+        return -1.0 / np.log(check_level(q))
 
     def normalizers(self, n):
-        _require_n(n)
+        check_count("n", n, 2)
         return (float(n), 0.0, GevParams(1.0, 1.0, 1.0))
 
     def uniform_rate(self, n):
-        _require_n(n)
+        check_count("n", n, 2)
         return 0.0
 
 
@@ -90,18 +79,18 @@ class Frechet(Margin):
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        return scalar_or_array(np.where(x > 0, np.exp(-np.where(x > 0, x, 1.0) ** -self.alpha), 0.0))
+        return scalar_or_array(np.where(x <= 0, 0.0, np.exp(-np.where(x <= 0, 1.0, x) ** -self.alpha)))
 
     def quantile(self, q):
-        return (-np.log(self._check_q(q))) ** (-1.0 / self.alpha)
+        return (-np.log(check_level(q))) ** (-1.0 / self.alpha)
 
     def normalizers(self, n):
-        _require_n(n)
+        check_count("n", n, 2)
         a = self.alpha
         return (n ** (1.0 / a), 0.0, GevParams(1.0 / a, 1.0, 1.0 / a))
 
     def uniform_rate(self, n):
-        _require_n(n)
+        check_count("n", n, 2)
         return 0.0
 
 
@@ -118,13 +107,13 @@ class Exponential(Margin):
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        return scalar_or_array(np.where(x > 0, -np.expm1(-self.lam * x), 0.0))
+        return scalar_or_array(np.where(x <= 0, 0.0, -np.expm1(-self.lam * x)))
 
     def quantile(self, q):
-        return -np.log1p(-self._check_q(q)) / self.lam
+        return -np.log1p(-check_level(q)) / self.lam
 
     def normalizers(self, n):
-        _require_n(n)
+        check_count("n", n, 2)
         return (1.0 / self.lam, math.log(n) / self.lam, GevParams(0.0, 0.0, 1.0))
 
 
@@ -137,10 +126,10 @@ class Uniform01(Margin):
         return scalar_or_array(np.clip(np.asarray(x, dtype=float), 0.0, 1.0))
 
     def quantile(self, q):
-        return scalar_or_array(self._check_q(q))
+        return scalar_or_array(check_level(q))
 
     def normalizers(self, n):
-        _require_n(n)
+        check_count("n", n, 2)
         # F^n(x/n + 1) = (1 + x/n)^n -> e^x on x <= 0, i.e. xi = -1 with
         # upper endpoint 0: H_{-1,-1,1}(x) = exp(-(1-(x+1))) = exp(x).
         return (1.0 / n, 1.0, GevParams(-1.0, -1.0, 1.0))
@@ -159,13 +148,13 @@ class Pareto(Margin):
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        return scalar_or_array(np.where(x >= 1.0, 1.0 - np.where(x >= 1.0, x, 1.0) ** -self.alpha, 0.0))
+        return scalar_or_array(np.where(x < 1.0, 0.0, 1.0 - np.where(x < 1.0, 1.0, x) ** -self.alpha))
 
     def quantile(self, q):
-        return (1.0 - self._check_q(q)) ** (-1.0 / self.alpha)
+        return (1.0 - check_level(q)) ** (-1.0 / self.alpha)
 
     def normalizers(self, n):
-        _require_n(n)
+        check_count("n", n, 2)
         # c_n = F^{-1}(1 - 1/n) = n^{1/alpha}, d_n = 0.
         a = self.alpha
         return (n ** (1.0 / a), 0.0, GevParams(1.0 / a, 1.0, 1.0 / a))
@@ -192,7 +181,7 @@ class StandardNormal(Margin):
     def quantile(self, q):
         from scipy.special import ndtri
 
-        return scalar_or_array(ndtri(self._check_q(q)))
+        return scalar_or_array(ndtri(check_level(q)))
 
     def hall_constant(self, n: int) -> float:
         """Root b_n of 2*pi*b^2*exp(b^2) = n^2 (Hall 1979): sqrt(W0(n^2/(2*pi))).
@@ -202,7 +191,7 @@ class StandardNormal(Margin):
         """
         from scipy.special import lambertw
 
-        _require_n(n)
+        check_count("n", n, 2)
         return math.sqrt(lambertw(int(n) ** 2 / (2.0 * math.pi)).real)
 
     def normalizers(self, n):
@@ -210,7 +199,7 @@ class StandardNormal(Margin):
         return (1.0 / b, b, GevParams(0.0, 0.0, 1.0))
 
     def uniform_rate(self, n):
-        _require_n(n)
+        check_count("n", n, 2)
         return 3.0 / math.log(n)
 
 
@@ -230,7 +219,7 @@ class Generic(Margin):
         return self._cdf(x)
 
     def quantile(self, q):
-        return self._quantile(self._check_q(q))
+        return self._quantile(check_level(q))
 
     def normalizers(self, n):
         if self._normalizers is None:

@@ -101,7 +101,6 @@ class RateBoundReport:
     distortion_term: float
     holder_K: float
     holder_kappa: float
-    valid: bool = True
 
     def recompute(self) -> float:
         return self.holder_K * (self.margin_term + self.ceiling_term) ** self.holder_kappa + self.distortion_term

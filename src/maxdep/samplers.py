@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numutil import check_count
+from ._numutil import check_count, check_real
 from .generators import ArchGenerator, builtin_generator
 from .margins import Margin
 
@@ -325,6 +325,7 @@ class ArchimaxLogistic(SequenceModel):
     _decreasing = True  # Y decreases in E, and psi(1/y) increases in y
 
     def __init__(self, family: str, theta_gen: float | None, theta_stdf: float):
+        check_real("theta_stdf", theta_stdf)
         if not theta_stdf >= 1.0:
             raise ValueError(f"theta_stdf must be >= 1, got {theta_stdf}")
         self.family = family
@@ -345,16 +346,14 @@ class ArchimaxLogistic(SequenceModel):
 
 
 class GaussianAR1(SequenceModel):
-    """Y_t = phi*Y_{t-1} + Z_t with a stationary start; margins N(0, s^2/(1-phi^2))."""
+    """Y_t = phi*Y_{t-1} + Z_t, Z_t standard normal, with a stationary start; margins N(0, 1/(1-phi^2))."""
 
-    def __init__(self, phi: float, sigma: float = 1.0):
+    def __init__(self, phi: float):
+        check_real("phi", phi)
         if not -1.0 < phi < 1.0:
             raise ValueError(f"phi must lie in (-1, 1), got {phi}")
-        if not sigma > 0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
         self.phi = float(phi)
-        self.sigma = float(sigma)
-        self.stat_sd = self.sigma / math.sqrt(1.0 - self.phi**2)
+        self.stat_sd = 1.0 / math.sqrt(1.0 - self.phi**2)
         self.tag = f"ar1({phi})"
 
     def _draw(self, gen, m, n):
@@ -363,7 +362,7 @@ class GaussianAR1(SequenceModel):
         from scipy.signal import lfilter
 
         y0 = gen.standard_normal(m) * self.stat_sd
-        z = gen.standard_normal((m, n)) * self.sigma
+        z = gen.standard_normal((m, n))
         y, _ = lfilter([1.0], [1.0, -self.phi], z, axis=1, zi=(self.phi * y0)[:, None])
         return (y,)
 
@@ -381,6 +380,7 @@ class EfgmExchangeable(SequenceModel):
     """
 
     def __init__(self, theta: float):
+        check_real("theta", theta)
         if not -1.0 <= theta <= 1.0:
             raise ValueError(f"theta must lie in [-1, 1], got {theta}")
         self.theta = float(theta)

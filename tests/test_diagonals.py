@@ -58,6 +58,9 @@ def test_parameter_validation():
             make_diagonal("movingmax", k=k)
     with pytest.raises(ValueError):
         make_diagonal("efgm", theta=2.0)
+    for theta in (True, False):
+        with pytest.raises(ValueError, match="theta must be a real number"):
+            make_diagonal("efgm", theta=theta)
     with pytest.raises(ValueError):
         make_diagonal("no-such-family")
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from maxdep import distortions
 from maxdep.distortions import (
     amh_uniform_mixture,
     archimedean_limit,
@@ -14,10 +15,12 @@ from maxdep.distortions import (
     make_distortion,
     max_stability_defect,
     mixture_over_interval,
+    parameter_mixture,
     power,
 )
 from maxdep.generators import builtin_generator, scale_generator
 from maxdep.gev import GevParams, gev_cdf, gev_power
+from maxdep.models import MODELS
 
 PRESETS = [
     ("independence", None),
@@ -126,6 +129,61 @@ def test_parameter_validation():
         make_distortion("unknown")
 
 
+def test_make_distortion_is_the_model_limit():
+    assert make_distortion("clayton", theta=2.0).tag == "arch-limit[clayton(2.0)]"
+    assert make_distortion("power", theta=2.0, k=3).tag == "power(2.0)"  # k is not a power parameter
+    assert make_distortion("amh_uniform_mixture").tag == "amh-uniform-mixture"
+    with pytest.raises(ValueError, match="'comonotone' has no limit"):
+        make_distortion("comonotone")
+
+
+# a parameter inside each model's domain
+DOMAIN_PARAMS = {"k": 1, "theta": 2.0}
+DOMAIN_THETA = {"cuadras-auge": 0.5, "efgm": 0.5, "amh": 0.5}
+
+
+def every_limit():
+    limits = []
+    for name, spec in MODELS.items():
+        if spec.limit is not None:
+            params = {p: DOMAIN_THETA.get(name, DOMAIN_PARAMS[p]) if p == "theta" else DOMAIN_PARAMS[p] for p in spec.params}
+            limits.append(pytest.param(spec.limit(**params), id=name))
+    mixture = parameter_mixture([power(0.5), efgm_limit(0.5), amh_uniform_mixture()], [0.25, 0.25, 0.5])
+    return limits + [pytest.param(mixture, id="mixture")]
+
+
+@pytest.mark.parametrize("D", every_limit())
+def test_domain_errors(D):
+    # NaN once came back as a number: 0.59 from the clayton(1) cdf, 1.0 from efgm
+    for f in (D.cdf, D.density):
+        for u in (math.nan, -0.5, 1.5, np.array([0.5, math.nan]), np.array([[0.0], [1.5]])):
+            with pytest.raises(ValueError, match=r"distortion argument must lie in \[0, 1\]"):
+                f(u)
+    # power(theta).quantile once returned 0 and 1 at the levels 0 and 1, and
+    # the numeric quantiles 0 at NaN
+    for q in (math.nan, 0.0, 1.0, np.array([0.5, 1.0]), np.array([math.nan, 0.5])):
+        with pytest.raises(ValueError, match="quantile level"):
+            D.quantile(q)
+    # the endpoints are fixed, and a scalar in gives a float out
+    assert D.cdf(0.0) == 0.0 and D.cdf(1.0) == 1.0
+    for f in (D.cdf, D.density, D.quantile):
+        assert type(f(0.5)) is float
+
+
+def test_boundary_density_is_found_at_first_need(monkeypatch):
+    # the boundary probes of an Archimedean limit run at the first density
+    # call that holds an endpoint, once, and never when a diagonal is built
+    calls = []
+    monkeypatch.setattr(distortions, "_arch_density_at_zero", lambda g: calls.append(g.tag) or 7.0)
+    D = MODELS["clayton"].diagonal(theta=2.0).limit_distortion
+    D.cdf(np.array([0.0, 0.5, 1.0]))
+    D.density(np.array([0.25, 0.5]))
+    D.quantile(0.5)
+    assert calls == []
+    assert D.density(0.0) == 7.0 and D.density(np.array([0.0, 1.0, 0.5]))[0] == 7.0
+    assert calls == ["clayton(2.0)"]
+
+
 def test_distortion_is_distribution_function(preset):
     _, _, D = preset
     us = np.linspace(0.0, 1.0, 1000)
@@ -213,6 +271,31 @@ def test_amh_uniform_mixture_series_and_boundaries():
     assert float(M.density(0.0)) == 0.5 and math.isinf(float(M.density(1.0)))
     with pytest.raises(TypeError):
         amh_uniform_mixture(nodes=64)
+
+
+def test_amh_series_cells_do_not_depend_on_the_call():
+    # the series was once a BLAS product, whose rounding moved with the size
+    # of the call: dropping u = 0 moved the density at u = 0.0925 by one ulp
+    M = amh_uniform_mixture()
+    us = np.linspace(0.0, 1.0, 401)
+    for f in (M.cdf, M.density):
+        full = f(us)
+        assert np.array_equal(f(us[1:]), full[1:])
+        assert np.array_equal(f(us[7:33]), full[7:33])
+        assert np.array_equal([f(float(u)) for u in us], full)
+
+
+def test_amh_series_against_mpmath():
+    import mpmath as mp
+
+    M = amh_uniform_mixture()
+    us = np.linspace(0.0005, 0.0995, 199)
+    with mp.workdps(50):
+        for f, exact in ((M.cdf, lambda u: 1 + (1 - u) / u * mp.log1p(-u)),
+                         (M.density, lambda u: -mp.log1p(-u) / u**2 - 1 / u)):
+            for u, got in zip(us, f(us)):
+                ref = exact(mp.mpf(float(u)))
+                assert abs(mp.mpf(float(got)) - ref) <= 2 * np.spacing(float(ref)), (u, got)
 
 
 def test_scale_coherence():

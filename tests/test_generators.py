@@ -48,6 +48,10 @@ def test_parameter_ranges():
             builtin_generator(fam, bad)
     with pytest.raises(ValueError):
         builtin_generator("nonexistent", 1.0)
+    # a bool is no parameter: True once built clayton(1.0)
+    for fam in ("clayton", "amh", "gumbel"):
+        with pytest.raises(ValueError, match="theta must be a real number"):
+            builtin_generator(fam, True)
 
 
 def test_psi_basic_shape(builtin):

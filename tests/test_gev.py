@@ -30,6 +30,15 @@ def test_cdf_clamps_and_is_monotone():
         assert np.all((vals >= 0.0) & (vals <= 1.0))
 
 
+@pytest.mark.parametrize("p", [GUMBEL, GevParams(0.5, 1.0, 2.0), GevParams(-0.5, 1.0, 2.0), GevParams(0.005)],
+                         ids=["gumbel", "frechet", "weibull", "near-gumbel"])
+def test_cdf_of_nan_is_nan(p):
+    # a NaN x once fell on the clamped side of the support test: 0 at xi > 0, 1 at xi < 0
+    assert math.isnan(gev_cdf(p, math.nan))
+    out = gev_cdf(p, np.array([math.nan, 1.5]))
+    assert math.isnan(out[0]) and out[1] == gev_cdf(p, 1.5)
+
+
 def test_quantile_examples():
     assert gev_quantile(GUMBEL, math.exp(-1.0)) == pytest.approx(0.0, abs=1e-14)
     assert gev_quantile(GevParams(1.0, 0.0, 1.0), math.exp(-0.5)) == pytest.approx(1.0, rel=1e-13)
@@ -39,7 +48,7 @@ def test_quantile_examples():
     assert gev_quantile(p, 1.0 - 1e-12) < 1.0
 
 
-@pytest.mark.parametrize("q", [0.0, 1.0, -0.2, 1.3])
+@pytest.mark.parametrize("q", [0.0, 1.0, -0.2, 1.3, math.nan])
 def test_quantile_domain_error(q):
     with pytest.raises(ValueError):
         gev_quantile(GUMBEL, q)

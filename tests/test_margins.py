@@ -33,6 +33,17 @@ def test_quantile_cdf_identity(margin):
     assert np.max(np.abs(back - qs)) < 1e-12
 
 
+@pytest.mark.parametrize("margin", ALL_BUILTINS, ids=lambda m: m.tag)
+def test_nan_in_nan_out(margin):
+    # the cdf once read a NaN x as below the support and returned 0
+    assert math.isnan(margin.cdf(math.nan))
+    out = margin.cdf(np.array([math.nan, 1.5]))
+    assert math.isnan(out[0]) and out[1] == margin.cdf(1.5)
+    for q in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(ValueError, match="quantile level"):
+            margin.quantile(q)
+
+
 def test_invalid_parameters():
     for ctor in (Exponential, Frechet, Pareto):
         with pytest.raises(ValueError):

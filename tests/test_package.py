@@ -105,6 +105,29 @@ def test_tracer_sees_one_span_per_estimator_call():
     assert four == f"4 {elems} ('samplers.blocks', 8.0) ('samplers.pool_starts', 2.0)"
 
 
+def test_tracer_sees_the_distortion_layer():
+    # bench/tracing.py swaps the cdf, density and quantile fields of every
+    # Distortion handed out (dataclasses.replace) and rebinds
+    # distortions.bisect_increasing, which the numeric quantile must look up
+    # when it is called, to count the cdf evaluations of its solve
+    script = (
+        "import sys\n"
+        "sys.dont_write_bytecode = True\n"
+        f"sys.path.insert(0, {str(ROOT / 'bench')!r})\n"
+        "from tracing import Tracer, instrument\n"
+        "from maxdep import distortions\n"
+        "tracer = Tracer()\n"
+        "instrument(tracer)\n"
+        "tracer.on = True\n"
+        "distortions.make_distortion('efgm', theta=0.8).quantile([0.1, 0.5])\n"
+        "print(sum(s[1] == 'distortions.quantile' for s in tracer.spans), tracer.counts['distortions.quantile.cdf_evals'])\n"
+    )
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    spans, evals = proc.stdout.split()
+    assert spans == "1" and float(evals) > 0
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
     proc = _python("-W", "error::RuntimeWarning", str(demo), cwd=tmp_path)

@@ -389,6 +389,11 @@ def test_invalid_inputs():
         BermanEquicorrelated(0.0)
     with pytest.raises(ValueError):
         EfgmExchangeable(1.5)
+    # bools are flags, not parameters
+    for build in (lambda: EfgmExchangeable(True), lambda: GaussianAR1(False), lambda: ArchimaxLogistic("clayton", 2.0, True),
+                  lambda: ArchimaxLogistic("clayton", True, 2.0), lambda: ArchimedeanFrailty("clayton", True)):
+        with pytest.raises(ValueError, match="must be a real number"):
+            build()
     for k in (-1, 1.0, True, False):
         with pytest.raises(ValueError, match="window k must be an integer >= 0"):
             MovingMax(k)
