@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import math
 import os
@@ -96,13 +95,20 @@ def _read_config(path: str) -> dict[str, str]:
 
 
 class Table:
-    """Rows plus a reproducibility header; serializable as CSV or jsonl."""
+    """Rows plus a reproducibility header; serializable as CSV or jsonl.
+
+    jsonl is written from ``rows`` and CSV from the values each ``add`` call
+    received, so rows are added only through ``add``.
+    """
 
     def __init__(self, command: str, config: dict, columns: list[str]):
         self.command = command
         self.config = config
         self.columns = columns
         self.rows: list[list] = []
+        # the arrays of each add call before broadcasting: the CSV text is
+        # made from these, once for each value rather than once for each row
+        self._blocks: list[list[np.ndarray]] = []
 
     def add(self, *values):
         """Append one row per element of the broadcast values, in C order.
@@ -112,12 +118,16 @@ class Table:
         error: it raises before any row is appended, so it is never written
         out.  Cells are kept as Python numbers, strings and None
         (``tolist``), since csv prints a numpy float as ``np.float64(...)``.
+        The values are copied, so changing an array after the call changes
+        neither ``rows`` nor the rendered table.
         """
-        columns = [col.ravel() for col in np.broadcast_arrays(*map(np.atleast_1d, values))]
+        arrays = [np.array(v, ndmin=1) for v in values]
+        columns = [col.ravel() for col in np.broadcast_arrays(*arrays)]
         for name, col in zip(self.columns, columns):
             if np.any(col != col):
                 raise ValueError(f"NaN in {self.command} column {name}")
         self.rows.extend(map(list, zip(*(col.tolist() for col in columns))))
+        self._blocks.append(arrays)
 
     def _meta(self) -> str:
         items = " ".join(f"{k}={v}" for k, v in sorted(self.config.items()))
@@ -125,12 +135,28 @@ class Table:
 
     def render(self, fmt: str) -> str:
         if fmt == "csv":
-            buf = io.StringIO()
-            buf.write(f"# {self._meta()}\n")
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(self.columns)
-            writer.writerows(self.rows)
-            return buf.getvalue()
+            # the text csv.writer writes for rows, made without it: each
+            # recorded array is formatted once, then broadcast as in add;
+            # equal number arrays (figure1's shared u column) are formatted
+            # only the first time
+            lines = [f"# {self._meta()}", _QUOTE.writerow(self.columns)[:-1]]
+            memo: dict[tuple, np.ndarray] = {}
+
+            def text(a):
+                if a.dtype.kind == "O":
+                    return _csv_text(a)
+                key = (a.dtype.str, a.shape, a.tobytes())
+                if key not in memo:
+                    memo[key] = _csv_text(a)
+                return memo[key]
+
+            for arrays in self._blocks:
+                texts = np.broadcast_arrays(*map(text, arrays))
+                lines.extend(map(",".join, zip(*(t.ravel().tolist() for t in texts))))
+            if len(self.columns) == 1:
+                # csv.writer quotes a lone empty cell, which would else be a blank line
+                lines[2:] = [line or '""' for line in lines[2:]]
+            return "\n".join(lines) + "\n"
         if fmt == "jsonl":
             lines = [json.dumps({"_meta": self._meta()}, sort_keys=True)]
             for row in self.rows:
@@ -138,6 +164,42 @@ class Table:
                 lines.append(json.dumps(cells, sort_keys=True, allow_nan=False))
             return "\n".join(lines) + "\n"
         raise UsageError(f"unknown format {fmt!r}")
+
+
+class _Echo:
+    """A file whose write returns the line, so ``writerow`` returns it too."""
+
+    write = staticmethod(str)
+
+
+_QUOTE = csv.writer(_Echo(), lineterminator="\n")
+
+
+def _csv_cell(v) -> str:
+    """The text csv.writer writes for one cell.
+
+    None is empty, a float its repr and an int its str.  Anything else is
+    quoted by csv itself: its quoting of a field does not depend on the row,
+    so the field is written ahead of an empty one and the ",\n" cut off.
+    """
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return repr(v)
+    if isinstance(v, int):
+        return str(v)
+    return _QUOTE.writerow((v, ""))[:-2]
+
+
+def _csv_text(a: np.ndarray) -> np.ndarray:
+    """The csv text of every cell of a, as an object array of a's shape."""
+    if a.dtype.kind == "f" and a.itemsize <= 8:  # tolist gives Python floats
+        fmt = float.__repr__
+    elif a.dtype.kind in "iu":  # tolist gives Python ints
+        fmt = int.__repr__
+    else:
+        fmt = _csv_cell
+    return np.array(list(map(fmt, a.ravel().tolist())), dtype=object).reshape(a.shape)
 
 
 def _json_cell(v):

@@ -62,7 +62,9 @@ def _numeric_quantile(cdf, density) -> Callable:
 
     The slope of log D in log u is u*d(u)/D(u).  All levels are solved in one
     call on [log DBL_MIN, 0], DBL_MIN the smallest normal double; a level
-    below D(DBL_MIN) has a quantile below DBL_MIN, returned as 0.
+    below D(DBL_MIN) has a quantile below DBL_MIN, returned as 0.  D(DBL_MIN)
+    is evaluated at the first quantile call and kept, so building a
+    distortion whose quantile is never asked for costs no cdf call.
     """
 
     def log_cdf(x):
@@ -70,12 +72,14 @@ def _numeric_quantile(cdf, density) -> Callable:
         D = np.asarray(cdf(u), dtype=float)
         return np.log(D), u * np.asarray(density(u), dtype=float) / D
 
-    with np.errstate(divide="ignore"):
-        floor = float(np.log(cdf(sys.float_info.min)))
+    @functools.cache
+    def log_floor() -> float:
+        with np.errstate(divide="ignore"):
+            return float(np.log(cdf(sys.float_info.min)))
 
     def quantile(q):
         logq = np.log(q)
-        inside = logq > floor
+        inside = logq > log_floor()
         x = bisect_increasing(log_cdf, np.where(inside, logq, 0.0), _LOG_DBL_MIN, 0.0, 1e-10)
         return np.where(inside, np.exp(x), 0.0)
 

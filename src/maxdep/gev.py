@@ -23,6 +23,9 @@ XI_ZERO_TOL = 1e-12
 # as expm1(-xi*log(ell)); above it the plain powers lose at most two digits and
 # stay, so no value at the shapes the margins produce (0, 1/alpha, -1) moves
 XI_LOG1P = 1e-2
+# below this z, e^(-z) > e^700 and the Gumbel cdf and density are 0 in double
+# precision; z is clamped here so that e^(-z) cannot overflow on the way
+GUMBEL_Z_MIN = -700.0
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,7 @@ def gev_cdf(p: GevParams, x):
     x = np.asarray(x, dtype=float)
     z = (x - p.mu) / p.sigma
     if p.is_gumbel:
-        out = np.exp(-np.exp(-z))
+        out = np.exp(-np.exp(-np.maximum(z, GUMBEL_Z_MIN)))
     else:
         t, w = _t_power(p, z)
         below = 0.0 if p.xi > 0 else 1.0
@@ -85,18 +88,22 @@ def gev_quantile(p: GevParams, q):
 
 
 def gev_density(p: GevParams, x):
-    """Density of H_{xi,mu,sigma}; zero outside the support."""
+    """Density of H_{xi,mu,sigma}; zero outside the support and at x = +-inf.
+
+    A NaN x gives NaN, as in ``gev_cdf``.
+    """
     x = np.asarray(x, dtype=float)
     z = (x - p.mu) / p.sigma
     if p.is_gumbel:
-        with np.errstate(over="ignore"):
-            out = np.exp(-z - np.exp(-z)) / p.sigma
-        out = np.where(np.isnan(out), 0.0, out)
+        zc = np.maximum(z, GUMBEL_Z_MIN)
+        out = np.exp(-zc - np.exp(-zc)) / p.sigma
     else:
         t, w = _t_power(p, z)
         safe = np.where(t > 0, t, 1.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = np.where(t > 0, w / safe * np.exp(-w) / p.sigma, 0.0)
+            # w overflows only far in the tail, where exp(-w) is 0 first
+            body = np.where(np.isinf(w), 0.0, w / safe * np.exp(-w) / p.sigma)
+        out = np.where(t <= 0, 0.0, body)
     return scalar_or_array(out)
 
 

@@ -51,7 +51,8 @@ class UnitFrechet(Margin):
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
+        # 1/x overflows only below 1/DBL_MAX, where exp(-inf) gives the exact 0
+        with np.errstate(over="ignore"):
             return scalar_or_array(np.where(x <= 0, 0.0, np.exp(-1.0 / np.where(x <= 0, 1.0, x))))
 
     def quantile(self, q):
@@ -79,7 +80,9 @@ class Frechet(Margin):
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        return scalar_or_array(np.where(x <= 0, 0.0, np.exp(-np.where(x <= 0, 1.0, x) ** -self.alpha)))
+        # x^-alpha overflows only where the cdf is exactly 0
+        with np.errstate(over="ignore"):
+            return scalar_or_array(np.where(x <= 0, 0.0, np.exp(-np.where(x <= 0, 1.0, x) ** -self.alpha)))
 
     def quantile(self, q):
         return (-np.log(check_level(q))) ** (-1.0 / self.alpha)
@@ -107,7 +110,10 @@ class Exponential(Margin):
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        return scalar_or_array(np.where(x <= 0, 0.0, -np.expm1(-self.lam * x)))
+        # x <= 0 is masked before expm1, which overflows far to the left;
+        # lam*x overflows only where the cdf is exactly 1
+        with np.errstate(over="ignore"):
+            return scalar_or_array(-np.expm1(-self.lam * np.where(x <= 0, 0.0, x)))
 
     def quantile(self, q):
         return -np.log1p(-check_level(q)) / self.lam

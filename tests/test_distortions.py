@@ -184,6 +184,28 @@ def test_boundary_density_is_found_at_first_need(monkeypatch):
     assert calls == ["clayton(2.0)"]
 
 
+def test_quantile_floor_is_found_at_first_quantile(monkeypatch):
+    # the numeric quantile's floor D(DBL_MIN) was once evaluated when the
+    # distortion was built, most of what building efgm_limit cost
+    args = []
+    real = distortions.on_unit
+
+    def counting(what, f, ends):
+        g = real(what, f, ends)
+        return lambda u: args.append(np.copy(u)) or g(u)
+
+    monkeypatch.setattr(distortions, "on_unit", counting)
+    D = efgm_limit(0.8)
+    assert args == []
+    q = np.array([1e-70, 1e-60, 1e-9, 1e-6, 0.3, 0.999])
+    # the quantiles before the floor was deferred, the first level below it
+    expected = [0.0, 1.273801388545115e-285, 3.307831648511449e-35, 2.5171999739219736e-21,
+                0.2449198741509545, 0.9989998933105771]
+    assert D.quantile(q).tolist() == expected
+    assert D.quantile(q).tolist() == expected
+    assert [a.tolist() for a in args if a.shape == ()] == [sys.float_info.min]
+
+
 def test_distortion_is_distribution_function(preset):
     _, _, D = preset
     us = np.linspace(0.0, 1.0, 1000)

@@ -39,6 +39,30 @@ def test_cdf_of_nan_is_nan(p):
     assert math.isnan(out[0]) and out[1] == gev_cdf(p, 1.5)
 
 
+@pytest.mark.parametrize("p", [GUMBEL, GevParams(0.0, 3.0, 0.5), GevParams(0.5), GevParams(-0.5), GevParams(0.005), GevParams(-0.005)],
+                         ids=["gumbel", "gumbel-shifted", "frechet", "weibull", "near-gumbel+", "near-gumbel-"])
+def test_far_tails_are_quiet(p):
+    # e^(-z) once overflowed at x = -1000 on the Gumbel branch, and under
+    # error::RuntimeWarning that raised where the cdf is exactly 0; the
+    # density took inf - inf at -inf there and inf/inf at xi < 0
+    x = np.array([-math.inf, -1e300, -1000.0, 1000.0, 1e300, math.inf])
+    assert gev_cdf(p, -1000.0) == 0.0 and gev_cdf(p, -math.inf) == 0.0
+    assert gev_cdf(p, math.inf) == 1.0
+    assert np.array_equal(gev_cdf(p, x), [0.0, 0.0, 0.0, gev_cdf(p, 1000.0), 1.0, 1.0])
+    assert np.array_equal(gev_density(p, x[[0, 1, 2, 4, 5]]), np.zeros(5))
+    assert gev_density(p, -1000.0) == 0.0 and gev_density(p, math.inf) == 0.0
+
+
+@pytest.mark.parametrize("p", [GUMBEL, GevParams(0.5, 1.0, 2.0), GevParams(-0.5, 1.0, 2.0), GevParams(0.005)],
+                         ids=["gumbel", "frechet", "weibull", "near-gumbel"])
+def test_density_of_nan_is_nan(p):
+    # a NaN x once gave density 0 on every branch, where the cdf gives NaN
+    assert math.isnan(gev_density(p, math.nan))
+    out = gev_density(p, np.array([math.nan, 1.5, -math.inf, math.inf]))
+    assert math.isnan(out[0]) and out[1] == gev_density(p, 1.5) and out[1] > 0.0
+    assert out[2] == 0.0 and out[3] == 0.0
+
+
 def test_quantile_examples():
     assert gev_quantile(GUMBEL, math.exp(-1.0)) == pytest.approx(0.0, abs=1e-14)
     assert gev_quantile(GevParams(1.0, 0.0, 1.0), math.exp(-0.5)) == pytest.approx(1.0, rel=1e-13)

@@ -44,6 +44,19 @@ def test_nan_in_nan_out(margin):
             margin.quantile(q)
 
 
+@pytest.mark.parametrize("margin", ALL_BUILTINS + [Exponential(4.0)], ids=lambda m: m.tag)
+def test_far_tails_are_quiet(margin):
+    # Exponential once formed -expm1(1000) at x = -1000, and Exponential(4)
+    # 4 * 1e308; the Frechet margins overflowed x^-alpha or 1/x just above
+    # x = 0.  Each raised under error::RuntimeWarning where the cdf is
+    # exactly 0 or 1
+    x = np.array([-math.inf, -1000.0, 5e-324, 1e-200, 1e308, math.inf])
+    out = margin.cdf(x)
+    assert np.array_equal(out[:2], [0.0, 0.0]) and np.array_equal(out[4:], [1.0, 1.0])
+    assert np.all(np.diff(out) >= 0.0)
+    assert margin.cdf(-1000.0) == 0.0 and margin.cdf(1e308) == 1.0
+
+
 def test_invalid_parameters():
     for ctor in (Exponential, Frechet, Pareto):
         with pytest.raises(ValueError):
