@@ -403,8 +403,10 @@ def cmd_mixing(args) -> Table:
         raise ValueError(f"--u must lie in (0, 1), got {u}")
     config = {"family": fam.tag, "t1": args.t1, "t2": args.t2, "u": u, "n": args.n}
     table = Table("mixing", config, ["n", "v", "discrepancy"])
-    vs = [math.exp(math.log(u) / rate(n)) for n in ns]
-    table.add(ns, vs, [diagonals.mixing_discrepancy(fam, n, args.t1, args.t2, v) for n, v in zip(ns, vs)])
+    vs = np.array([math.exp(math.log(u) / rate(n)) for n in ns])
+    # the whole schedule in one call; an object array keeps an n past the
+    # int64 range exact
+    table.add(ns, vs, diagonals.mixing_discrepancy(fam, np.array(ns, dtype=object), args.t1, args.t2, vs))
     return table
 
 

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._numutil import check_count, check_real, golden_max, on_unit, scalar_exponent_power
+from ._numutil import check_count, check_real, on_unit, refine_max, scalar_exponent_power, scalar_or_array
 from .distortions import Distortion, archimedean_limit, efgm_limit, power
 from .generators import ArchGenerator
 
@@ -80,9 +80,8 @@ class DiagonalFamily:
     and fixes u = 0 and u = 1.  r = 1 (the default) is the diagonal itself,
     r = r_n the diagonal power distortion.  n (an int or an integer array),
     u and r broadcast against each other, and each element is bit for bit
-    what the call with its own n and r gives on the same u array.  (A 0-d u
-    takes numpy's scalar pow, which may differ from the array one in the
-    last digit.)
+    what the call with its own n and r gives on the same u array; a scalar
+    u gives the bits of a 1-element array.
 
     ``finite_rate_limit`` is set on families whose canonical rate converges to
     a finite constant rho; no stabilization applies there and the limit of the
@@ -314,13 +313,14 @@ def distortion_sup_distance(
     D: Distortion,
     grid_size: int = 1000,
 ) -> float:
-    """sup_u |delta_n(u^(1/r_n)) - D(u)| by grid scans plus golden-section refines.
+    """sup_u |delta_n(u^(1/r_n)) - D(u)| by grid scans plus an array refine.
 
     One grid is linear in u; the other is linear in log(-log u) over the
     whole double range, so it also finds suprema pressed against u = 0 or
     u = 1 (for Clayton, D decays only like a power of -log u, and the
     supremum at n = 64 sits near u = e^-298).  The scan with the larger
-    maximum is refined around its argmax.
+    maximum is refined around its argmax by ``refine_max``, whose passes each
+    evaluate the gap on one array of points, down to a bracket of 1e-12.
     """
     if grid_size < 100:
         raise ValueError("grid_size must be at least 100")
@@ -328,17 +328,14 @@ def distortion_sup_distance(
     def gap(u):
         return np.abs(power_distortion(fam, r, n, u) - np.asarray(D.cdf(u), dtype=float))
 
-    scans = []
-    for grid, to_u in (
-        (np.linspace(0.0, 1.0, grid_size), lambda x: x),
-        (np.linspace(*_LOGLOG_SPAN, grid_size), lambda w: np.exp(-np.exp(w))),
-    ):
-        diff = gap(to_u(grid))
-        i = int(np.argmax(diff))
-        scans.append((float(diff[i]), grid[max(i - 1, 0)], grid[min(i + 1, grid_size - 1)], to_u))
-    best, lo, hi, to_u = max(scans, key=lambda scan: scan[0])
-    _, refined = golden_max(lambda x: float(gap(to_u(x))), float(lo), float(hi), tol=1e-12)
-    return max(best, refined)
+    grids = (np.linspace(0.0, 1.0, grid_size), np.linspace(*_LOGLOG_SPAN, grid_size))
+    to_u = (lambda x: x, lambda w: np.exp(-np.exp(w)))
+    # both scans in one call; on a tie the linear one is refined
+    diffs = gap(np.concatenate([f(grid) for f, grid in zip(to_u, grids)])).reshape(2, grid_size)
+    k, i = np.unravel_index(np.argmax(diffs), diffs.shape)
+    grid, f = grids[k], to_u[k]
+    _, refined = refine_max(lambda x: gap(f(x)), grid[max(i - 1, 0)], grid[min(i + 1, grid_size - 1)])
+    return max(float(diffs[k, i]), refined)
 
 
 def rate_scaling_limit(r: RateFn, t: float, n_values) -> np.ndarray:
@@ -354,37 +351,51 @@ def rate_scaling_limit(r: RateFn, t: float, n_values) -> np.ndarray:
     return np.array([r(int(math.ceil(int(n) * t))) / r(int(n)) for n in ns])
 
 
-def mixing_discrepancy(fam: DiagonalFamily, n: int, t1: float, t2: float, v: float) -> float:
+def _ceil_times(n, t: float):
+    """ceil(k*t) as an exact int for each k of a checked n, in an object array of n's shape."""
+    return np.array([math.ceil(k * t) for k in np.ravel(n).tolist()], dtype=object).reshape(np.shape(n))
+
+
+def mixing_discrepancy(fam: DiagonalFamily, n, t1: float, t2: float, v):
     """|delta_{m1+m2}(v) - delta_{m1}(v)*delta_{m2}(v)| with m_i = ceil(n*t_i).
 
     A nonvanishing limit exhibits the failure of the distributional mixing
     condition at threshold level v; pass v = u^(1/r_n) to probe the level
     matching a diagonal power distortion argument u.  Only exchangeable
-    families support this factorization probe.
+    families support this factorization probe.  n (an int or an integer
+    array) and v broadcast, v into n's shape, each m_i an exact int per
+    element, so a whole n schedule is one call, bit for bit the calls with
+    one n and v each; a scalar n and v give a float.
     """
     if not fam.exchangeable:
         raise ValueError(f"family {fam.tag} is not exchangeable")
     if not (0.0 < t1 < 1.0 and 0.0 < t2 < 1.0 and t1 + t2 < 1.0):
         raise ValueError("need t1, t2 in (0, 1) with t1 + t2 < 1")
-    if not (0.0 < v < 1.0):
+    v = np.asarray(v, dtype=float)
+    if not ((v > 0.0) & (v < 1.0)).all():
         raise ValueError("threshold level v must lie in (0, 1)")
-    m1 = int(math.ceil(n * t1))
-    m2 = int(math.ceil(n * t2))
-    return float(abs(fam(m1 + m2, v) - fam(m1, v) * fam(m2, v)))
+    n = _check_n(n)
+    if v.ndim > np.ndim(n):
+        raise ValueError("threshold level v must broadcast into the shape of n")
+    m1, m2 = _ceil_times(n, t1), _ceil_times(n, t2)
+    # the three diagonals in one call, stacked on a new first axis of n
+    d = fam(np.stack([m1 + m2, m1, m2]), v)
+    return scalar_or_array(np.abs(d[0] - d[1] * d[2]))
 
 
 def empirical_diagonal_distance(fam: DiagonalFamily, samples) -> float:
     """Max z-score of MC diagonal estimates against the analytic diagonal.
 
-    samples is an iterable of (n, u, estimate, std_error) tuples.
+    samples is an iterable of (n, u, estimate, std_error) tuples; the
+    diagonal is evaluated at all of them in one call.
     """
-    worst = 0.0
-    count = 0
-    for n, u, p_hat, se in samples:
-        if not se > 0:
-            raise ValueError("standard errors must be positive")
-        worst = max(worst, abs(float(p_hat) - float(fam(int(n), u))) / float(se))
-        count += 1
-    if count == 0:
+    samples = list(samples)
+    if not samples:
         raise ValueError("no samples supplied")
-    return worst
+    ns, us, p_hat, se = zip(*samples)
+    se = np.array(se, dtype=float)
+    if not (se > 0).all():
+        raise ValueError("standard errors must be positive")
+    n = np.array([int(k) for k in ns], dtype=object)
+    z = np.abs(np.array(p_hat, dtype=float) - fam(n, np.array(us, dtype=float))) / se
+    return float(z.max())

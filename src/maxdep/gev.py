@@ -59,13 +59,19 @@ def _t_power(p: GevParams, z):
     return t, w
 
 
+def _standardize(p: GevParams, x):
+    """z = (x - mu)/sigma; it overflows to +-inf for a tiny sigma, where the
+    cdf and density take their limits (0 or 1, and 0)."""
+    with np.errstate(over="ignore"):
+        return (np.asarray(x, dtype=float) - p.mu) / p.sigma
+
+
 def gev_cdf(p: GevParams, x):
     """Distribution function of H_{xi,mu,sigma}, clamped to 0/1 outside support.
 
     Total in x (scalar or array); continuous everywhere.  A NaN x gives NaN.
     """
-    x = np.asarray(x, dtype=float)
-    z = (x - p.mu) / p.sigma
+    z = _standardize(p, x)
     if p.is_gumbel:
         out = np.exp(-np.exp(-np.maximum(z, GUMBEL_Z_MIN)))
     else:
@@ -92,8 +98,7 @@ def gev_density(p: GevParams, x):
 
     A NaN x gives NaN, as in ``gev_cdf``.
     """
-    x = np.asarray(x, dtype=float)
-    z = (x - p.mu) / p.sigma
+    z = _standardize(p, x)
     if p.is_gumbel:
         zc = np.maximum(z, GUMBEL_Z_MIN)
         out = np.exp(-zc - np.exp(-zc)) / p.sigma

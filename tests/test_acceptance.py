@@ -49,9 +49,9 @@ def test_c01_power_difference_supremum_exactness():
             b = a + 1e-6
         diff = np.abs(grid**a - grid**b)
         i = int(np.argmax(diff))
-        from maxdep._numutil import golden_max
+        from maxdep._numutil import refine_max
 
-        _, refined = golden_max(lambda u: abs(u**a - u**b), grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], tol=1e-13)
+        _, refined = refine_max(lambda u: abs(u**a - u**b), grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)], tol=1e-13)
         numeric = max(float(diff[i]), refined)
         assert md.sup_power_diff(a, b).value == pytest.approx(numeric, abs=1e-9)
 
@@ -254,7 +254,7 @@ def test_c11_mixing_discrepancy_demo():
 
 
 def test_c12_cuadras_auge_exact_supremum():
-    from maxdep._numutil import golden_max
+    from maxdep._numutil import refine_max
 
     n, theta = 10, 0.5
     exact, bound = md.cuadras_auge_sup(n, theta)
@@ -262,7 +262,7 @@ def test_c12_cuadras_auge_exact_supremum():
     grid = np.linspace(0.0, 1.0, 100_001)
     diff = np.abs(grid**eta - grid ** (1.0 / theta))
     i = int(np.argmax(diff))
-    _, refined = golden_max(lambda u: abs(u**eta - u ** (1.0 / theta)), grid[i - 1], grid[i + 1], tol=1e-13)
+    _, refined = refine_max(lambda u: abs(u**eta - u ** (1.0 / theta)), grid[i - 1], grid[i + 1], tol=1e-13)
     assert exact == pytest.approx(max(float(diff[i]), refined), abs=1e-10)
     assert exact <= bound
     assert bound == pytest.approx(3.0 / math.e * (1.0 - theta) ** n, rel=1e-12)

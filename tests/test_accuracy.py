@@ -1,7 +1,8 @@
 """Accuracy against mpmath: the generator inverses psi^-1(u^(1/r)) and every
 model's diagonal power distortion delta_n(u^(1/r_n)), each within a fixed
 number of ulps of a 50-digit evaluation of its textbook formula at the same
-double arguments."""
+double arguments, and the sup distance s(n) of every model with a limit
+within 1e-12 of a 50-digit refine."""
 
 import math
 
@@ -9,7 +10,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from maxdep.diagonals import RateFn, power_distortion
+from maxdep.diagonals import RateFn, distortion_sup_distance, power_distortion
 from maxdep.generators import builtin_generator
 from maxdep.models import MODELS
 
@@ -35,7 +36,7 @@ def _ref_generator(family, theta, g):
     from a start good to ~1e-15 four of them reach every digit."""
     if family == "ballerini":
         def inv(u, r=1.0):
-            t = mp.mpf(float(g.psi_inv(u, r)))
+            t = mp.mpf(float(g.psi_inv(float(u), r)))
             for _ in range(4):
                 t -= (_ballerini_f(t) + mp.log(u) / r) / mp.log1p(1 / t)
             return t
@@ -151,3 +152,69 @@ def test_amh_inverse_of_root_against_mpmath(theta):
         with mp.workdps(DPS):
             err, u = max((_ulps(t, inv(u, r)), u) for u, t in zip(WIDE_U, got))
         assert err <= 8.0, (theta, r, u, err)
+
+
+def _ref_limit(name, params):
+    """u -> D(u) in mpmath, for the models whose diagonal carries a limit."""
+    th = mp.mpf(params.get("theta", 0))
+    if name in ("independence", "cuadras-auge", "logistic"):
+        return lambda u: u
+    if name == "movingmax":
+        return lambda u: u ** (1 / mp.mpf(params["k"] + 1))
+    if name == "efgm":
+        return lambda u: (u ** (1 + th) - u ** (1 - th)) / (2 * th * mp.log(u))
+    g = builtin_generator(name, params.get("theta"))
+    psi, _ = _ref_generator(name, params.get("theta"), g)
+    return lambda u: psi((-mp.log(u)) ** (1 / mp.mpf(g.rho)))
+
+
+def _mp_golden_max(f, a, b, steps=70):
+    """Golden-section maximum of f on [a, b] in mpmath; the bracket ends at
+    (0.618)^70, about 1e-15 of its width."""
+    a, b = mp.mpf(a), mp.mpf(b)
+    inv_phi = (mp.sqrt(5) - 1) / 2
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(steps):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    return max(fc, fd)
+
+
+# the two scans of distortion_sup_distance: linear in u, and linear in
+# log(-log u) from u = 1 - 2^-53 down to the smallest positive double
+SUP_SCANS = (
+    (np.linspace(0.0, 1.0, 1000), lambda x: x, lambda x: x),
+    (np.linspace(math.log(2.0**-53), math.log(-math.log(math.ulp(0.0))), 1000),
+     lambda w: np.exp(-np.exp(w)), lambda w: mp.exp(-mp.exp(w))),
+)
+
+
+@pytest.mark.parametrize("name", [name for name, spec in MODELS.items() if spec.diagonal and spec.limit])
+def test_sup_distance_against_mpmath_refine(name):
+    # the reference refines |delta_n(u^(1/r_n)) - D(u)| in 50 digits around
+    # the argmax of each scan, in the scan's own coordinate
+    params = PARAMS[name]
+    fam = MODELS[name].diagonal(**params)
+    D = fam.limit_distortion
+    ref, ref_D = _ref_diagonal(name, params), _ref_limit(name, params)
+    for n in (16, 256, 4096):
+        r = fam.canonical_rate(n)
+        got = distortion_sup_distance(fam, None, n, D)
+        grid_max, want = 0.0, mp.mpf(0)
+        for grid, to_u, to_u_mp in SUP_SCANS:
+            u = to_u(grid)
+            gap = np.abs(power_distortion(fam, None, n, u) - D.cdf(u))
+            i = int(np.argmax(gap))
+            grid_max = max(grid_max, float(gap[i]))
+            with mp.workdps(DPS):
+                want = max(want, _mp_golden_max(lambda x: abs(ref(n, to_u_mp(x), r) - ref_D(to_u_mp(x))),
+                                                grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]))
+        assert got >= grid_max, (name, n, got, grid_max)
+        assert abs(got - float(want)) <= 1e-12, (name, n, got, mp.nstr(want, 20))

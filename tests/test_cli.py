@@ -142,6 +142,24 @@ def test_converge_clayton_trajectory(capsys):
     assert sups[0] > sups[1] > sups[2]
 
 
+@pytest.mark.parametrize("family,flags,t1,t2,schedule", [
+    ("clayton", ["--theta", "2"], 0.3, 0.2, "2^4..2^14"),
+    ("logistic", ["--theta", "2"], 0.25, 0.25, "2^10..2^20"),
+])
+def test_mixing_rows_are_the_per_n_discrepancies(capsys, family, flags, t1, t2, schedule):
+    # the schedule is evaluated in one call; each row is the scalar call at its n
+    code, out = run_cli(capsys, "mixing", "--family", family, *flags, "--t1", str(t1), "--t2", str(t2),
+                        "--u", "0.41", "--n", schedule)
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    fam = maxdep.make_diagonal(family, theta=2.0)
+    lo, hi = (int(e) for e in schedule.replace("2^", "").split(".."))
+    assert [int(r[0]) for r in rows] == [2**e for e in range(lo, hi + 1)]
+    for n, v, disc in rows:
+        assert float(v) == math.exp(math.log(0.41) / fam.canonical_rate(int(n)))
+        assert float(disc) == maxdep.mixing_discrepancy(fam, int(n), t1, t2, float(v))
+
+
 def test_mixing_command(capsys):
     code, out = run_cli(
         capsys, "mixing", "--family", "logistic", "--theta", "2", "--t1", "0.25", "--t2", "0.25",

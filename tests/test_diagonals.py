@@ -334,6 +334,38 @@ def test_mixing_discrepancy_contract():
         mixing_discrepancy(ind, 100, 0.7, 0.6, 0.5)
 
 
+def test_mixing_discrepancy_broadcasts_over_n_and_v():
+    # a whole schedule in one call is bit for bit the calls with one n and v
+    # each; 2^70 is past the int64 range and stays exact in an object array
+    fam = make_diagonal("archimedean", family="clayton", theta=2.0)
+    ns = np.array([16, 1000, 2**14, 2**70], dtype=object)
+    vs = np.array([0.3, 0.9, 0.999, 0.9999])
+    got = mixing_discrepancy(fam, ns, 0.3, 0.2, vs)
+    assert got.tolist() == [mixing_discrepancy(fam, n, 0.3, 0.2, v) for n, v in zip(ns.tolist(), vs.tolist())]
+    assert mixing_discrepancy(fam, np.array([1000]), 0.3, 0.2, 0.9).tolist() == [got[1]]
+    # every element is checked: one v outside (0, 1), a v with more axes than
+    # n, a float n, scalar or array, an n below 1
+    with pytest.raises(ValueError, match="threshold level"):
+        mixing_discrepancy(fam, ns, 0.3, 0.2, np.array([0.5, 0.5, 1.0, 0.5]))
+    with pytest.raises(ValueError, match="shape of n"):
+        mixing_discrepancy(fam, 1000, 0.3, 0.2, vs)
+    with pytest.raises(ValueError, match="integer array"):
+        mixing_discrepancy(fam, np.array([16.0]), 0.3, 0.2, 0.5)
+    for n in (2.5, 0.5, np.array([16, 0]), 0):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            mixing_discrepancy(fam, n, 0.3, 0.2, 0.5)
+
+
+def test_empirical_diagonal_distance_is_the_per_sample_loop():
+    # one call over all samples gives the z of the loop over them, bit for bit
+    fam = make_diagonal("archimedean", family="clayton", theta=2.0)
+    rng = np.random.default_rng(11)
+    ns, us = rng.integers(1, 5000, 40).tolist(), rng.uniform(0.01, 0.99, 40).tolist()
+    samples = [(n, u, float(fam(n, u)) + rng.normal(0.0, 1e-3), rng.uniform(5e-4, 2e-3)) for n, u in zip(ns, us)]
+    loop = max(abs(p_hat - float(fam(n, u))) / se for n, u, p_hat, se in samples)
+    assert empirical_diagonal_distance(fam, iter(samples)) == loop
+
+
 def test_empirical_diagonal_distance():
     ind = make_diagonal("independence")
     # on-model pseudo-estimates stay within noise

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,20 @@ def test_far_tails_are_quiet(p):
     assert np.array_equal(gev_cdf(p, x), [0.0, 0.0, 0.0, gev_cdf(p, 1000.0), 1.0, 1.0])
     assert np.array_equal(gev_density(p, x[[0, 1, 2, 4, 5]]), np.zeros(5))
     assert gev_density(p, -1000.0) == 0.0 and gev_density(p, math.inf) == 0.0
+
+
+@pytest.mark.parametrize("xi", [2.0, 0.0, -0.5])
+def test_tiny_sigma_is_quiet(xi):
+    # z = (x - mu)/sigma once overflowed unguarded for a tiny sigma; an
+    # infinite z gives the cdf's limits 0 and 1 and a density of 0
+    p = GevParams(xi, 0.0, 1e-300)
+    x = np.array([-1e300, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gev_cdf(p, -1e300) == 0.0 and gev_cdf(p, 1e300) == 1.0
+        assert gev_density(p, -1e300) == 0.0 and gev_density(p, 1e300) == 0.0
+        assert np.array_equal(gev_cdf(p, x), [0.0, 1.0])
+        assert np.array_equal(gev_density(p, x), [0.0, 0.0])
 
 
 @pytest.mark.parametrize("p", [GUMBEL, GevParams(0.5, 1.0, 2.0), GevParams(-0.5, 1.0, 2.0), GevParams(0.005)],

@@ -169,6 +169,29 @@ def test_model_diagonal_monotone_in_u_and_n(name, u, v, n, data):
     assert float(delta(n + 1, u)) <= float(delta(n, u)), (name, params, n, u)
 
 
+# fixed parameters of every model table entry with a diagonal or a limit
+SCALAR_PARAMS = {**DIAGONAL_PARAMS, "clayton": {"theta": 2.0}, "power": {"theta": 0.5}, "amh-mixture": {}}
+SCALAR_U = np.linspace(0.01, 0.99, 99)
+
+
+@pytest.mark.parametrize("name", [name for name, spec in MODELS.items() if spec.diagonal or spec.limit])
+def test_scalar_u_gives_the_bits_of_the_array_call(name):
+    # numpy's scalar pow and its SIMD array pow may differ in the last digit;
+    # a scalar u is evaluated as a 1-element array, so the two calls agree
+    spec, params = MODELS[name], SCALAR_PARAMS[name]
+    if spec.diagonal:
+        fam = spec.diagonal(**params)
+        for n in (2, 16, 64, 1024):
+            for u in SCALAR_U.tolist():
+                got = fam(n, u)
+                assert type(got) is float and got == fam(n, np.array([u]))[0], (name, n, u)
+    if spec.limit:
+        D = spec.limit(**params)
+        for u in SCALAR_U.tolist():
+            assert D.cdf(u) == D.cdf(np.array([u]))[0], (name, u)
+            assert D.density(u) == D.density(np.array([u]))[0], (name, u)
+
+
 LIMITS = st.one_of(
     st.floats(-1.0, 1.0).filter(lambda th: abs(th) >= 1e-6).map(efgm_limit),
     st.just(amh_uniform_mixture()),

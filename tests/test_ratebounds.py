@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from maxdep._numutil import golden_max
+from maxdep._numutil import refine_max
 from maxdep.ratebounds import (
     THREE_OVER_E,
     ceil_power_cdf_bound,
@@ -23,7 +23,7 @@ def numeric_sup(a, b, grid_size=100_000):
     diff = np.abs(us**a - us**b)
     i = int(np.argmax(diff))
     lo, hi = us[max(i - 1, 0)], us[min(i + 1, grid_size - 1)]
-    _, refined = golden_max(lambda u: abs(u**a - u**b), lo, hi, tol=1e-13)
+    _, refined = refine_max(lambda u: abs(u**a - u**b), lo, hi, tol=1e-13)
     return max(float(diff[i]), refined)
 
 
