@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -12,9 +14,15 @@ def check_count(name: str, value, least: int = 1):
 
 
 def check_real(name: str, value):
-    """Raise if value is a bool: True and False are flags, not model parameters."""
+    """Raise unless value is a finite real number.
+
+    A bool is refused: True and False are flags, not model parameters.  So
+    are +-inf and NaN, which no model takes as a parameter value.
+    """
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def check_level(q):

@@ -4,7 +4,9 @@ Subcommands: diagonal | distortion | bound | converge | mixing.  Tables are
 written as CSV (default) or JSON lines, always preceded by a metadata comment
 carrying the experiment configuration and seed so any output file can be
 reproduced from its own header.  Exit codes: 0 success, 2 usage error,
-3 numeric/domain error.
+3 numeric/domain error: a parameter outside its domain (an infinite or NaN
+one included), a NaN table cell or an arithmetic error such as an
+overflowing rate, each reported in one line.
 """
 
 from __future__ import annotations
@@ -326,11 +328,12 @@ def cmd_bound(args) -> Table:
         _add_reports(table, ns, [_composite_bound(spec, params, margin, n, float(n)) for n in ns])
         return table
     if scenario == "logistic-normal":
-        theta = _require(args, "theta")
-        config["theta"] = theta
+        spec, params = _resolve("logistic", "diagonal", args)
+        config["theta"] = params["theta"]
         table = Table("bound", config, ["n", "bound", "margin_term", "ceiling_term"])
         margin = margins.StandardNormal()
-        rates = [float(n) ** (1.0 / theta) for n in ns]
+        rate = spec.diagonal(**params).canonical_rate
+        rates = [rate(n) for n in ns]
         # display form of the bound: the ceiling term is kept even when
         # r_n happens to be an integer (it only enlarges the bound)
         beta = np.array([margin.uniform_rate(int(math.ceil(r_n))) for r_n in rates])
@@ -546,7 +549,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, FloatingPointError, KeyError) as exc:
+    except (ValueError, ArithmeticError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -142,6 +142,7 @@ def comonotone_diagonal() -> DiagonalFamily:
 
 def logistic_power_diagonal(theta: float) -> DiagonalFamily:
     """Power diagonal u^(eta_n) with the extremal-coefficient schedule eta_n = n^(1/theta)."""
+    check_real("theta", theta)
     if not theta >= 1.0:
         raise ValueError(f"logistic theta must be >= 1, got {theta}")
     eta = logistic_eta(theta)
@@ -189,22 +190,22 @@ def cuadras_auge_diagonal(theta: float) -> DiagonalFamily:
 
 
 def _arch_rate(g: ArchGenerator, eta: Callable[[int], float]) -> RateFn:
-    return RateFn(lambda n: 1.0 / float(g.one_minus_psi(1.0 / float(eta(n)))), "1/(1-psi(1/eta))")
+    return RateFn(lambda n: 1.0 / g.one_minus_psi(1.0 / float(eta(n))), "1/(1-psi(1/eta))")
 
 
 def _scaled_inverse_diagonal(g: ArchGenerator, eta: Callable[[int], float]) -> Callable:
     def fn(n, u, r):
         # eta_n * psi_inv(u^(1/r)) may overflow to inf, where psi is 0
         with np.errstate(over="ignore"):
-            t = _per_n(eta, n) * np.asarray(g.psi_inv(u, r), dtype=float)
-        out = np.array(g.psi(t), dtype=float)
+            t = _per_n(eta, n) * g.psi_inv(u, r)
+        out = g.psi(t)
         # below t = 1e-6, psi(t) near 1 carries an error of a few ulps, enough
         # to fall below the Frechet bound 2u - 1; its complement 1 - psi(t)
         # keeps its relative digits, so only the final subtraction rounds.
         # It is taken on those elements only: on large t it may overflow
         near_one = t < 1e-6
         if near_one.any():
-            out[near_one] = 1.0 - np.asarray(g.one_minus_psi(t[near_one]), dtype=float)
+            out[near_one] = 1.0 - g.one_minus_psi(t[near_one])
         return out
 
     return fn

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numutil import check_level, on_unit, scalar_or_array
+from ._numutil import check_level, check_real, on_unit, scalar_or_array
 # bound under its earlier name, which the benchmark's tracer rebinds to count
 # the cdf evaluations of the quantile solves
 from ._numutil import solve_increasing as bisect_increasing
@@ -87,7 +87,8 @@ def _numeric_quantile(cdf, density) -> Callable:
 
 
 def power(theta: float) -> Distortion:
-    """D(u) = u^theta for theta > 0 (identity at theta = 1); d(0) = inf for theta < 1."""
+    """D(u) = u^theta for a finite theta > 0 (identity at theta = 1); d(0) = inf for theta < 1."""
+    check_real("power exponent", theta)
     if not theta > 0:
         raise ValueError(f"power exponent must be positive, got {theta}")
 
@@ -100,7 +101,7 @@ def _arch_density_at_zero(g: ArchGenerator) -> float:
     # d(0) = lim_{y->inf} -psi'(y) * y^(1-rho) * e^(y^rho) / rho, probed in
     # log space at two points to classify divergence vs a finite limit.
     def h(y):
-        p = float(-g.psi_prime(y))
+        p = -g.psi_prime(y)
         if p <= 0.0:  # derivative underflow: the e^(y^rho) factor cannot save it
             return -math.inf
         return math.log(p) + (1.0 - g.rho) * math.log(y) + y**g.rho - math.log(g.rho)
@@ -115,7 +116,7 @@ def _arch_density_at_one(g: ArchGenerator) -> float:
     # d(1) = -psi'(0) when rho = 1, else lim_{y->0} -psi'(y)*y^(1-rho)/rho.
     if g.rho == 1.0:
         return g.neg_psi_prime_0
-    val = float(-g.psi_prime(1e-12)) * (1e-12) ** (1.0 - g.rho) / g.rho
+    val = -g.psi_prime(1e-12) * (1e-12) ** (1.0 - g.rho) / g.rho
     return math.inf if val > 1e12 else val
 
 
@@ -142,11 +143,13 @@ def archimedean_limit(g: ArchGenerator) -> Distortion:
 
     def density(u):
         y = (-np.log(u)) ** (1.0 / rho)
-        return -np.asarray(g.psi_prime(y), dtype=float) * y ** (1.0 - rho) / (rho * u)
+        return -g.psi_prime(y) * y ** (1.0 - rho) / (rho * u)
 
+    # np.power, not **: psi_inv gives a scalar level a float, whose ** is
+    # libm's pow, which may differ in the last bit from numpy's power loop
     return _distortion(f"arch-limit[{g.tag}]", cdf, density,
                        lambda: (_arch_density_at_zero(g), _arch_density_at_one(g)),
-                       lambda q: np.exp(-np.asarray(g.psi_inv(q), dtype=float) ** rho))
+                       lambda q: np.exp(-np.power(g.psi_inv(q), rho)))
 
 
 def efgm_limit(theta: float) -> Distortion:

@@ -26,32 +26,22 @@ _LOG_T_GRID = np.array(
 
 
 def _log1mexp(a):
-    """log(1 - e^-a) for a >= 0, by expm1 up to a = log 2 and log1p beyond (Maechler 2012)."""
-    a = np.asarray(a, dtype=float)
+    """log(1 - e^-a) for a float array a >= 0, by expm1 up to a = log 2 and log1p beyond (Maechler 2012)."""
     with np.errstate(divide="ignore"):
         return np.where(a <= math.log(2.0), np.log(-np.expm1(-a)), np.log1p(-np.exp(-a)))
 
 
-def _neg_log_root(u, r=1.0):
-    """s = -log(u^(1/r)) = -log(u)/r for u in [0, 1]; raises elsewhere, NaN included."""
-    u = np.asarray(u, dtype=float)
-    if not ((u >= 0) & (u <= 1)).all():
-        raise ValueError("generator inverse defined on [0, 1]")
-    with np.errstate(divide="ignore"):
-        return -np.log(u) / r
-
-
 @dataclass(frozen=True)
 class ArchGenerator:
-    """Archimedean generator bundle.
+    """Archimedean generator bundle, built by ``_generator``.
 
-    psi maps [0, inf) to [0, 1]; psi_inv(u, r=1.0) is psi^-1(u^(1/r)) for u
-    in [0, 1], r > 0 (u and r broadcast), with psi^-1(0) = inf for strict
-    generators, formed from s = -log(u)/r and 1 - u^(1/r) = -expm1(-s), never
-    from a rounded u^(1/r); psi_prime is the derivative on (0, inf).  rho is
-    the index with 1 - psi(1/x) regularly varying of order -rho at infinity;
-    neg_psi_prime_0 is -psi'(0+) (math.inf allowed).
-    All callables must be pure and accept scalars or numpy arrays.
+    psi maps [0, inf] to [0, 1] and psi_prime is its derivative; they and
+    one_minus_psi raise ValueError for an argument below 0 or NaN.
+    psi_inv(u, r=1.0) is psi^-1(u^(1/r)) for u in [0, 1], r > 0 (u and r
+    broadcast), with psi^-1(0) = inf for strict generators, and raises
+    ValueError for any other u, NaN included.  A scalar argument gives a
+    float.  rho is the index with 1 - psi(1/x) regularly varying of order
+    -rho at infinity; neg_psi_prime_0 is -psi'(0+) (math.inf allowed).
     """
 
     psi: Callable
@@ -63,17 +53,51 @@ class ArchGenerator:
     one_minus_psi: Callable
 
 
-def _numeric_inverse(f: Callable, f_prime: Callable, excess: Callable | None = None) -> Callable:
-    """Inverse of psi = exp(-f) from its additive hazard f = -log psi.
+def _generator(tag: str, rho: float, neg_psi_prime_0: float, psi, psi_prime, one_minus_psi, inv) -> ArchGenerator:
+    """The ArchGenerator of formulas, each checked in one shell.
 
-    Solves log f(t) = log(-log u) in log t over the whole positive double
-    range, with Newton steps (slope t*f'(t)/f(t)) inside per-element brackets
-    read off a grid of log t, then takes one Newton step on f(t) = -log u in
-    t itself, whose last digits are finer than those of log t.  Working with
-    f keeps full relative accuracy where psi is near 1 (f small) and in the
-    far tail, where psi itself underflows.  An inverse above the largest
-    double is inf and one below the smallest positive double is 0; so
-    psi_inv(0) = inf and psi_inv(1) = 0.
+    psi, psi_prime and one_minus_psi are formulas on a float array t >= 0.
+    inv(s, u, r) is the inverse at s = -log(u)/r, formed once here, for a
+    float array u in [0, 1] and r > 0; so 1 - u^(1/r) = -expm1(-s) is never
+    taken from a rounded u^(1/r).  A scalar is evaluated as a 0-d array, not
+    as a 1-element one as in ``on_unit``: numpy's scalar routines and its
+    array loops may differ in the last bit, and this keeps the scalar bits.
+    """
+
+    def on_half_line(f):
+        def checked(t):
+            t = np.asarray(t, dtype=float)
+            # a NaN fails the test; a scalar is tested as a float, which costs
+            # a tenth of a numpy reduction, and an array by its min
+            if not (t.min(initial=math.inf) if t.ndim else float(t)) >= 0.0:
+                raise ValueError("generator argument must lie in [0, inf]")
+            return scalar_or_array(f(t))
+
+        return checked
+
+    def psi_inv(u, r=1.0):
+        u = np.asarray(u, dtype=float)
+        if not ((u >= 0.0) & (u <= 1.0)).all():
+            raise ValueError("generator inverse defined on [0, 1]")
+        with np.errstate(divide="ignore"):
+            s = -np.log(u) / r
+        return scalar_or_array(inv(s, u, r))
+
+    return ArchGenerator(on_half_line(psi), psi_inv, on_half_line(psi_prime), rho, neg_psi_prime_0, tag,
+                         on_half_line(one_minus_psi))
+
+
+def _numeric_inverse(f: Callable, f_prime: Callable, excess: Callable | None = None) -> Callable:
+    """Inverse formula inv(s, u, r) of psi = exp(-f) from its additive hazard f = -log psi.
+
+    Solves log f(t) = log s in log t over the whole positive double range,
+    with Newton steps (slope t*f'(t)/f(t)) inside per-element brackets read
+    off a grid of log t, then takes one Newton step on f(t) = s in t itself,
+    whose last digits are finer than those of log t.  Working with f keeps
+    full relative accuracy where psi is near 1 (f small) and in the far
+    tail, where psi itself underflows.  An inverse above the largest double
+    is inf and one below the smallest positive double is 0; so psi_inv(0) =
+    inf and psi_inv(1) = 0.  f and f_prime map float arrays to float arrays.
 
     excess(t) = f(t) - log t, if given, forms the residual of that last step
     for t >= 1 as excess(t) + log(t*u): f(t) and -log u are then never
@@ -83,17 +107,15 @@ def _numeric_inverse(f: Callable, f_prime: Callable, excess: Callable | None = N
     r broadcast, and that choice is made per element.
     """
 
-    def log_f(s):
-        t = np.exp(s)
-        ft = np.asarray(f(t), dtype=float)
-        return np.log(ft), t * np.asarray(f_prime(t), dtype=float) / ft
+    def log_f(x):
+        t = np.exp(x)
+        ft = f(t)
+        return np.log(ft), t * f_prime(t) / ft
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         grid = log_f(_LOG_T_GRID)[0]
 
-    def inv(u, r=1.0):
-        arr = np.asarray(u, dtype=float)
-        y = _neg_log_root(arr, r)
+    def inv(y, u, r):
         shape = y.shape
         y = y.ravel()
         with np.errstate(divide="ignore"):
@@ -107,28 +129,27 @@ def _numeric_inverse(f: Callable, f_prime: Callable, excess: Callable | None = N
         k = below.shape[1] - 2 - np.argmax(below[inside, -2::-1], axis=1)
         t = np.exp(solve_increasing(log_f, log_y[inside], _LOG_T_GRID[k], _LOG_T_GRID[k + 1], 1e-10))
         with np.errstate(divide="ignore", invalid="ignore"):
-            res = np.asarray(f(t), dtype=float) - y[inside]
+            res = f(t) - y[inside]
             if excess is not None:
                 # t over the whole shape (1 where none is solved for), so
                 # that u and r broadcast against it inside the ufuncs
                 t_all = np.ones(y.size)
                 t_all[inside] = t
                 t_all = t_all.reshape(shape)
-                log_tv = np.where(np.equal(r, 1.0), np.log(t_all * arr), np.log(t_all) - y.reshape(shape))
+                log_tv = np.where(np.equal(r, 1.0), np.log(t_all * u), np.log(t_all) - y.reshape(shape))
                 log_tv = log_tv.ravel()[inside]
-                res = np.where(t >= 1.0, np.asarray(excess(t), dtype=float) + log_tv, res)
-            step = res / np.asarray(f_prime(t), dtype=float)
+                res = np.where(t >= 1.0, excess(t) + log_tv, res)
+            step = res / f_prime(t)
         out[inside] = np.where(np.isfinite(step), t - step, t)
-        return scalar_or_array(out.reshape(shape))
+        return out.reshape(shape)
 
     return inv
 
 
 def _log1p_recip(t):
-    # log(1 + 1/t).  For 0 < t < 1/DBL_MAX the reciprocal overflows, and there
-    # log1p(t) - log(t) gives the same quantity without it; everywhere else
-    # log1p(1/t) is used unchanged.
-    t = np.asarray(t, dtype=float)
+    # log(1 + 1/t) on a float array.  For 0 < t < 1/DBL_MAX the reciprocal
+    # overflows, and there log1p(t) - log(t) gives the same quantity without
+    # it; everywhere else log1p(1/t) is used unchanged.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         r = 1.0 / t
         return np.where(np.isinf(r), np.log1p(t) - np.log(t), np.log1p(r))
@@ -138,7 +159,6 @@ def _ballerini_f(t):
     # f(t) = (1+t)*log(1+1/t) + log(t), rewritten as log1p(t) + t*log1p(1/t);
     # both summands are then free of cancellation over the whole half line,
     # down to the smallest subnormal t (see _log1p_recip).
-    t = np.asarray(t, dtype=float)
     with np.errstate(invalid="ignore"):
         out = np.log1p(t) + t * _log1p_recip(t)
     out = np.where(t == 0.0, 0.0, out)
@@ -152,31 +172,21 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
     (theta in (0,1)), ``clayton`` (theta > 0), ``frank`` (theta > 0),
     ``gumbel`` (theta >= 1), ``joe`` (theta > 1), ``ballerini`` (none,
     the generator 1/(t*(1+1/t)^(1+t)) whose inverse has no closed form).
+    A theta is a finite real number.
     """
     fam = family.lower().replace("-", "").replace("_", "")
 
     if fam == "independence":
-        return ArchGenerator(
-            psi=lambda t: np.exp(-np.asarray(t, dtype=float)),
-            psi_inv=_neg_log_root,
-            psi_prime=lambda t: -np.exp(-np.asarray(t, dtype=float)),
-            rho=1.0,
-            neg_psi_prime_0=1.0,
-            tag="independence",
-            one_minus_psi=lambda s: -np.expm1(-np.asarray(s, dtype=float)),
-        )
+        return _generator("independence", rho=1.0, neg_psi_prime_0=1.0,
+                          psi=lambda t: np.exp(-t), psi_prime=lambda t: -np.exp(-t),
+                          one_minus_psi=lambda t: -np.expm1(-t), inv=lambda s, u, r: s)
 
     if fam == "ballerini":
         psi = lambda t: np.exp(-_ballerini_f(t))
-        return ArchGenerator(
-            psi=psi,
-            psi_inv=_numeric_inverse(_ballerini_f, _log1p_recip, lambda t: (1.0 + t) * _log1p_recip(t)),
-            psi_prime=lambda t: -_log1p_recip(t) * psi(t),
-            rho=1.0,
-            neg_psi_prime_0=math.inf,
-            tag="ballerini",
-            one_minus_psi=lambda s: -np.expm1(-_ballerini_f(s)),
-        )
+        return _generator("ballerini", rho=1.0, neg_psi_prime_0=math.inf,
+                          psi=psi, psi_prime=lambda t: -_log1p_recip(t) * psi(t),
+                          one_minus_psi=lambda t: -np.expm1(-_ballerini_f(t)),
+                          inv=_numeric_inverse(_ballerini_f, _log1p_recip, lambda t: (1.0 + t) * _log1p_recip(t)))
 
     if theta is None:
         raise ValueError(f"family {family!r} requires a parameter")
@@ -187,51 +197,34 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
         if not 0.0 < th < 1.0:
             raise ValueError(f"AMH parameter must lie in (0, 1), got {th}")
 
-        def amh_inv(u, r=1.0):
+        def amh_inv(s, u, r):
             # log((1 - th*(1-v))/v) at v = e^-s is log1p((1-th)*expm1(s)),
             # which nothing cancels in while expm1(s) is finite; past s = 700
             # it is s + log1p(-th*(1-v)), 1 - v = -expm1(-s), whose two terms
             # cancel only for small s
-            s = _neg_log_root(u, r)
             with np.errstate(over="ignore"):
                 return np.where(s < 700.0, np.log1p((1.0 - th) * np.expm1(s)), s + np.log1p(th * np.expm1(-s)))
 
         # (1-th)/(e^t - th) written with e^{-t} so huge t cannot overflow
-        return ArchGenerator(
-            psi=lambda t: (1.0 - th)
-            * np.exp(-np.asarray(t, dtype=float))
-            / (1.0 - th * np.exp(-np.asarray(t, dtype=float))),
-            psi_inv=amh_inv,
-            psi_prime=lambda t: -(1.0 - th)
-            * np.exp(-np.asarray(t, dtype=float))
-            / (1.0 - th * np.exp(-np.asarray(t, dtype=float))) ** 2,
-            rho=1.0,
-            neg_psi_prime_0=1.0 / (1.0 - th),
-            tag=f"amh({th})",
-            one_minus_psi=lambda s: np.expm1(s) / (np.expm1(s) + 1.0 - th),
-        )
+        return _generator(f"amh({th})", rho=1.0, neg_psi_prime_0=1.0 / (1.0 - th),
+                          psi=lambda t: (1.0 - th) * np.exp(-t) / (1.0 - th * np.exp(-t)),
+                          psi_prime=lambda t: -(1.0 - th) * np.exp(-t) / (1.0 - th * np.exp(-t)) ** 2,
+                          one_minus_psi=lambda t: np.expm1(t) / (np.expm1(t) + 1.0 - th), inv=amh_inv)
 
     if fam == "clayton":
         if not th > 0.0:
             raise ValueError(f"Clayton parameter must be positive, got {th}")
 
-        def clayton_inv(u, r=1.0):
+        def clayton_inv(s, u, r):
             # v^-theta - 1 at v = u^(1/r): expm1(theta*s) below 1, where the
-            # subtraction cancels; above, the power, rounded once at r = 1
-            s = _neg_log_root(u, r)
+            # subtraction cancels; above, the power of u, rounded once at r = 1
             with np.errstate(over="ignore", divide="ignore"):
                 return np.where(th * s < math.log(2.0), np.expm1(th * s), scalar_exponent_power(u, -th / r) - 1.0)
 
-        return ArchGenerator(
-            psi=lambda t: (1.0 + np.asarray(t, dtype=float)) ** (-1.0 / th),
-            psi_inv=clayton_inv,
-            psi_prime=lambda t: -(1.0 / th)
-            * (1.0 + np.asarray(t, dtype=float)) ** (-1.0 / th - 1.0),
-            rho=1.0,
-            neg_psi_prime_0=1.0 / th,
-            tag=f"clayton({th})",
-            one_minus_psi=lambda s: -np.expm1(-np.log1p(s) / th),
-        )
+        return _generator(f"clayton({th})", rho=1.0, neg_psi_prime_0=1.0 / th,
+                          psi=lambda t: (1.0 + t) ** (-1.0 / th),
+                          psi_prime=lambda t: -(1.0 / th) * (1.0 + t) ** (-1.0 / th - 1.0),
+                          one_minus_psi=lambda t: -np.expm1(-np.log1p(t) / th), inv=clayton_inv)
 
     if fam == "frank":
         if not th > 0.0:
@@ -245,7 +238,6 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
             # instead, on those elements only.  The flag spares the common
             # theta its elementwise test, a pass that costs about a third of
             # the time of psi on large frailty draws
-            t = np.asarray(t, dtype=float)
             if not steep:
                 return -np.log1p(em * np.exp(-t)) / th
             e = em * np.exp(-t)
@@ -255,76 +247,49 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
                 log_w[cancels] = np.log(-np.expm1(-t[cancels]) + np.exp(-th - t[cancels]))
             return -log_w / th
 
-        def psi_inv(u, r=1.0):
-            # -log(e), e = expm1(-theta*v)/em at v = u^(1/r); above e = 1/2 the log1p of
-            # its complement e^{-theta*v}*expm1(-theta*(1-v))/em, 1 - v = -expm1(-s)
-            s = _neg_log_root(u, r)
+        def frank_inv(s, u, r):
+            # -log(e), e = expm1(-theta*v)/em at v = u^(1/r), the power of u;
+            # above e = 1/2 the log1p of its complement
+            # e^{-theta*v}*expm1(-theta*(1-v))/em, 1 - v = -expm1(-s)
             v = scalar_exponent_power(u, 1.0 / r)
             e = np.expm1(-th * v) / em
             with np.errstate(divide="ignore"):
                 return np.where(e > 0.5, -np.log1p(-np.exp(-th * v) * np.expm1(th * np.expm1(-s)) / em), -np.log(e))
 
         def psi_prime(t):
-            e = em * np.exp(-np.asarray(t, dtype=float))
+            e = em * np.exp(-t)
             return e / (th * (1.0 + e))
 
-        def one_minus(s):
-            # 1 - psi(s) = log1p((e^theta - 1)*(1 - e^{-s})) / theta
-            return np.log1p(math.expm1(th) * (-np.expm1(-np.asarray(s, dtype=float)))) / th
-
-        return ArchGenerator(
-            psi=psi,
-            psi_inv=psi_inv,
-            psi_prime=psi_prime,
-            rho=1.0,
-            neg_psi_prime_0=math.expm1(th) / th,
-            tag=f"frank({th})",
-            one_minus_psi=one_minus,
-        )
+        # 1 - psi(t) = log1p((e^theta - 1)*(1 - e^{-t})) / theta
+        return _generator(f"frank({th})", rho=1.0, neg_psi_prime_0=math.expm1(th) / th,
+                          psi=psi, psi_prime=psi_prime, inv=frank_inv,
+                          one_minus_psi=lambda t: np.log1p(math.expm1(th) * (-np.expm1(-t))) / th)
 
     if fam == "gumbel":
         if not th >= 1.0:
             raise ValueError(f"Gumbel parameter must be >= 1, got {th}")
-        return ArchGenerator(
-            psi=lambda t: np.exp(-np.asarray(t, dtype=float) ** (1.0 / th)),
-            psi_inv=lambda u, r=1.0: _neg_log_root(u, r) ** th,
-            psi_prime=lambda t: -(1.0 / th)
-            * np.asarray(t, dtype=float) ** (1.0 / th - 1.0)
-            * np.exp(-np.asarray(t, dtype=float) ** (1.0 / th)),
-            rho=1.0 / th,
-            neg_psi_prime_0=1.0 if th == 1.0 else math.inf,
-            tag=f"gumbel({th})",
-            one_minus_psi=lambda s: -np.expm1(-np.asarray(s, dtype=float) ** (1.0 / th)),
-        )
+        return _generator(f"gumbel({th})", rho=1.0 / th, neg_psi_prime_0=1.0 if th == 1.0 else math.inf,
+                          psi=lambda t: np.exp(-t ** (1.0 / th)),
+                          psi_prime=lambda t: -(1.0 / th) * t ** (1.0 / th - 1.0) * np.exp(-t ** (1.0 / th)),
+                          one_minus_psi=lambda t: -np.expm1(-t ** (1.0 / th)), inv=lambda s, u, r: s**th)
 
     if fam == "joe":
         if not th > 1.0:
             raise ValueError(f"Joe parameter must be > 1, got {th}")
 
-        def one_minus(s):
-            # 1 - psi(s) = (1 - e^{-s})^{1/theta}
-            return (-np.expm1(-np.asarray(s, dtype=float))) ** (1.0 / th)
-
-        def psi_inv(u, r=1.0):
+        def joe_inv(s, u, r):
             # -log(1 - w), w = (1-v)^theta at v = e^-s: log1p(-w) below w = 1/2;
             # above, 1 - w = -expm1(theta*log(1-v)), with log(1-v) = log1mexp(s)
             # keeping its digits where v is tiny and 1 - v rounds to 1
-            s = _neg_log_root(u, r)
             w = (-np.expm1(-s)) ** th
             with np.errstate(divide="ignore"):
                 return np.where(w < 0.5, -np.log1p(-w), -np.log(-np.expm1(th * _log1mexp(s))))
 
-        return ArchGenerator(
-            psi=lambda t: -np.expm1(_log1mexp(t) / th),
-            psi_inv=psi_inv,
-            psi_prime=lambda t: -(1.0 / th)
-            * (-np.expm1(-np.asarray(t, dtype=float))) ** (1.0 / th - 1.0)
-            * np.exp(-np.asarray(t, dtype=float)),
-            rho=1.0 / th,
-            neg_psi_prime_0=math.inf,
-            tag=f"joe({th})",
-            one_minus_psi=one_minus,
-        )
+        # 1 - psi(t) = (1 - e^{-t})^{1/theta}
+        return _generator(f"joe({th})", rho=1.0 / th, neg_psi_prime_0=math.inf,
+                          psi=lambda t: -np.expm1(_log1mexp(t) / th),
+                          psi_prime=lambda t: -(1.0 / th) * (-np.expm1(-t)) ** (1.0 / th - 1.0) * np.exp(-t),
+                          one_minus_psi=lambda t: (-np.expm1(-t)) ** (1.0 / th), inv=joe_inv)
 
     raise ValueError(f"unknown generator family {family!r}")
 
@@ -337,7 +302,8 @@ def generator_from_f(
 ) -> ArchGenerator:
     """Build psi(t) = exp(-f(t)) from an additive hazard f.
 
-    f must vanish at 0, increase to infinity, and have a positive decreasing
+    f and f_prime map a float (or a float array) to a float (array).  f must
+    vanish at 0, increase to infinity, and have a positive decreasing
     derivative; these are checked on a 1000-point logarithmic grid (full
     complete monotonicity of f' cannot be verified numerically).  The inverse
     is a bracketed root find.  -psi'(0) is probed at t = 1e-10 and reported as
@@ -357,13 +323,10 @@ def generator_from_f(
         raise ValueError("f' must be positive and nonincreasing")
 
     def psi(t):
-        return np.exp(-np.asarray(f(t), dtype=float))
+        return np.exp(-f(t))
 
-    def psi_prime(t):
-        return -np.asarray(f_prime(t), dtype=float) * psi(t)
-
-    def one_minus(s):
-        return -np.expm1(-np.asarray(f(s), dtype=float))
+    def one_minus(t):
+        return -np.expm1(-f(t))
 
     probe = float(f_prime(1e-10))
     neg0 = math.inf if probe > 1e12 else probe
@@ -372,36 +335,24 @@ def generator_from_f(
         t0 = 1e8
         rho = -math.log(float(one_minus(1.0 / (2.0 * t0))) / float(one_minus(1.0 / t0))) / math.log(2.0)
 
-    return ArchGenerator(
-        psi=psi,
-        psi_inv=_numeric_inverse(f, f_prime),
-        psi_prime=psi_prime,
-        rho=rho,
-        neg_psi_prime_0=neg0,
-        tag=tag,
-        one_minus_psi=one_minus,
-    )
+    return _generator(tag, rho=rho, neg_psi_prime_0=neg0, psi=psi, psi_prime=lambda t: -f_prime(t) * psi(t),
+                      one_minus_psi=one_minus, inv=_numeric_inverse(f, f_prime))
 
 
 def scale_generator(g: ArchGenerator, c: float) -> ArchGenerator:
-    """Rescale the argument: psi_c(t) = psi(c*t).
+    """Rescale the argument: psi_c(t) = psi(c*t), for a finite c > 0.
 
     Generates the same copula for every c > 0 (the diagonal
     psi_c(n * psi_c^{-1}(u)) is unchanged); the induced limit distortions of
     the two generators are related by a power of the argument, see the
     distortions module.
     """
+    check_real("scale factor", c)
     if not c > 0:
         raise ValueError(f"scale factor must be positive, got {c}")
-    return ArchGenerator(
-        psi=lambda t: g.psi(c * np.asarray(t, dtype=float)),
-        psi_inv=lambda u, r=1.0: g.psi_inv(u, r) / c,
-        psi_prime=lambda t: c * g.psi_prime(c * np.asarray(t, dtype=float)),
-        rho=g.rho,
-        neg_psi_prime_0=c * g.neg_psi_prime_0,
-        tag=f"scale({g.tag},{c})",
-        one_minus_psi=lambda s: g.one_minus_psi(c * np.asarray(s, dtype=float)),
-    )
+    return _generator(f"scale({g.tag},{c})", rho=g.rho, neg_psi_prime_0=c * g.neg_psi_prime_0,
+                      psi=lambda t: g.psi(c * t), psi_prime=lambda t: c * g.psi_prime(c * t),
+                      one_minus_psi=lambda t: g.one_minus_psi(c * t), inv=lambda s, u, r: g.psi_inv(u, r) / c)
 
 
 def rv_index_estimate(g: ArchGenerator, lam: float, t: float) -> float:
@@ -419,8 +370,8 @@ def rv_index_estimate(g: ArchGenerator, lam: float, t: float) -> float:
         raise ValueError("lambda must be positive and different from 1")
     if not t >= 1e4:
         raise ValueError("t must be at least 1e4")
-    num = float(g.one_minus_psi(1.0 / (lam * t)))
-    den = float(g.one_minus_psi(1.0 / t))
+    num = g.one_minus_psi(1.0 / (lam * t))
+    den = g.one_minus_psi(1.0 / t)
     if num <= 0.0 or den <= 0.0:
         raise FloatingPointError(
             "1 - psi underflowed; use a larger lambda or evaluate at smaller t"
@@ -436,4 +387,4 @@ def polynomial_growth_trajectory(g: ArchGenerator, rho: float, t_values) -> np.n
     the slowly varying factor is unbounded.
     """
     t = np.asarray(t_values, dtype=float)
-    return t**rho * np.asarray(g.one_minus_psi(1.0 / t), dtype=float)
+    return t**rho * g.one_minus_psi(1.0 / t)

@@ -311,7 +311,7 @@ class ArchimedeanFrailty(SequenceModel):
         return frailty_sample(self.family, self.theta, gen, m), gen.bit_generator.random_raw((m, n))
 
     def _native(self, v, w):
-        return np.asarray(self.generator.psi(_exponential(w) / v), dtype=float)
+        return self.generator.psi(_exponential(w) / v)
 
 
 class ArchimaxLogistic(SequenceModel):
@@ -342,7 +342,7 @@ class ArchimaxLogistic(SequenceModel):
 
     def _native(self, v, s, w):
         y = v * (s / _exponential(w)) ** (1.0 / self.theta_stdf)
-        return np.asarray(self.generator.psi(1.0 / y), dtype=float)
+        return self.generator.psi(1.0 / y)
 
 
 class GaussianAR1(SequenceModel):

@@ -200,6 +200,32 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     assert code == 2
     code, _ = run_cli(capsys, "diagonal", "--family", "clayton", "--theta", "-1", "--n", "2", "--u-grid", "0.5")
     assert code == 3
+    # an infinite model parameter is a domain error; frank and clayton once
+    # printed a degenerate law, and diagonal and converge raised a traceback.
+    # An overflowing rate n^400 (once an OverflowError traceback) is an
+    # arithmetic error, and a logistic-normal theta of 0 or 1e-300 (once a
+    # ZeroDivisionError or OverflowError) lies outside the logistic domain:
+    # each is a numeric error, exit 3 and one line
+    for argv in (
+        ["distortion", "--generator", "frank", "--theta", "inf", "--u-grid", "0.3,0.6"],
+        ["distortion", "--generator", "clayton", "--theta", "inf", "--u-grid", "0.3,0.6"],
+        ["distortion", "--generator", "power", "--theta", "inf", "--u-grid", "0.3,0.6"],
+        ["diagonal", "--family", "clayton", "--theta", "inf", "--n", "4", "--u-grid", "0.5"],
+        ["diagonal", "--family", "logistic", "--theta", "inf", "--n", "4", "--u-grid", "0.5"],
+        ["converge", "--model", "clayton", "--theta", "inf", "--margin", "normal", "--n", "16", "--reps", "4096"],
+        ["diagonal", "--family", "clayton", "--theta", "2", "--rate", "n^400", "--n", "1024", "--u-grid", "0.5"],
+        ["mixing", "--family", "clayton", "--theta", "2", "--rate", "n^400", "--n", "1024", "--t1", "0.2",
+         "--t2", "0.2", "--u", "0.5"],
+        ["bound", "--model", "logistic-normal", "--theta", "0", "--n", "2"],
+        ["bound", "--model", "logistic-normal", "--theta", "1e-300", "--n", "2"],
+    ):
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+    # logistic-normal takes the logistic model's rate, and with it its domain
+    # message; theta = -1 at n = 4 once read "n must be an integer >= 2, got 1"
+    assert main(["bound", "--model", "logistic-normal", "--theta", "-1", "--n", "4"]) == 3
+    assert capsys.readouterr().err == "error: logistic theta must be >= 1, got -1.0\n"
     code, _ = run_cli(capsys, "mixing", "--family", "movingmax", "--k", "1", "--t1", "0.2", "--t2", "0.2", "--u", "0.5", "--n", "10")
     assert code == 2
     # a missing model parameter, a model without a diagonal, a model without a sampler

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from maxdep.distortions import power
 from maxdep.generators import (
     builtin_generator,
     generator_from_f,
@@ -11,6 +12,7 @@ from maxdep.generators import (
     rv_index_estimate,
     scale_generator,
 )
+from maxdep.samplers import ArchimaxLogistic
 
 BUILTINS = [
     ("independence", None, 1.0, 1.0),
@@ -52,6 +54,47 @@ def test_parameter_ranges():
     for fam in ("clayton", "amh", "gumbel"):
         with pytest.raises(ValueError, match="theta must be a real number"):
             builtin_generator(fam, True)
+    # +-inf and NaN are no parameter values: clayton, frank, gumbel and joe
+    # once accepted theta = inf (gumbel's psi(0) was e^-1), and the power
+    # distortion and the archimax sampler took an infinite parameter too
+    for fam in ("amh", "clayton", "frank", "gumbel", "joe"):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="theta must be finite"):
+                builtin_generator(fam, bad)
+    with pytest.raises(ValueError, match="power exponent must be finite"):
+        power(math.inf)
+    with pytest.raises(ValueError, match="theta_stdf must be finite"):
+        ArchimaxLogistic("clayton", 2.0, math.inf)
+    with pytest.raises(ValueError, match="scale factor must be finite"):
+        scale_generator(builtin_generator("clayton", 2.0), math.inf)
+
+
+def _every_construction():
+    """Every built-in generator, one scaled and one built from its hazard f."""
+    gens = [builtin_generator(fam, th) for fam, th, _, _ in BUILTINS]
+    gens.append(scale_generator(builtin_generator("clayton", 2.0), 3.0))
+    gens.append(generator_from_f(lambda t: np.sqrt(t), lambda t: 0.5 / np.sqrt(t), rho=0.5))
+    return gens
+
+
+@pytest.mark.parametrize("g", _every_construction(), ids=lambda g: g.tag)
+def test_one_shell_checks_the_argument_and_returns_a_float(g):
+    # psi, psi_prime and 1 - psi take t in [0, inf]: a negative t or NaN once
+    # came back as a number (clayton psi(-0.5) = 1.414, frank psi'(-0.5) > 0)
+    for fn in (g.psi, g.psi_prime, g.one_minus_psi):
+        for bad in (-0.5, -math.inf, math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(ValueError, match=r"\[0, inf\]"):
+                fn(bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # psi_prime(0) may divide by zero
+            for ok in (0.0, math.inf):
+                fn(ok)
+        # a scalar gives a float, whatever its type; psi_inv once gave a 0-d
+        # array, an np.float64 or a float depending on the family
+        for t in (0.5, np.array(0.5)):
+            assert type(fn(t)) is float
+    for u in (0.5, np.array(0.5)):
+        assert type(g.psi_inv(u)) is float
 
 
 def test_psi_basic_shape(builtin):

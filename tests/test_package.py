@@ -128,6 +128,28 @@ def test_tracer_sees_the_distortion_layer():
     assert spans == "1" and float(evals) > 0
 
 
+def test_tracer_sees_the_generator_layer():
+    # bench/tracing.py swaps the psi and psi_inv fields of every generator
+    # handed out (dataclasses.replace); a clayton diagonal must call each
+    # once, on the whole grid, so that the per-layer counters count elements
+    script = (
+        "import sys\n"
+        "sys.dont_write_bytecode = True\n"
+        f"sys.path.insert(0, {str(ROOT / 'bench')!r})\n"
+        "from tracing import Tracer, instrument\n"
+        "from maxdep import diagonals, generators\n"
+        "tracer = Tracer()\n"
+        "instrument(tracer)\n"
+        "fam = diagonals.archimedean_diagonal(generators.builtin_generator('clayton', 2.0))\n"
+        "tracer.on = True\n"
+        "fam(16, [0.1, 0.3, 0.5, 0.7, 0.9])\n"
+        "print(*sorted((s[1], s[6]) for s in tracer.spans if s[1].startswith('generators.')))\n"
+    )
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "('generators.psi', 5) ('generators.psi_inv', 5)"
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
     proc = _python("-W", "error::RuntimeWarning", str(demo), cwd=tmp_path)
