@@ -1,4 +1,4 @@
-"""Small numeric helpers shared across modules."""
+"""Small numeric helpers shared across modules, and the name lookup of the model and margin tables."""
 
 from __future__ import annotations
 
@@ -23,6 +23,26 @@ def check_real(name: str, value):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+class UnknownNameError(ValueError):
+    """A name that no entry of a model or margin table answers to."""
+
+
+def lookup(kind: str, table: dict, aliases: dict, name: str, role: str | None = None):
+    """The entry of table under a name or alias, in any case, '_' read as '-'.
+
+    With ``role``, an attribute name, the entry must have that attribute set.
+    A name that is unknown or lacks it raises ``UnknownNameError`` listing
+    the names that have it.
+    """
+    key = name.lower().replace("_", "-")
+    entry = table.get(aliases.get(key, key))
+    if entry is None or (role and getattr(entry, role) is None):
+        names = ", ".join(k for k, e in table.items() if not role or getattr(e, role) is not None)
+        problem = f"unknown {kind} {name!r}" if entry is None else f"{kind} {name!r} has no {role}"
+        raise UnknownNameError(f"{problem}; pick from {names}")
+    return entry
 
 
 def check_level(q):

@@ -18,10 +18,12 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__, diagonals, margins, models, ratebounds, samplers
+from ._numutil import UnknownNameError
 from .gev import gev_cdf, gev_quantile
 
 
@@ -218,10 +220,7 @@ def _resolve(name: str, role: str, args) -> tuple[models.ModelSpec, dict]:
     An unknown name, a model without that role and a missing parameter are
     usage errors.
     """
-    try:
-        spec = models.model_spec(name, role)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    spec = models.model_spec(name, role)
     return spec, {p: _require(args, p) for p in spec.params}
 
 
@@ -265,6 +264,7 @@ def _rate_from_spec(fam: diagonals.DiagonalFamily, spec: str) -> diagonals.RateF
 
 
 def cmd_diagonal(args) -> Table:
+    """tabulate delta_n and its power distortion"""
     spec, params = _resolve(args.family, "diagonal", args)
     fam = spec.diagonal(**params)
     rate = _rate_from_spec(fam, args.rate)
@@ -297,6 +297,7 @@ _FIGURE1_PRESET = [
 
 
 def cmd_distortion(args) -> Table:
+    """tabulate limit distortions (cdf/density/quantile)"""
     grid = _parse_grid(args.u_grid)
     config = {"generator": args.generator, "theta": args.theta, "u-grid": args.u_grid}
     table = Table("distortion", config, ["family", "u", "cdf", "density", "quantile"])
@@ -317,6 +318,7 @@ def cmd_distortion(args) -> Table:
 
 
 def cmd_bound(args) -> Table:
+    """uniform convergence-rate bounds per n"""
     ns = _parse_n_schedule(args.n)
     scenario = args.model.lower().replace("_", "-")
     config = {"scenario": scenario, "n": args.n}
@@ -359,6 +361,7 @@ def _add_reports(table: Table, ns: list[int], reports: list[ratebounds.RateBound
 
 
 def cmd_converge(args) -> Table:
+    """MC sup distance of normalized-max ecdf from its limit"""
     spec, params = _resolve(args.model, "sampler", args)
     model = spec.sampler(**params)
     # ar1 has no diagonal; with extremal index 1 it takes the independence
@@ -395,6 +398,7 @@ def cmd_converge(args) -> Table:
 
 
 def cmd_mixing(args) -> Table:
+    """factorization discrepancy of the diagonal across index blocks"""
     spec, params = _resolve(args.family, "diagonal", args)
     fam = spec.diagonal(**params)
     if not fam.exchangeable:
@@ -413,98 +417,43 @@ def cmd_mixing(args) -> Table:
     return table
 
 
-# every configurable flag defaults to None at parse time so a config file can
-# fill it; hard defaults are applied afterwards (flags > file > defaults)
-_CASTS = {
-    "theta": float,
-    "k": int,
-    "phi": float,
-    "alpha": float,
-    "lam": float,
-    "reps": int,
-    "seed": int,
-    "workers": int,
-    "t1": float,
-    "t2": float,
-    "u": float,
+class _Flag(NamedTuple):
+    """A flag's type (for its text on the command line and in a config file), default and help."""
+
+    type: Callable[[str], object] = str
+    default: object = None
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+
+
+_REQUIRED = object()  # the default of a flag that must be set
+
+# every flag, once.  Each is None at parse time so that a config file can fill
+# it; its default fills it after that (flags > file > defaults)
+_FLAGS = {
+    "family": _Flag(default=_REQUIRED),
+    "generator": _Flag(default=_REQUIRED, help="a model with a limit distortion (power, amh-mixture, efgm, clayton, ...) or figure1"),
+    "model": _Flag(default=_REQUIRED, help="converge: a model with a sampler; bound: movingmax-normal | logistic-normal | cuadras-auge | iid-frechet"),
+    "margin": _Flag(default=_REQUIRED),
+    "theta": _Flag(float),
+    "k": _Flag(int),
+    "phi": _Flag(float),
+    "alpha": _Flag(float, 1.0),
+    "lam": _Flag(float, 1.0),
+    "rate": _Flag(default="canonical"),
+    "t1": _Flag(float, _REQUIRED),
+    "t2": _Flag(float, _REQUIRED),
+    "u": _Flag(float, _REQUIRED),
+    "n": _Flag(default=_REQUIRED),
+    "u_grid": _Flag(default="0.005:0.995:199"),
+    "x_grid": _Flag(),
+    "reps": _Flag(int, 10000),
+    "config": _Flag(help="flat key=value config file; flags take precedence"),
+    "format": _Flag(default="csv", choices=("csv", "jsonl")),
+    "out": _Flag(help="output path (default stdout)"),
+    "seed": _Flag(int, 20240901),
+    "workers": _Flag(int, 1),
 }
-_DEFAULTS = {
-    "format": "csv",
-    "rate": "canonical",
-    "u_grid": "0.005:0.995:199",
-    "alpha": 1.0,
-    "lam": 1.0,
-    "reps": 10000,
-    "seed": 20240901,
-    "workers": 1,
-}
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused after it.
-
-    Parsing keeps no state in the parser: each call returns a fresh namespace.
-    """
-    parser = argparse.ArgumentParser(prog="maxdep", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, needs_seed=False):
-        p.add_argument("--config", help="flat key=value config file; flags take precedence")
-        p.add_argument("--format", choices=["csv", "jsonl"])
-        p.add_argument("--out", help="output path (default stdout)")
-        if needs_seed:
-            p.add_argument("--seed", type=int)
-            p.add_argument("--workers", type=int)
-
-    p = sub.add_parser("diagonal", help="tabulate delta_n and its power distortion")
-    p.add_argument("--family", required=True)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--rate")
-    p.add_argument("--n", required=True)
-    p.add_argument("--u-grid", dest="u_grid")
-    common(p)
-
-    p = sub.add_parser("distortion", help="tabulate limit distortions (cdf/density/quantile)")
-    p.add_argument("--generator", required=True, help="a model with a limit distortion (power, amh-mixture, efgm, clayton, ...) or figure1")
-    p.add_argument("--theta", type=float)
-    p.add_argument("--u-grid", dest="u_grid")
-    common(p)
-
-    p = sub.add_parser("bound", help="uniform convergence-rate bounds per n")
-    p.add_argument("--model", required=True, help="movingmax-normal | logistic-normal | cuadras-auge | iid-frechet")
-    p.add_argument("--theta", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", required=True)
-    common(p)
-
-    p = sub.add_parser("converge", help="MC sup distance of normalized-max ecdf from its limit")
-    p.add_argument("--model", required=True)
-    p.add_argument("--margin", required=True)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--phi", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--n", required=True)
-    p.add_argument("--reps", type=int)
-    p.add_argument("--x-grid", dest="x_grid")
-    common(p, needs_seed=True)
-
-    p = sub.add_parser("mixing", help="factorization discrepancy of the diagonal across index blocks")
-    p.add_argument("--family", required=True)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--rate")
-    p.add_argument("--t1", type=float)
-    p.add_argument("--t2", type=float)
-    p.add_argument("--u", type=float)
-    p.add_argument("--n", required=True)
-    common(p)
-
-    return parser
-
 
 _COMMANDS = {
     "diagonal": cmd_diagonal,
@@ -514,22 +463,48 @@ _COMMANDS = {
     "mixing": cmd_mixing,
 }
 
+# the flags of each subcommand, besides --config, --format and --out
+_COMMAND_FLAGS = {
+    "diagonal": ("family", "theta", "k", "rate", "n", "u_grid"),
+    "distortion": ("generator", "theta", "u_grid"),
+    "bound": ("model", "theta", "k", "n"),
+    "converge": ("model", "margin", "theta", "k", "phi", "alpha", "lam", "n", "reps", "x_grid", "seed", "workers"),
+    "mixing": ("family", "theta", "k", "rate", "t1", "t2", "u", "n"),
+}
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it.
+
+    A subcommand's help is its function's docstring.  Parsing keeps no state
+    in the parser: each call returns a fresh namespace.
+    """
+    parser = argparse.ArgumentParser(prog="maxdep", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, fn in _COMMANDS.items():
+        p = sub.add_parser(command, help=fn.__doc__)
+        for name in _COMMAND_FLAGS[command] + ("config", "format", "out"):
+            flag = _FLAGS[name]
+            p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=flag.type, choices=flag.choices, help=flag.help)
+    return parser
+
 
 def _fill_args(args):
-    """Config-file values fill unset flags, then hard defaults fill the rest."""
-    if getattr(args, "config", None):
+    """Config-file values fill unset flags, then defaults fill the rest; a
+    required flag that is still unset is a usage error."""
+    if args.config:
         for key, val in _read_config(args.config).items():
             attr = key.replace("-", "_")
             if not hasattr(args, attr):
                 raise UsageError(f"unknown config key {key!r}")
             if getattr(args, attr) is None:
-                setattr(args, attr, _cast(_CASTS.get(attr, str), val, f"value for config key {key!r}"))
-    for attr, default in _DEFAULTS.items():
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, default)
-    for attr in ("t1", "t2", "u"):
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            raise UsageError(f"--{attr} is required")
+                setattr(args, attr, _cast(_FLAGS[attr].type, val, f"value for config key {key!r}"))
+    for attr, val in vars(args).items():
+        if val is None:
+            if _FLAGS[attr].default is _REQUIRED:
+                raise UsageError(f"--{attr.replace('_', '-')} is required")
+            setattr(args, attr, _FLAGS[attr].default)
     if getattr(args, "workers", 1) < 1:
         raise UsageError(f"--workers must be at least 1, got {args.workers}")
 
@@ -546,7 +521,7 @@ def main(argv=None) -> int:
             _write(args.out, text)
         else:
             sys.stdout.write(text)
-    except UsageError as exc:
+    except (UsageError, UnknownNameError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, KeyError) as exc:

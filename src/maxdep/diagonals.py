@@ -66,7 +66,10 @@ class RateFn:
         return _per_n(self._rate, n)
 
     def _rate(self, n: int) -> float:
-        v = float(self.fn(n))
+        try:
+            v = float(self.fn(n))
+        except OverflowError:
+            raise OverflowError(f"rate {self.tag or 'r_n'} overflows at n={n}") from None
         if not v > 0:
             raise ValueError(f"rate must be positive, got {v} at n={n}")
         return v

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ._numutil import check_count, check_level, scalar_or_array
+from ._numutil import check_count, check_level, check_real, lookup, scalar_or_array
 from .gev import GevParams
 
 
@@ -73,6 +73,7 @@ class Frechet(Margin):
     tag = "frechet"
 
     def __init__(self, alpha: float):
+        check_real("Frechet alpha", alpha)
         if not alpha > 0:
             raise ValueError(f"Frechet alpha must be positive, got {alpha}")
         self.alpha = float(alpha)
@@ -103,8 +104,9 @@ class Exponential(Margin):
     tag = "exponential"
 
     def __init__(self, lam: float = 1.0):
+        check_real("Exponential rate", lam)
         if not lam > 0:
-            raise ValueError(f"rate must be positive, got {lam}")
+            raise ValueError(f"Exponential rate must be positive, got {lam}")
         self.lam = float(lam)
         self.tag = f"exponential({lam})"
 
@@ -147,6 +149,7 @@ class Pareto(Margin):
     tag = "pareto"
 
     def __init__(self, alpha: float):
+        check_real("Pareto alpha", alpha)
         if not alpha > 0:
             raise ValueError(f"Pareto alpha must be positive, got {alpha}")
         self.alpha = float(alpha)
@@ -238,20 +241,22 @@ class Generic(Margin):
         return self._uniform_rate(n)
 
 
-def make_margin(spec: str, **params) -> Margin:
-    """Margin from a short name: unit-frechet, frechet, exponential, normal,
-    uniform, pareto."""
-    s = spec.lower().replace("_", "-")
-    if s in ("unit-frechet", "unitfrechet"):
-        return UnitFrechet()
-    if s == "frechet":
-        return Frechet(params.get("alpha", 1.0))
-    if s in ("exponential", "exp"):
-        return Exponential(params.get("lam", 1.0))
-    if s in ("normal", "std-normal", "gaussian"):
-        return StandardNormal()
-    if s in ("uniform", "uniform01"):
-        return Uniform01()
-    if s == "pareto":
-        return Pareto(params.get("alpha", 1.0))
-    raise ValueError(f"unknown margin {spec!r}")
+# every built-in margin by name, with the parameters its constructor takes
+MARGINS: dict[str, tuple[type[Margin], tuple[str, ...]]] = {
+    "unit-frechet": (UnitFrechet, ()),
+    "frechet": (Frechet, ("alpha",)),
+    "exponential": (Exponential, ("lam",)),
+    "normal": (StandardNormal, ()),
+    "uniform": (Uniform01, ()),
+    "pareto": (Pareto, ("alpha",)),
+}
+_ALIASES = {"unitfrechet": "unit-frechet", "exp": "exponential", "std-normal": "normal", "gaussian": "normal",
+            "uniform01": "uniform"}
+
+
+def make_margin(name: str, **params) -> Margin:
+    """The built-in margin of a name or alias (see ``MARGINS``), looked up as
+    ``models.model_spec`` looks up a model; it takes the parameters it has
+    from params, and the rest are ignored."""
+    cls, names = lookup("margin", MARGINS, _ALIASES, name)
+    return cls(**{p: params[p] for p in names if p in params})

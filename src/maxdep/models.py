@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import diagonals, distortions, generators, ratebounds, samplers
+from ._numutil import lookup
 from .diagonals import DiagonalFamily
 from .distortions import Distortion
 from .samplers import SequenceModel
@@ -76,18 +77,9 @@ _ALIASES = {"iid": "independence", "moving-max": "movingmax", "amh-uniform-mixtu
 
 
 def model_spec(name: str, role: str | None = None) -> ModelSpec:
-    """The ``MODELS`` entry of a name or alias, in any case, '_' read as '-'.
-
-    With ``role``, a ``ModelSpec`` field, the entry must have that part; the
-    error for a name that is unknown or lacks it lists the names that have it.
-    """
-    key = name.lower().replace("_", "-")
-    spec = MODELS.get(_ALIASES.get(key, key))
-    if spec is None or (role and getattr(spec, role) is None):
-        names = ", ".join(k for k, s in MODELS.items() if not role or getattr(s, role) is not None)
-        problem = f"unknown model {name!r}" if spec is None else f"model {name!r} has no {role}"
-        raise ValueError(f"{problem}; pick from {names}")
-    return spec
+    """The ``MODELS`` entry of a name or alias (see ``_numutil.lookup``); with
+    ``role``, a ``ModelSpec`` field, the entry must have that part."""
+    return lookup("model", MODELS, _ALIASES, name, role)
 
 
 def make_diagonal(variant: str, **params) -> DiagonalFamily:

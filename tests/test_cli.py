@@ -218,10 +218,18 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
          "--t2", "0.2", "--u", "0.5"],
         ["bound", "--model", "logistic-normal", "--theta", "0", "--n", "2"],
         ["bound", "--model", "logistic-normal", "--theta", "1e-300", "--n", "2"],
+        # a non-finite margin parameter, once "sigma must be a positive real" or "c_n must be positive"
+        ["converge", "--model", "iid", "--margin", "pareto", "--alpha", "inf", "--n", "16", "--reps", "4096"],
+        ["converge", "--model", "iid", "--margin", "exponential", "--lam", "inf", "--n", "16", "--reps", "4096"],
     ):
         assert main(argv) == 3, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+        # the overflow names the rate and n, not errno 34
+        if "n^400" in argv:
+            assert captured.err == "error: rate n^400 overflows at n=1024\n", argv
+        if "inf" in argv[-5:]:
+            assert "must be finite, got inf" in captured.err, argv
     # logistic-normal takes the logistic model's rate, and with it its domain
     # message; theta = -1 at n = 4 once read "n must be an integer >= 2, got 1"
     assert main(["bound", "--model", "logistic-normal", "--theta", "-1", "--n", "4"]) == 3
@@ -260,6 +268,23 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     bad_value.write_text("theta=abc\n")
     code, _ = run_cli(capsys, "diagonal", "--family", "clayton", "--n", "2", "--u-grid", "0.5", "--config", str(bad_value))
     assert code == 2
+    # a config value is cast with its flag's own type, as the flag's text is
+    movingmax = ["converge", "--model", "movingmax", "--margin", "unit-frechet", "--n", "16"]
+    for text in ("k=2.5\n", "reps=1e4\n"):
+        bad_value.write_text(text)
+        assert main([*movingmax, "--config", str(bad_value)]) == 2, text
+        assert capsys.readouterr().err.startswith("usage error: bad value for config key"), text
+    with pytest.raises(SystemExit) as err:
+        main([*movingmax, "--k", "2.5"])
+    assert err.value.code == 2 and "invalid int value: '2.5'" in capsys.readouterr().err
+    # a required flag set neither on the command line nor in the file: one line
+    assert main(["diagonal", "--n", "2", "--u-grid", "0.5"]) == 2
+    assert capsys.readouterr().err == "usage error: --family is required\n"
+    # an unknown margin is a usage error that lists the margin names, as an unknown model is
+    assert main(["converge", "--model", "iid", "--margin", "cauchy", "--n", "16"]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: unknown margin 'cauchy'; pick from unit-frechet, frechet, exponential, normal, uniform, pareto\n"
+    )
     # an unreadable config and an unwritable output: one line, no traceback
     row = ["diagonal", "--family", "clayton", "--theta", "1", "--n", "2", "--u-grid", "0.5"]
     for flags in (["--config", str(tmp_path / "missing.cfg")], ["--config", str(tmp_path)], ["--out", str(tmp_path / "no" / "x.csv")]):
@@ -622,6 +647,14 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     code, out = run_cli(capsys, "diagonal", "--family", "clayton", "--theta", "1", "--n", "2", "--config", str(cfg))
     _, _, rows = parse_csv(out)
     assert float(rows[0][2]) == pytest.approx(1.0 / 3.0, rel=1e-12)
+    # the file may set any flag, the required --family, --n and --t1 included
+    cfg.write_text("family=clayton\nn=2\ntheta=2\nu-grid=0.5\n")
+    code, from_file = run_cli(capsys, "diagonal", "--config", str(cfg))
+    assert (code, from_file) == run_cli(capsys, "diagonal", "--family", "clayton", "--n", "2", "--theta", "2", "--u-grid", "0.5")
+    cfg.write_text("t1=0.25\n")
+    mixing = ["mixing", "--family", "logistic", "--theta", "2", "--t2", "0.25", "--u", "0.5", "--n", "1000"]
+    code, from_file = run_cli(capsys, *mixing, "--config", str(cfg))
+    assert code == 0 and from_file == run_cli(capsys, *mixing, "--t1", "0.25")[1]
 
 
 def test_env_seed_override(capsys, monkeypatch):

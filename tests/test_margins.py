@@ -61,6 +61,13 @@ def test_invalid_parameters():
     for ctor in (Exponential, Frechet, Pareto):
         with pytest.raises(ValueError):
             ctor(-1.0)
+        # checked like a model parameter: Frechet(True), Frechet(inf), Pareto(inf)
+        # and Exponential(inf) once built, the last with a NaN cdf(0.0)
+        with pytest.raises(ValueError, match="must be a real number"):
+            ctor(True)
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="must be finite"):
+                ctor(value)
     with pytest.raises(ValueError):
         Exponential(1.0).quantile(1.5)
 
@@ -156,5 +163,10 @@ def test_make_margin_specs():
     assert make_margin("unit-frechet").tag == "unit-frechet"
     assert make_margin("normal").tag == "normal"
     assert make_margin("pareto", alpha=2.0).tag == "pareto(2.0)"
-    with pytest.raises(ValueError):
+    # every alias, in any case and with '_' read as '-', as model names are
+    for name, tag in (("unitfrechet", "unit-frechet"), ("Unit_Frechet", "unit-frechet"), ("frechet", "frechet(3.0)"),
+                      ("exp", "exponential(2.0)"), ("EXPONENTIAL", "exponential(2.0)"), ("std_normal", "normal"),
+                      ("gaussian", "normal"), ("uniform", "uniform01"), ("uniform01", "uniform01")):
+        assert make_margin(name, alpha=3.0, lam=2.0).tag == tag, name
+    with pytest.raises(ValueError, match="unknown margin 'cauchy'; pick from unit-frechet, frechet, exponential, normal"):
         make_margin("cauchy")

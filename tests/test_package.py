@@ -150,6 +150,35 @@ def test_tracer_sees_the_generator_layer():
     assert proc.stdout.strip() == "('generators.psi', 5) ('generators.psi_inv', 5)"
 
 
+def test_tracer_sees_the_cli_layer():
+    # bench/tracing.py rebinds each cmd_* function where a module-level dict
+    # holds it as a value, so cli._COMMANDS must map each name to its function:
+    # a subcommand the tracer misses reads 0 s in the benchmark
+    calls = [
+        ["diagonal", "--family", "clayton", "--theta", "2", "--n", "2,16", "--u-grid", "0.5"],
+        ["distortion", "--generator", "clayton", "--theta", "2", "--u-grid", "0.5"],
+        ["bound", "--model", "iid-frechet", "--n", "16"],
+        ["converge", "--model", "iid", "--margin", "unit-frechet", "--n", "16", "--reps", "4096"],
+        ["mixing", "--family", "logistic", "--theta", "2", "--t1", "0.25", "--t2", "0.25", "--u", "0.5", "--n", "16"],
+    ]
+    script = (
+        "import os, sys\n"
+        "sys.dont_write_bytecode = True\n"
+        f"sys.path.insert(0, {str(ROOT / 'bench')!r})\n"
+        "from tracing import Tracer, instrument\n"
+        "from maxdep import cli\n"
+        "tracer = Tracer()\n"
+        "instrument(tracer)\n"
+        "tracer.on = True\n"
+        f"for argv in {calls!r}:\n"
+        "    assert cli.main(argv + ['--out', os.devnull]) == 0, argv\n"
+        "print(*sorted(s[1] for s in tracer.spans if s[1].startswith('cli.') and s[1] not in ('cli.main', 'cli.render')))\n"
+    )
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["cli.bound", "cli.converge", "cli.diagonal", "cli.distortion", "cli.mixing"]
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
     proc = _python("-W", "error::RuntimeWarning", str(demo), cwd=tmp_path)
