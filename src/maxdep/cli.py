@@ -492,14 +492,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _fill_args(args):
     """Config-file values fill unset flags, then defaults fill the rest; a
-    required flag that is still unset is a usage error."""
+    required flag that is still unset is a usage error, and so is a file
+    value outside its flag's choices, before the command runs."""
     if args.config:
+        keys = _COMMAND_FLAGS[args.command] + ("format", "out")
         for key, val in _read_config(args.config).items():
             attr = key.replace("-", "_")
-            if not hasattr(args, attr):
+            if attr not in keys:
                 raise UsageError(f"unknown config key {key!r}")
             if getattr(args, attr) is None:
-                setattr(args, attr, _cast(_FLAGS[attr].type, val, f"value for config key {key!r}"))
+                flag = _FLAGS[attr]
+                value = _cast(flag.type, val, f"value for config key {key!r}")
+                if flag.choices and value not in flag.choices:
+                    raise UsageError(f"unknown {key} {value!r}")
+                setattr(args, attr, value)
     for attr, val in vars(args).items():
         if val is None:
             if _FLAGS[attr].default is _REQUIRED:

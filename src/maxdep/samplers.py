@@ -41,8 +41,11 @@ odd in the cell and non-decreasing in the word, so ``_umax`` maps one word
 per row.  The normal is thereby truncated at |Z| <= 8.2095, the value at
 the extreme words; the standard normal puts about 2.2e-16 of its mass past
 that, per draw.  Frailty variables, Berman's common factor Z_0 (one draw
-per row) and the AR(1) noise, which ``lfilter`` needs element by element,
-still come from the ``Generator`` methods.
+per row) and the AR(1) noise still come from the ``Generator`` methods.
+An AR(1) level sums every earlier noise element, so its row maximum cannot
+be taken on the word scale; the recursion Y_t = phi Y_{t-1} + Z_t runs in
+numpy with the roundings of scipy's ``lfilter``, whose output it equals bit
+for bit, so the signal-processing package is never loaded.
 
 Frailty constructions: Clayton uses a Gamma(1/theta) frailty, Gumbel a
 positive alpha-stable (alpha = 1/theta) drawn by the Chambers-Mallows-Stuck
@@ -348,6 +351,8 @@ class ArchimaxLogistic(SequenceModel):
 class GaussianAR1(SequenceModel):
     """Y_t = phi*Y_{t-1} + Z_t, Z_t standard normal, with a stationary start; margins N(0, 1/(1-phi^2))."""
 
+    _STEPS = 32  # time steps a recursion block: a (32, 256) buffer is 64 KiB
+
     def __init__(self, phi: float):
         check_real("phi", phi)
         if not -1.0 < phi < 1.0:
@@ -358,12 +363,28 @@ class GaussianAR1(SequenceModel):
 
     def _draw(self, gen, m, n):
         """(m, n) levels Y_t of the stationary recursion."""
-        # imported here, at its one use, so `import maxdep` does not pay for scipy.signal
-        from scipy.signal import lfilter
-
         y0 = gen.standard_normal(m) * self.stat_sd
-        z = gen.standard_normal((m, n))
-        y, _ = lfilter([1.0], [1.0, -self.phi], z, axis=1, zi=(self.phi * y0)[:, None])
+        y = gen.standard_normal((m, n))  # the noise Z_t, overwritten by Y_t
+        # Y_t = fl(fl(phi*Y_{t-1}) + Z_t), the two roundings of scipy's
+        # lfilter([1], [1, -phi], zi=phi*Y_{-1}), so its levels bit for bit,
+        # one step for all m rows at a time.  Blocks of _STEPS steps go
+        # through a small buffer whose rows are contiguous: a whole (n, m)
+        # transposed copy made the allocator fault its pages back in at every
+        # 256 x 256 slice.  A step is two ufunc calls on m values, mostly
+        # dispatch, so the ufuncs are bound locally and phi is a 0-d array
+        mul, add, phi, tmp = np.multiply, np.add, np.array(self.phi), np.empty(m)
+        buf = np.empty((min(n, self._STEPS), m))
+        prev = y0
+        for t in range(0, n, self._STEPS):
+            cols = y[:, t : t + self._STEPS]
+            steps = buf[: cols.shape[1]]
+            np.copyto(steps, cols.T)
+            for row in steps:
+                mul(prev, phi, tmp)
+                add(tmp, row, row)
+                prev = row
+            np.copyto(cols, steps.T)
+            prev = cols[:, -1]  # the buffer is refilled next
         return (y,)
 
     def _native(self, y):

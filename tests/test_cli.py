@@ -657,6 +657,34 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert code == 0 and from_file == run_cli(capsys, *mixing, "--t1", "0.25")[1]
 
 
+def test_config_keys_are_the_subcommand_flags(tmp_path, capsys, monkeypatch):
+    # command and config name no flag a file may set: command=bound once ran
+    # diagonal and exited 0
+    cfg = tmp_path / "run.cfg"
+    diagonal = ["diagonal", "--family", "clayton", "--theta", "2", "--n", "2", "--u-grid", "0.5", "--config", str(cfg)]
+    for line in ("command=bound", "config=other.cfg", "phi=0.5"):
+        cfg.write_text(line + "\n")
+        assert main(diagonal) == 2, line
+        key = line.partition("=")[0]
+        assert capsys.readouterr() == ("", f"usage error: unknown config key {key!r}\n"), line
+
+    # a file value outside its flag's choices fails before any draw, with the
+    # message an unknown format gave once the table was rendered
+    def no_draw(*args, **kwargs):
+        raise AssertionError("converge drew paths for a bad config value")
+
+    monkeypatch.setattr(cli.samplers, "normalized_max_ecdf", no_draw)
+    cfg.write_text("format=xml\n")
+    converge = ["converge", "--model", "iid", "--margin", "normal", "--n", "1024", "--reps", "200000", "--config", str(cfg)]
+    assert main(converge) == 2
+    assert capsys.readouterr() == ("", "usage error: unknown format 'xml'\n")
+    # the flag wins over the file, as for any other key
+    monkeypatch.undo()
+    code, out = run_cli(capsys, "converge", "--model", "iid", "--margin", "normal", "--n", "16", "--reps", "4096",
+                        "--config", str(cfg), "--format", "jsonl")
+    assert code == 0 and out.startswith('{"_meta"')
+
+
 def test_env_seed_override(capsys, monkeypatch):
     monkeypatch.setenv("MAXDEP_SEED", "999")
     _, out1 = run_cli(capsys, "converge", "--model", "iid", "--margin", "unit-frechet", "--n", "32", "--reps", "2000", "--seed", "1")

@@ -63,14 +63,16 @@ def test_analytic_commands_load_no_scipy():
 
 
 def test_deferred_scipy_path_prints_the_pinned_bytes():
-    # the normal margin and the AR(1) sampler load scipy.special and
-    # scipy.signal at their first call and print the bytes pinned in test_cli
+    # the normal margin and the AR(1) sampler load scipy.special at their
+    # first call and print the bytes pinned in test_cli; the AR(1) recursion
+    # runs in numpy, so scipy.signal is never loaded
     from test_cli import PINNED_PATH_MODELS
 
     flags, expected = PINNED_PATH_MODELS["ar1"]
     out, loaded = _scipy_after(["converge", "--model", "ar1", *flags, "--n", "16,64", "--reps", "8192", "--seed", "7"])
     assert out == expected
-    assert {"scipy.special", "scipy.signal"} <= set(loaded)
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.signal")]
 
 
 def test_tracer_sees_one_span_per_estimator_call():

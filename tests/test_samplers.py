@@ -315,6 +315,26 @@ def test_ar1_pair_matches_bivariate_normal_orthant():
     assert abs(est.value - float(exact)) < 4.0 * est.std_error
 
 
+@pytest.mark.parametrize("phi", [-0.99, -0.5, 0.0, 0.5, 0.99])
+def test_ar1_recursion_is_what_lfilter_computes(phi):
+    # the numpy recursion must round as scipy's lfilter does, which the
+    # pinned ar1 bytes were made with; scipy.signal is only the reference here
+    from scipy.signal import lfilter
+
+    model = GaussianAR1(phi)
+    for block, (n, m) in enumerate((n, m) for n in (1, 2, 33, 256) for m in (5, 256)):
+        stream = RngStream(31, 4)
+        (y,) = model._draw(stream.block_generator(block), m, n)
+        gen = stream.block_generator(block)
+        y0 = gen.standard_normal(m) * model.stat_sd
+        z = gen.standard_normal((m, n))
+        want, _ = lfilter([1.0], [1.0, -phi], z, axis=1, zi=(phi * y0)[:, None])
+        assert y.shape == (m, n) and np.array_equal(y, want), (phi, n, m)
+        got = model._umax(stream.block_generator(block), m, n)
+        paths = model._to_uniform(model._native_paths(stream.block_generator(block), m, n))
+        assert np.array_equal(got, paths.max(axis=1)), (phi, n, m)
+
+
 def test_archimax_frank_logistic_diagonal():
     # second generator/stdf configuration: Frank frailty with a cube-root
     # stable inner sequence
