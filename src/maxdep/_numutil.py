@@ -1,4 +1,4 @@
-"""Small numeric helpers shared across modules, and the name lookup of the model and margin tables."""
+"""Small numeric helpers shared across modules, and the name lookup of the model, margin and frailty tables."""
 
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ def check_real(name: str, value):
 
 
 class UnknownNameError(ValueError):
-    """A name that no entry of a model or margin table answers to."""
+    """A name that no entry of a model, margin or frailty table answers to."""
 
 
 def lookup(kind: str, table: dict, aliases: dict, name: str, role: str | None = None):

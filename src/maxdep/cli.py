@@ -330,11 +330,12 @@ def cmd_bound(args) -> Table:
         _add_reports(table, ns, [_composite_bound(spec, params, margin, n, float(n)) for n in ns])
         return table
     if scenario == "logistic-normal":
-        spec, params = _resolve("logistic", "diagonal", args)
-        config["theta"] = params["theta"]
+        theta = _require(args, "theta")
+        config["theta"] = theta
         table = Table("bound", config, ["n", "bound", "margin_term", "ceiling_term"])
         margin = margins.StandardNormal()
-        rate = spec.diagonal(**params).canonical_rate
+        # the logistic model's canonical rate, without building its diagonal
+        rate = diagonals.RateFn(diagonals.logistic_eta(theta), "eta")
         rates = [rate(n) for n in ns]
         # display form of the bound: the ceiling term is kept even when
         # r_n happens to be an integer (it only enlarges the bound)

@@ -125,7 +125,14 @@ def _power_diagonal(eta: Callable[[int], float]) -> Callable:
 
 
 def logistic_eta(theta: float) -> Callable[[int], float]:
-    """The logistic extremal-coefficient schedule eta_n = n^(1/theta)."""
+    """The logistic extremal-coefficient schedule eta_n = n^(1/theta), theta >= 1.
+
+    It is the logistic diagonal's canonical rate, so ``bound --model
+    logistic-normal`` reads the rate here without building the diagonal.
+    """
+    check_real("theta", theta)
+    if not theta >= 1.0:
+        raise ValueError(f"logistic theta must be >= 1, got {theta}")
     return lambda n: float(n) ** (1.0 / theta)
 
 
@@ -145,9 +152,6 @@ def comonotone_diagonal() -> DiagonalFamily:
 
 def logistic_power_diagonal(theta: float) -> DiagonalFamily:
     """Power diagonal u^(eta_n) with the extremal-coefficient schedule eta_n = n^(1/theta)."""
-    check_real("theta", theta)
-    if not theta >= 1.0:
-        raise ValueError(f"logistic theta must be >= 1, got {theta}")
     eta = logistic_eta(theta)
     return DiagonalFamily(
         fn=_power_diagonal(eta),
@@ -308,15 +312,10 @@ def power_distortion(fam: DiagonalFamily, r: RateFn | None, n, u):
 
 # log(-log u) from u = 1 - 2^-53 down to the smallest positive double
 _LOGLOG_SPAN = (math.log(2.0**-53), math.log(-math.log(math.ulp(0.0))))
+_SUP_GRID = 1000  # points of each scan
 
 
-def distortion_sup_distance(
-    fam: DiagonalFamily,
-    r: RateFn | None,
-    n: int,
-    D: Distortion,
-    grid_size: int = 1000,
-) -> float:
+def distortion_sup_distance(fam: DiagonalFamily, r: RateFn | None, n: int, D: Distortion) -> float:
     """sup_u |delta_n(u^(1/r_n)) - D(u)| by grid scans plus an array refine.
 
     One grid is linear in u; the other is linear in log(-log u) over the
@@ -326,19 +325,17 @@ def distortion_sup_distance(
     maximum is refined around its argmax by ``refine_max``, whose passes each
     evaluate the gap on one array of points, down to a bracket of 1e-12.
     """
-    if grid_size < 100:
-        raise ValueError("grid_size must be at least 100")
 
     def gap(u):
         return np.abs(power_distortion(fam, r, n, u) - np.asarray(D.cdf(u), dtype=float))
 
-    grids = (np.linspace(0.0, 1.0, grid_size), np.linspace(*_LOGLOG_SPAN, grid_size))
+    grids = (np.linspace(0.0, 1.0, _SUP_GRID), np.linspace(*_LOGLOG_SPAN, _SUP_GRID))
     to_u = (lambda x: x, lambda w: np.exp(-np.exp(w)))
     # both scans in one call; on a tie the linear one is refined
-    diffs = gap(np.concatenate([f(grid) for f, grid in zip(to_u, grids)])).reshape(2, grid_size)
+    diffs = gap(np.concatenate([f(grid) for f, grid in zip(to_u, grids)])).reshape(2, _SUP_GRID)
     k, i = np.unravel_index(np.argmax(diffs), diffs.shape)
     grid, f = grids[k], to_u[k]
-    _, refined = refine_max(lambda x: gap(f(x)), grid[max(i - 1, 0)], grid[min(i + 1, grid_size - 1)])
+    _, refined = refine_max(lambda x: gap(f(x)), grid[max(i - 1, 0)], grid[min(i + 1, _SUP_GRID - 1)])
     return max(float(diffs[k, i]), refined)
 
 

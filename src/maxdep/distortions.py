@@ -196,7 +196,7 @@ def efgm_limit(theta: float) -> Distortion:
     return _distortion(f"efgm({theta})", cdf, density, lambda: (math.inf, 1.0))
 
 
-def parameter_mixture(components: Sequence[Distortion], weights: Sequence[float], tag: str = "mixture") -> Distortion:
+def parameter_mixture(components: Sequence[Distortion], weights: Sequence[float]) -> Distortion:
     """Finite mixture sum_i w_i * D_i; weights must sum to 1."""
     w = np.asarray(weights, dtype=float)
     if len(components) != w.size or w.size == 0:
@@ -211,19 +211,19 @@ def parameter_mixture(components: Sequence[Distortion], weights: Sequence[float]
     def density(u):
         return sum(wi * np.asarray(c.density(u), dtype=float) for wi, c in zip(w, comps))
 
-    return _distortion(tag, cdf, density, lambda: density(np.array([0.0, 1.0])))
+    return _distortion("mixture", cdf, density, lambda: density(np.array([0.0, 1.0])))
 
 
-def mixture_over_interval(make: Callable[[float], Distortion], a: float, b: float, nodes: int = 64, tag: str = "mixture") -> Distortion:
-    """Uniform mixture over theta in (a, b) via Gauss-Legendre quadrature."""
+def mixture_over_interval(make: Callable[[float], Distortion], a: float, b: float) -> Distortion:
+    """Uniform mixture over theta in (a, b) via 64-node Gauss-Legendre quadrature."""
     # imported here, at its one use, so `import maxdep` does not pay for scipy.special
     from scipy.special import roots_legendre
 
-    x, w = roots_legendre(nodes)
+    x, w = roots_legendre(64)
     thetas = 0.5 * (b - a) * x + 0.5 * (a + b)
     # the interval Jacobian (b-a)/2 and the uniform density 1/(b-a) reduce to
     # a flat factor 1/2 on the reference weights
-    return parameter_mixture([make(t) for t in thetas], 0.5 * w, tag=tag)
+    return parameter_mixture([make(t) for t in thetas], 0.5 * w)
 
 
 # below u = 0.1 the AMH mixture comes from its Taylor series at 0, whose 16

@@ -85,14 +85,10 @@ def model_spec(name: str, role: str | None = None) -> ModelSpec:
 def make_diagonal(variant: str, **params) -> DiagonalFamily:
     """Diagonal family of a model by name (see ``MODELS``).
 
-    ``"archimedean"`` with ``family=`` is that family's entry.  ``"archimax"``
-    with ``family=``, ``theta=`` and ``theta_stdf=`` puts the built-in
-    generator under the logistic schedule eta_n = n^(1/theta_stdf).
-    Parameters the model does not take are ignored.
+    ``"archimedean"`` with ``family=`` is that family's entry.  Parameters
+    the model does not take are ignored.  An Archimax diagonal is no entry:
+    ``diagonals.archimax_diagonal`` puts a generator under a schedule eta_n,
+    ``diagonals.logistic_eta(theta)`` for the logistic one.
     """
-    v = variant.lower().replace("_", "-")
-    if v == "archimax":
-        g = generators.builtin_generator(params["family"], params.get("theta"))
-        return diagonals.archimax_diagonal(g, diagonals.logistic_eta(params["theta_stdf"]))
-    spec = model_spec(params.pop("family") if v == "archimedean" else v, "diagonal")
+    spec = model_spec(params.pop("family") if variant.lower() == "archimedean" else variant, "diagonal")
     return spec.diagonal(**{p: params[p] for p in spec.params if p in params})

@@ -53,6 +53,9 @@ transform, Frank a logarithmic-series variable, Joe a Sibuya(1/theta)
 variable drawn exactly as a geometric variable whose success probability is
 Beta(1/theta, 1 - 1/theta) (Sibuya 1979; Hofert 2011), and AMH a geometric
 frailty.  Each is validated against its Laplace transform in the test suite.
+Family names resolve through ``_numutil.lookup``, as model and margin names
+do, and ``ArchimaxLogistic`` is the frailty model over a logistic inner
+sequence, drawing V the same way.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numutil import check_count, check_real
+from ._numutil import check_count, check_real, lookup
 from .generators import ArchGenerator, builtin_generator
 from .margins import Margin
 
@@ -207,17 +210,13 @@ _FRAILTIES = {
 }
 
 
-def _frailty_draw(family: str):
-    """The frailty draw (gen, m, theta) of a generator family, or ValueError."""
-    draw = _FRAILTIES.get(family.lower().replace("-", "").replace("_", ""))
-    if draw is None:
-        raise ValueError(f"no frailty sampler for generator family {family!r}")
-    return draw
-
-
 def frailty_sample(family: str, theta: float | None, gen, m: int):
-    """Draw m frailty variables whose Laplace transform is the family generator."""
-    return _frailty_draw(family)(gen, m, theta)
+    """Draw m frailty variables whose Laplace transform is the family generator.
+
+    An unknown family, or one without a frailty draw, raises
+    ``UnknownNameError`` listing the families that have one.
+    """
+    return lookup("frailty family", _FRAILTIES, {}, family)(gen, m, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +305,8 @@ class ArchimedeanFrailty(SequenceModel):
         self.family = family
         self.theta = theta
         self.generator: ArchGenerator = builtin_generator(family, theta)
-        _frailty_draw(family)  # fail here, not at the first draw in some pool thread
+        # fail here, not at the first draw in some pool thread
+        lookup("frailty family", _FRAILTIES, {}, family)
         self.tag = f"arch-frailty[{self.generator.tag}]"
 
     def _draw(self, gen, m, n):
@@ -317,29 +317,27 @@ class ArchimedeanFrailty(SequenceModel):
         return self.generator.psi(_exponential(w) / v)
 
 
-class ArchimaxLogistic(SequenceModel):
+class ArchimaxLogistic(ArchimedeanFrailty):
     """Y_i = V * Z_i with logistic-dependent unit Frechet Z and frailty V.
 
-    The inner sequence Z is drawn through its own stable frailty S:
+    The frailty model with a logistic inner sequence in place of the iid
+    exponentials: family, theta (the generator's parameter) and V are the
+    base class's.  Z is drawn through its own stable frailty S:
     Z_i = (S/E_i)^(1/theta_stdf) has the Gumbel-Hougaard dependence with
-    extremal coefficient n^(1/theta_stdf).  The margin of Y is psi(1/y).
+    extremal coefficient n^(1/theta_stdf).  The margin of Y is psi(1/y),
+    which decreases in E as the base class's map does.
     """
 
-    _decreasing = True  # Y decreases in E, and psi(1/y) increases in y
-
-    def __init__(self, family: str, theta_gen: float | None, theta_stdf: float):
+    def __init__(self, family: str, theta: float | None, theta_stdf: float):
         check_real("theta_stdf", theta_stdf)
         if not theta_stdf >= 1.0:
             raise ValueError(f"theta_stdf must be >= 1, got {theta_stdf}")
-        self.family = family
-        self.theta_gen = theta_gen
+        super().__init__(family, theta)
         self.theta_stdf = float(theta_stdf)
-        self.generator = builtin_generator(family, theta_gen)
-        _frailty_draw(family)  # fail here, not at the first draw in some pool thread
         self.tag = f"archimax[{self.generator.tag},logistic({theta_stdf})]"
 
     def _draw(self, gen, m, n):
-        v = frailty_sample(self.family, self.theta_gen, gen, m)
+        v = frailty_sample(self.family, self.theta, gen, m)
         s = _stable_frailty(gen, m, 1.0 / self.theta_stdf)
         return v, s, gen.bit_generator.random_raw((m, n))
 

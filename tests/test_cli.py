@@ -126,6 +126,14 @@ def test_converge_movingmax_bound_column(capsys):
     _, _, rows = parse_csv(out)
     sup, max_se, bound = float(rows[0][1]), float(rows[0][2]), float(rows[0][3])
     assert sup <= bound + 4.0 * max_se
+    # the exponential margin has no known uniform rate, so no bound is printed
+    code, out = run_cli(
+        capsys, "converge", "--model", "movingmax", "--k", "1", "--margin", "exponential",
+        "--n", "16", "--reps", "4096", "--seed", "5",
+    )
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    assert rows[0][3] == ""
 
 
 def test_converge_clayton_trajectory(capsys):
@@ -264,6 +272,23 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     assert code == 2
     code, _ = run_cli(capsys, "diagonal", "--family", "clayton", "--theta", "1", "--n", "2", "--u-grid", "0.5", "--rate", "n^x")
     assert code == 2
+    # a family without a canonical rate, an unknown rate spec, a schedule end
+    # that is not 2^k, a config line without '=' (after a comment line) and an
+    # unknown bound scenario: one line each
+    bad_line = tmp_path / "bad_line.cfg"
+    bad_line.write_text("# a comment\ntheta 2\n")
+    clayton = ["diagonal", "--family", "clayton", "--theta", "2", "--u-grid", "0.5"]
+    for argv, err in (
+        (["diagonal", "--family", "comonotone", "--n", "2", "--u-grid", "0.5"], "family comonotone has no canonical rate; pass --rate n"),
+        ([*clayton, "--n", "2", "--rate", "foo"], "unknown rate spec 'foo'"),
+        ([*clayton, "--n", "2^4..8"], "bad n schedule '2^4..8'; use e.g. 2^4..2^12"),
+        ([*clayton, "--n", "2", "--config", str(bad_line)], "bad config line 'theta 2'"),
+        (["bound", "--model", "nosuch", "--n", "4"], "unknown bound scenario 'nosuch'"),
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"usage error: {err}\n", argv
+    with pytest.raises(cli.UsageError, match="^unknown format 'xml'$"):
+        Table("diagonal", {}, ["n"]).render("xml")
     bad_value = tmp_path / "bad.cfg"
     bad_value.write_text("theta=abc\n")
     code, _ = run_cli(capsys, "diagonal", "--family", "clayton", "--n", "2", "--u-grid", "0.5", "--config", str(bad_value))

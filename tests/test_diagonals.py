@@ -6,8 +6,10 @@ from scipy.integrate import quad
 
 from maxdep.diagonals import (
     RateFn,
+    archimax_diagonal,
     distortion_sup_distance,
     empirical_diagonal_distance,
+    logistic_eta,
     mixing_discrepancy,
     power_distortion,
     rate_scaling_limit,
@@ -33,7 +35,7 @@ def all_families():
         make_diagonal("logistic", theta=2.0),
         make_diagonal("archimedean", family="clayton", theta=1.0),
         make_diagonal("archimedean", family="gumbel", theta=2.0),
-        make_diagonal("archimax", family="clayton", theta=2.0, theta_stdf=2.0),
+        archimax_diagonal(builtin_generator("clayton", 2.0), logistic_eta(2.0)),
         make_diagonal("efgm", theta=0.8),
     ]
 
@@ -116,7 +118,10 @@ def _bits(x):
 def test_batched_call_equals_per_n_calls(name, params):
     # movingmax(2) and logistic(2) take the exponent 2.0 at n = 4, which
     # numpy squares exactly for a scalar exponent; n repeats and is unsorted
-    fam = make_diagonal(name, **params)
+    if name == "archimax":
+        fam = archimax_diagonal(builtin_generator(params["family"], params["theta"]), logistic_eta(params["theta_stdf"]))
+    else:
+        fam = make_diagonal(name, **params)
     rate = fam.canonical_rate or RateFn(float, "n")
     ns = np.array([4, 1, 2, 3, 4, 7, 64, 1000, 2**20, 2**14, 2**40])
     for rs in (np.ones(ns.size), rate(ns), np.geomspace(0.01, 37.3, ns.size)):
@@ -251,8 +256,6 @@ def test_sup_distance_examples():
     assert got == pytest.approx(movingmax_s(10, 1), abs=1e-10)
     ind = make_diagonal("independence")
     assert distortion_sup_distance(ind, None, 25, ind.limit_distortion) < 1e-12
-    with pytest.raises(ValueError):
-        distortion_sup_distance(ind, None, 25, ind.limit_distortion, grid_size=10)
 
 
 @pytest.mark.parametrize(
@@ -268,7 +271,7 @@ def test_sup_distance_examples():
     ids=lambda f: f.tag,
 )
 def test_sup_distance_nonincreasing(fam):
-    sups = [distortion_sup_distance(fam, None, 2**e, fam.limit_distortion, grid_size=400) for e in (4, 6, 8, 10, 12)]
+    sups = [distortion_sup_distance(fam, None, 2**e, fam.limit_distortion) for e in (4, 6, 8, 10, 12)]
     assert all(a >= b - 1e-12 for a, b in zip(sups, sups[1:]))
 
 
@@ -295,7 +298,7 @@ def test_rate_scaling_limit():
 def test_rate_scaling_limit_archimax_logistic():
     # canonical rate of a Clayton Archimax family with eta_n = sqrt(n): since
     # rho = 1 the scaling limit is kappa(t)^rho = sqrt(t)
-    fam = make_diagonal("archimax", family="clayton", theta=2.0, theta_stdf=2.0)
+    fam = archimax_diagonal(builtin_generator("clayton", 2.0), logistic_eta(2.0))
     traj = rate_scaling_limit(fam.canonical_rate, 0.25, [10**4, 10**6])
     assert traj[-1] == pytest.approx(0.5, abs=1e-3)
 

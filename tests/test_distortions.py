@@ -277,7 +277,7 @@ def test_amh_uniform_mixture_closed_form():
     closed = 1.0 - ((us - 1.0) / us) * np.log1p(-us)
     assert np.max(np.abs(np.asarray(M.cdf(us)) - closed)) < 1e-8
     # independent route: the 64-node Gauss-Legendre mixture of the AMH limits
-    quadrature = mixture_over_interval(lambda th: archimedean_limit(builtin_generator("amh", th)), 0.0, 1.0, nodes=64)
+    quadrature = mixture_over_interval(lambda th: archimedean_limit(builtin_generator("amh", th)), 0.0, 1.0)
     assert np.max(np.abs(np.asarray(M.cdf(us)) - np.asarray(quadrature.cdf(us)))) < 1e-8
     assert np.max(np.abs(np.asarray(M.density(us)) - np.asarray(quadrature.density(us)))) < 1e-6
 

@@ -152,6 +152,29 @@ def test_tracer_sees_the_generator_layer():
     assert proc.stdout.strip() == "('generators.psi', 5) ('generators.psi_inv', 5)"
 
 
+def test_tracer_sees_the_frailty_layer():
+    # bench/tracing.py rebinds samplers.frailty_sample and sizes its span by
+    # the 4th argument, m; both frailty models must draw V through that one
+    # name, once per 256-row slice: 16 + 1 slices of 4097 rows each
+    script = (
+        "import sys\n"
+        "sys.dont_write_bytecode = True\n"
+        f"sys.path.insert(0, {str(ROOT / 'bench')!r})\n"
+        "from tracing import Tracer, instrument\n"
+        "from maxdep import samplers\n"
+        "tracer = Tracer()\n"
+        "instrument(tracer)\n"
+        "tracer.on = True\n"
+        "for model in (samplers.ArchimedeanFrailty('clayton', 2.0), samplers.ArchimaxLogistic('clayton', 2.0, 2.0)):\n"
+        "    samplers.max_sample(model, None, 64, 4097, samplers.RngStream(1, 0))\n"
+        "frailty = [s[6] for s in tracer.spans if s[1] == 'samplers.frailty']\n"
+        "print(len(frailty), sum(frailty))\n"
+    )
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["34", "8194"]
+
+
 def test_tracer_sees_the_cli_layer():
     # bench/tracing.py rebinds each cmd_* function where a module-level dict
     # holds it as a value, so cli._COMMANDS must map each name to its function:

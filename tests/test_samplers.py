@@ -8,6 +8,7 @@ from scipy.special import gammaln, ndtr, ndtri
 from scipy.stats import kstest
 
 from maxdep import samplers
+from maxdep.diagonals import archimax_diagonal, logistic_eta
 from maxdep.generators import builtin_generator
 from maxdep.margins import Exponential, StandardNormal, UnitFrechet, Uniform01
 from maxdep.models import MODELS as MODEL_TABLE, make_diagonal, model_spec
@@ -255,12 +256,13 @@ def test_sibuya_frailty_law(theta):
 
 def test_frailty_unknown_family():
     gen = RngStream(0, 0).block_generator(0)
-    with pytest.raises(ValueError):
+    families = "independence, clayton, gumbel, frank, joe, amh"
+    with pytest.raises(ValueError, match=f"^unknown frailty family 'ballerini'; pick from {families}$"):
         frailty_sample("ballerini", None, gen, 10)
     # a family without a frailty draw fails at construction, not at the first draw
-    with pytest.raises(ValueError, match="no frailty sampler"):
+    with pytest.raises(ValueError, match="frailty family 'ballerini'; pick from"):
         ArchimedeanFrailty("ballerini")
-    with pytest.raises(ValueError, match="no frailty sampler"):
+    with pytest.raises(ValueError, match="frailty family 'ballerini'; pick from"):
         ArchimaxLogistic("ballerini", None, 2.0)
 
 
@@ -279,7 +281,7 @@ DIAGONAL_CASES = [
     (spec.sampler(**SAMPLED_PARAMS[name]), spec.diagonal(**SAMPLED_PARAMS[name]))
     for name, spec in MODEL_TABLE.items()
     if spec.sampler and spec.diagonal
-] + [(ArchimaxLogistic("clayton", 2.0, 2.0), make_diagonal("archimax", family="clayton", theta=2.0, theta_stdf=2.0))]
+] + [(ArchimaxLogistic("clayton", 2.0, 2.0), archimax_diagonal(builtin_generator("clayton", 2.0), logistic_eta(2.0)))]
 
 
 @pytest.mark.parametrize("model,fam", DIAGONAL_CASES, ids=lambda c: getattr(c, "tag", ""))
@@ -339,7 +341,7 @@ def test_archimax_frank_logistic_diagonal():
     # second generator/stdf configuration: Frank frailty with a cube-root
     # stable inner sequence
     model = ArchimaxLogistic("frank", 2.0, 3.0)
-    fam = make_diagonal("archimax", family="frank", theta=2.0, theta_stdf=3.0)
+    fam = archimax_diagonal(builtin_generator("frank", 2.0), logistic_eta(3.0))
     for i, (n, u) in enumerate([(4, 0.4), (4, 0.8)]):
         est = empirical_diagonal(model, n, u, 50_000, RngStream(2027, i))
         assert abs(est.value - float(fam(n, u))) < 4.0 * est.std_error, (n, u)
