@@ -33,7 +33,7 @@ def _log1mexp(a):
 
 @dataclass(frozen=True)
 class ArchGenerator:
-    """Archimedean generator bundle, built by ``_generator``.
+    """Archimedean generator bundle, built by ``_generator`` or ``scale_generator``.
 
     psi maps [0, inf] to [0, 1] and psi_prime is its derivative; they and
     one_minus_psi raise ValueError for an argument below 0 or NaN.
@@ -64,17 +64,6 @@ def _generator(tag: str, rho: float, neg_psi_prime_0: float, psi, psi_prime, one
     array loops may differ in the last bit, and this keeps the scalar bits.
     """
 
-    def on_half_line(f):
-        def checked(t):
-            t = np.asarray(t, dtype=float)
-            # a NaN fails the test; a scalar is tested as a float, which costs
-            # a tenth of a numpy reduction, and an array by its min
-            if not (t.min(initial=math.inf) if t.ndim else float(t)) >= 0.0:
-                raise ValueError("generator argument must lie in [0, inf]")
-            return scalar_or_array(f(t))
-
-        return checked
-
     def psi_inv(u, r=1.0):
         u = np.asarray(u, dtype=float)
         if not ((u >= 0.0) & (u <= 1.0)).all():
@@ -83,8 +72,22 @@ def _generator(tag: str, rho: float, neg_psi_prime_0: float, psi, psi_prime, one
             s = -np.log(u) / r
         return scalar_or_array(inv(s, u, r))
 
-    return ArchGenerator(on_half_line(psi), psi_inv, on_half_line(psi_prime), rho, neg_psi_prime_0, tag,
-                         on_half_line(one_minus_psi))
+    return ArchGenerator(_on_half_line(psi), psi_inv, _on_half_line(psi_prime), rho, neg_psi_prime_0, tag,
+                         _on_half_line(one_minus_psi))
+
+
+def _on_half_line(f):
+    """A formula f on a float array t >= 0 as a checked function of t in [0, inf]."""
+
+    def checked(t):
+        t = np.asarray(t, dtype=float)
+        # a NaN fails the test; a scalar is tested as a float, which costs
+        # a tenth of a numpy reduction, and an array by its min
+        if not (t.min(initial=math.inf) if t.ndim else float(t)) >= 0.0:
+            raise ValueError("generator argument must lie in [0, inf]")
+        return scalar_or_array(f(t))
+
+    return checked
 
 
 def _numeric_inverse(f: Callable, f_prime: Callable, excess: Callable | None = None) -> Callable:
@@ -172,9 +175,10 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
     (theta in (0,1)), ``clayton`` (theta > 0), ``frank`` (theta > 0),
     ``gumbel`` (theta >= 1), ``joe`` (theta > 1), ``ballerini`` (none,
     the generator 1/(t*(1+1/t)^(1+t)) whose inverse has no closed form).
-    A theta is a finite real number.
+    A theta is a finite real number.  A family name is read in any case,
+    with '_' as '-', as model and margin names are.
     """
-    fam = family.lower().replace("-", "").replace("_", "")
+    fam = family.lower().replace("_", "-")
 
     if fam == "independence":
         return _generator("independence", rho=1.0, neg_psi_prime_0=1.0,
@@ -350,9 +354,10 @@ def scale_generator(g: ArchGenerator, c: float) -> ArchGenerator:
     check_real("scale factor", c)
     if not c > 0:
         raise ValueError(f"scale factor must be positive, got {c}")
-    return _generator(f"scale({g.tag},{c})", rho=g.rho, neg_psi_prime_0=c * g.neg_psi_prime_0,
-                      psi=lambda t: g.psi(c * t), psi_prime=lambda t: c * g.psi_prime(c * t),
-                      one_minus_psi=lambda t: g.one_minus_psi(c * t), inv=lambda s, u, r: g.psi_inv(u, r) / c)
+    # g.psi_inv checks u and forms s = -log(u)/r itself, so the inverse only divides
+    return ArchGenerator(_on_half_line(lambda t: g.psi(c * t)), lambda u, r=1.0: g.psi_inv(u, r) / float(c),
+                         _on_half_line(lambda t: c * g.psi_prime(c * t)), g.rho, c * g.neg_psi_prime_0,
+                         f"scale({g.tag},{c})", _on_half_line(lambda t: g.one_minus_psi(c * t)))
 
 
 def rv_index_estimate(g: ArchGenerator, lam: float, t: float) -> float:

@@ -4,6 +4,10 @@ Each margin knows its cdf/quantile pair and, for the built-ins, the classical
 normalizing sequences (c_n, d_n) under which F^n(c_n x + d_n) converges to a
 GEV limit, plus a uniform rate bound beta(n) for that convergence where one
 is known (standard normal and the exactly max-stable Frechet margins).
+
+``Margin`` is the one checked shell: a margin gives only formulas, and the
+shell checks x, q and n >= 2, raises where a margin has no recipe and returns
+a float for a scalar.  ``Generic`` holds a user's callables as the formulas.
 """
 
 from __future__ import annotations
@@ -25,103 +29,96 @@ class NoKnownRateError(ValueError):
 
 
 class Margin:
-    """Base class; subclasses fill in cdf/quantile and optional recipes."""
+    """The checked shell around a margin's formulas.
+
+    A subclass gives _cdf(x) and _quantile(q), formulas on a float array
+    (q in (0, 1)), and where it has them the recipes _normalizers(n) and
+    _uniform_rate(n), for an integer n >= 2.  A scalar is evaluated as a 0-d
+    array, not reshaped as in ``on_unit``, so it keeps numpy's scalar bits.
+    """
 
     tag = "margin"
+    _normalizers = _uniform_rate = None
 
     def cdf(self, x):
-        raise NotImplementedError
+        return scalar_or_array(self._cdf(np.asarray(x, dtype=float)))
 
     def quantile(self, q):
-        raise NotImplementedError
+        return scalar_or_array(self._quantile(check_level(q)))
 
     def normalizers(self, n: int) -> tuple[float, float, GevParams]:
         """(c_n, d_n, limit) with F^n(c_n x + d_n) -> gev_cdf(limit, x)."""
-        raise NoNormalizerError(f"no normalizers registered for {self.tag}")
+        if self._normalizers is None:
+            raise NoNormalizerError(f"no normalizers registered for {self.tag}")
+        check_count("n", n, 2)
+        return self._normalizers(n)
 
     def uniform_rate(self, n: int) -> float:
         """Known bound on sup_x |F^n(c_n x + d_n) - limit(x)|."""
-        raise NoKnownRateError(f"no uniform rate known for {self.tag}")
-
-
-class UnitFrechet(Margin):
-    """F(x) = exp(-1/x) for x > 0.  Exactly max-stable: F^n(n x) = F(x)."""
-
-    tag = "unit-frechet"
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        # 1/x overflows only below 1/DBL_MAX, where exp(-inf) gives the exact 0
-        with np.errstate(over="ignore"):
-            return scalar_or_array(np.where(x <= 0, 0.0, np.exp(-1.0 / np.where(x <= 0, 1.0, x))))
-
-    def quantile(self, q):
-        return -1.0 / np.log(check_level(q))
-
-    def normalizers(self, n):
+        if self._uniform_rate is None:
+            raise NoKnownRateError(f"no uniform rate known for {self.tag}")
         check_count("n", n, 2)
-        return (float(n), 0.0, GevParams(1.0, 1.0, 1.0))
+        return self._uniform_rate(n)
 
-    def uniform_rate(self, n):
-        check_count("n", n, 2)
-        return 0.0
+
+def _positive(name: str, value) -> float:
+    check_real(name, value)
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return float(value)
 
 
 class Frechet(Margin):
-    """F(x) = exp(-x^(-alpha)), alpha > 0; also exactly max-stable."""
-
-    tag = "frechet"
+    """F(x) = exp(-x^(-alpha)), alpha > 0.  Exactly max-stable: F^n(n^(1/alpha) x) = F(x)."""
 
     def __init__(self, alpha: float):
-        check_real("Frechet alpha", alpha)
-        if not alpha > 0:
-            raise ValueError(f"Frechet alpha must be positive, got {alpha}")
-        self.alpha = float(alpha)
+        self.alpha = _positive("Frechet alpha", alpha)
         self.tag = f"frechet({alpha})"
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _cdf(self, x):
         # x^-alpha overflows only where the cdf is exactly 0
         with np.errstate(over="ignore"):
-            return scalar_or_array(np.where(x <= 0, 0.0, np.exp(-np.where(x <= 0, 1.0, x) ** -self.alpha)))
+            return np.where(x <= 0, 0.0, np.exp(-np.where(x <= 0, 1.0, x) ** -self.alpha))
 
-    def quantile(self, q):
-        return (-np.log(check_level(q))) ** (-1.0 / self.alpha)
+    def _quantile(self, q):
+        # a scalar t is a numpy float, whose ** is libm's pow: at alpha = 1
+        # that misses 1/t in the last bit, where an array's ** -1.0 divides
+        t = -np.log(q)
+        return 1.0 / t if self.alpha == 1.0 else t ** (-1.0 / self.alpha)
 
-    def normalizers(self, n):
-        check_count("n", n, 2)
+    def _normalizers(self, n):
         a = self.alpha
         return (n ** (1.0 / a), 0.0, GevParams(1.0 / a, 1.0, 1.0 / a))
 
-    def uniform_rate(self, n):
-        check_count("n", n, 2)
+    def _uniform_rate(self, n):
         return 0.0
+
+
+class UnitFrechet(Frechet):
+    """F(x) = exp(-1/x) for x > 0: Frechet(1.0) under its own tag."""
+
+    def __init__(self):
+        super().__init__(1.0)
+        self.tag = "unit-frechet"
 
 
 class Exponential(Margin):
     """F(x) = 1 - exp(-lam*x); normalizers (1/lam, log(n)/lam), Gumbel limit."""
 
-    tag = "exponential"
-
     def __init__(self, lam: float = 1.0):
-        check_real("Exponential rate", lam)
-        if not lam > 0:
-            raise ValueError(f"Exponential rate must be positive, got {lam}")
-        self.lam = float(lam)
+        self.lam = _positive("Exponential rate", lam)
         self.tag = f"exponential({lam})"
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _cdf(self, x):
         # x <= 0 is masked before expm1, which overflows far to the left;
         # lam*x overflows only where the cdf is exactly 1
         with np.errstate(over="ignore"):
-            return scalar_or_array(-np.expm1(-self.lam * np.where(x <= 0, 0.0, x)))
+            return -np.expm1(-self.lam * np.where(x <= 0, 0.0, x))
 
-    def quantile(self, q):
-        return -np.log1p(-check_level(q)) / self.lam
+    def _quantile(self, q):
+        return -np.log1p(-q) / self.lam
 
-    def normalizers(self, n):
-        check_count("n", n, 2)
+    def _normalizers(self, n):
         return (1.0 / self.lam, math.log(n) / self.lam, GevParams(0.0, 0.0, 1.0))
 
 
@@ -130,43 +127,35 @@ class Uniform01(Margin):
 
     tag = "uniform01"
 
-    def cdf(self, x):
-        return scalar_or_array(np.clip(np.asarray(x, dtype=float), 0.0, 1.0))
+    def _cdf(self, x):
+        return np.clip(x, 0.0, 1.0)
 
-    def quantile(self, q):
-        return scalar_or_array(check_level(q))
+    def _quantile(self, q):
+        return q
 
-    def normalizers(self, n):
-        check_count("n", n, 2)
+    def _normalizers(self, n):
         # F^n(x/n + 1) = (1 + x/n)^n -> e^x on x <= 0, i.e. xi = -1 with
         # upper endpoint 0: H_{-1,-1,1}(x) = exp(-(1-(x+1))) = exp(x).
         return (1.0 / n, 1.0, GevParams(-1.0, -1.0, 1.0))
 
 
 class Pareto(Margin):
-    """F(x) = 1 - x^(-alpha) on x >= 1; quantile-based Frechet normalizers."""
+    """F(x) = 1 - x^(-alpha) on x >= 1, not max-stable, so with no uniform rate.
 
-    tag = "pareto"
+    Its normalizers are Frechet(alpha)'s: c_n = F^{-1}(1 - 1/n) = n^(1/alpha), d_n = 0.
+    """
 
     def __init__(self, alpha: float):
-        check_real("Pareto alpha", alpha)
-        if not alpha > 0:
-            raise ValueError(f"Pareto alpha must be positive, got {alpha}")
-        self.alpha = float(alpha)
+        self.alpha = _positive("Pareto alpha", alpha)
         self.tag = f"pareto({alpha})"
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return scalar_or_array(np.where(x < 1.0, 0.0, 1.0 - np.where(x < 1.0, 1.0, x) ** -self.alpha))
+    def _cdf(self, x):
+        return np.where(x < 1.0, 0.0, 1.0 - np.where(x < 1.0, 1.0, x) ** -self.alpha)
 
-    def quantile(self, q):
-        return (1.0 - check_level(q)) ** (-1.0 / self.alpha)
+    def _quantile(self, q):
+        return (1.0 - q) ** (-1.0 / self.alpha)
 
-    def normalizers(self, n):
-        check_count("n", n, 2)
-        # c_n = F^{-1}(1 - 1/n) = n^{1/alpha}, d_n = 0.
-        a = self.alpha
-        return (n ** (1.0 / a), 0.0, GevParams(1.0 / a, 1.0, 1.0 / a))
+    _normalizers = Frechet._normalizers
 
 
 class StandardNormal(Margin):
@@ -182,15 +171,15 @@ class StandardNormal(Margin):
     tag = "normal"
 
     # scipy.special is imported at each use, so `import maxdep` loads numpy only
-    def cdf(self, x):
+    def _cdf(self, x):
         from scipy.special import ndtr
 
-        return scalar_or_array(ndtr(np.asarray(x, dtype=float)))
+        return ndtr(x)
 
-    def quantile(self, q):
+    def _quantile(self, q):
         from scipy.special import ndtri
 
-        return scalar_or_array(ndtri(check_level(q)))
+        return ndtri(q)
 
     def hall_constant(self, n: int) -> float:
         """Root b_n of 2*pi*b^2*exp(b^2) = n^2 (Hall 1979): sqrt(W0(n^2/(2*pi))).
@@ -203,42 +192,21 @@ class StandardNormal(Margin):
         check_count("n", n, 2)
         return math.sqrt(lambertw(int(n) ** 2 / (2.0 * math.pi)).real)
 
-    def normalizers(self, n):
+    def _normalizers(self, n):
         b = self.hall_constant(n)
         return (1.0 / b, b, GevParams(0.0, 0.0, 1.0))
 
-    def uniform_rate(self, n):
-        check_count("n", n, 2)
+    def _uniform_rate(self, n):
         return 3.0 / math.log(n)
 
 
 class Generic(Margin):
-    """User-supplied cdf/quantile, with optional normalizer and rate recipes."""
-
-    tag = "generic"
+    """User-supplied cdf/quantile formulas, with optional normalizer and rate recipes."""
 
     def __init__(self, cdf, quantile, normalizers=None, uniform_rate=None, tag="generic"):
-        self._cdf = cdf
-        self._quantile = quantile
-        self._normalizers = normalizers
-        self._uniform_rate = uniform_rate
+        self._cdf, self._quantile = cdf, quantile
+        self._normalizers, self._uniform_rate = normalizers, uniform_rate
         self.tag = tag
-
-    def cdf(self, x):
-        return self._cdf(x)
-
-    def quantile(self, q):
-        return self._quantile(check_level(q))
-
-    def normalizers(self, n):
-        if self._normalizers is None:
-            raise NoNormalizerError(f"no normalizers registered for {self.tag}")
-        return self._normalizers(n)
-
-    def uniform_rate(self, n):
-        if self._uniform_rate is None:
-            raise NoKnownRateError(f"no uniform rate known for {self.tag}")
-        return self._uniform_rate(n)
 
 
 # every built-in margin by name, with the parameters its constructor takes

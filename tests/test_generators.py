@@ -12,7 +12,7 @@ from maxdep.generators import (
     rv_index_estimate,
     scale_generator,
 )
-from maxdep.samplers import ArchimaxLogistic
+from maxdep.samplers import ArchimaxLogistic, ArchimedeanFrailty
 
 BUILTINS = [
     ("independence", None, 1.0, 1.0),
@@ -67,6 +67,16 @@ def test_parameter_ranges():
         ArchimaxLogistic("clayton", 2.0, math.inf)
     with pytest.raises(ValueError, match="scale factor must be finite"):
         scale_generator(builtin_generator("clayton", 2.0), math.inf)
+
+
+def test_family_names_are_read_as_lookup_reads_them():
+    # '_' reads as '-', as in model, margin and frailty names; the old rule
+    # stripped it, so clay_ton built a Clayton generator whose frailty model failed
+    for build in (builtin_generator, ArchimedeanFrailty):
+        with pytest.raises(ValueError, match="clay_ton"):
+            build("clay_ton", 2.0)
+    assert builtin_generator("Clayton", 2.0).tag == "clayton(2.0)"
+    assert ArchimedeanFrailty("Clayton", 2.0).generator.tag == "clayton(2.0)"
 
 
 def _every_construction():
@@ -251,3 +261,26 @@ def test_scale_generator_preserves_diagonal(builtin):
             base = np.asarray(g.psi(n * np.asarray(g.psi_inv(us), dtype=float)), dtype=float)
             scaled = np.asarray(gc.psi(n * np.asarray(gc.psi_inv(us), dtype=float)), dtype=float)
             assert np.max(np.abs(base - scaled)) < 1e-12
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("fam, th", [("gumbel", 2.0), ("clayton", 2.0), ("frank", 3.0), ("joe", 2.0),
+                                     ("ballerini", None)])
+def test_scaled_inverse_is_the_inner_inverse_over_c(fam, th):
+    # the scaled inverse once checked u and formed -log(u)/r, dropped it, and
+    # the inner psi_inv did both again
+    g = builtin_generator(fam, th)
+    u = np.concatenate([[0.0, 5e-324, 1e-300], np.linspace(0.0, 1.0, 101), [1.0 - 2.0**-53, 1.0]])
+    for c in (0.5, 2.0, 3):
+        gc = scale_generator(g, c)
+        for r in (1.0, 2.5):
+            assert np.array_equal(_bits(gc.psi_inv(u, r)), _bits(g.psi_inv(u, r) / c))
+            for v in u:
+                got = gc.psi_inv(float(v), r)
+                assert type(got) is float and _bits(got) == _bits(g.psi_inv(float(v), r) / c), v
+        for bad in (math.nan, -0.1, 1.5, [0.5, math.nan]):
+            with pytest.raises(ValueError, match=r"^generator inverse defined on \[0, 1\]$"):
+                gc.psi_inv(bad)

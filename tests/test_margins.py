@@ -170,3 +170,62 @@ def test_make_margin_specs():
         assert make_margin(name, alpha=3.0, lam=2.0).tag == tag, name
     with pytest.raises(ValueError, match="unknown margin 'cauchy'; pick from unit-frechet, frechet, exponential, normal"):
         make_margin("cauchy")
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).view(np.uint64)
+
+
+GENERIC = Generic(cdf=lambda x: 1.0 - np.exp(-x), quantile=lambda q: -np.log1p(-q))
+
+
+@pytest.mark.parametrize("margin", ALL_BUILTINS + [GENERIC], ids=lambda m: m.tag)
+def test_scalar_in_float_out(margin):
+    # four built-in quantiles once gave an np.float64 and Generic a 0-d array
+    for v in (margin.cdf(1.5), margin.cdf(np.float64(1.5)), margin.quantile(0.3), margin.quantile(np.float64(0.3))):
+        assert type(v) is float
+    for v in (margin.cdf(np.array([1.5, 2.0])), margin.quantile([0.3, 0.7])):
+        assert type(v) is np.ndarray and v.shape == (2,)
+
+
+XS = np.concatenate([np.logspace(-300, 300, 601), -np.logspace(-300, 300, 61),
+                     [5e-324, 1e-310, 2.2250738585072014e-308, 0.0, -0.0, math.inf, -math.inf, math.nan]])
+QS = np.concatenate([np.linspace(1e-6, 1.0 - 1e-6, 2001), np.logspace(-300, -1e-16, 301), [5e-324]])
+
+
+def test_unit_frechet_is_frechet_one_bit_for_bit():
+    unit, one = UnitFrechet(), Frechet(1.0)
+    assert (unit.tag, one.tag) == ("unit-frechet", "frechet(1.0)")
+    assert np.array_equal(_bits(unit.cdf(XS)), _bits(one.cdf(XS)))
+    assert np.array_equal(_bits(unit.quantile(QS)), _bits(one.quantile(QS)))
+    for x in XS:
+        assert _bits(unit.cdf(x)) == _bits(one.cdf(x)), x
+    for q in QS:
+        assert _bits(unit.quantile(q)) == _bits(one.quantile(q)), q
+    for n in (2, 3, 1000, 2**60, 2**70):
+        assert unit.normalizers(n) == one.normalizers(n) and unit.uniform_rate(n) == one.uniform_rate(n) == 0.0
+    # the closed forms exp(-1/x) and -1/log(q), to the bit, for an array and
+    # for a scalar (a numpy float's ** -1.0 is libm's pow, which is not 1/t)
+    with np.errstate(over="ignore"):
+        pos = XS[XS > 0]
+        assert np.array_equal(_bits(unit.cdf(pos)), _bits(np.exp(-1.0 / pos)))
+        assert all(_bits(unit.cdf(x)) == _bits(np.exp(-1.0 / np.asarray(x))) for x in pos)
+    assert np.array_equal(_bits(unit.quantile(QS)), _bits(-1.0 / np.log(QS)))
+    assert all(_bits(unit.quantile(q)) == _bits(-1.0 / np.log(np.asarray(q))) for q in QS)
+
+
+def test_pareto_takes_the_frechet_normalizers():
+    for a in (0.5, 1.0, 2.0, 3.7):
+        for n in (2, 3, 1000, 2**60, 2**70):
+            assert Pareto(a).normalizers(n) == Frechet(a).normalizers(n)
+        with pytest.raises(NoKnownRateError):
+            Pareto(a).uniform_rate(1000)
+
+
+def test_generic_recipes_get_n_checked():
+    ref = Exponential(1.0)
+    g = Generic(cdf=ref.cdf, quantile=ref.quantile, normalizers=ref.normalizers, uniform_rate=lambda n: 5.0 / n)
+    for bad in (1, True, 2.5):
+        for recipe in (g.normalizers, g.uniform_rate):
+            with pytest.raises(ValueError, match="n must be an integer >= 2"):
+                recipe(bad)

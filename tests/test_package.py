@@ -175,6 +175,32 @@ def test_tracer_sees_the_frailty_layer():
     assert proc.stdout.split() == ["34", "8194"]
 
 
+def test_tracer_sees_the_margin_layer():
+    # bench/tracing.py wraps the cdf, quantile, normalizers, uniform_rate and
+    # hall_constant it finds in vars() of each margin class: the public four
+    # live on Margin, the checked shell, and the normal's normalizers call
+    # the public hall_constant, so its span nests in theirs
+    script = (
+        "import sys\n"
+        "sys.dont_write_bytecode = True\n"
+        f"sys.path.insert(0, {str(ROOT / 'bench')!r})\n"
+        "from tracing import Tracer, instrument\n"
+        "from maxdep import margins, samplers\n"
+        "tracer = Tracer()\n"
+        "instrument(tracer)\n"
+        "tracer.on = True\n"
+        "samplers.normalized_max_ecdf(samplers.IID(), margins.UnitFrechet(), 16, 1000, 16.0, 0.0, [0.5, 1.0],\n"
+        "                             samplers.RngStream(1, 0))\n"
+        "margins.StandardNormal().normalizers(64)\n"
+        "names = {s[0]: s[1] for s in tracer.spans}\n"
+        "print(*sorted(names.get(s[4], 'top') for s in tracer.spans if s[1] == 'margins'))\n"
+    )
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    # the cdf inside the estimator, the normalizers at the top, hall_constant inside them
+    assert proc.stdout.split() == ["margins", "samplers.estimator", "top"]
+
+
 def test_tracer_sees_the_cli_layer():
     # bench/tracing.py rebinds each cmd_* function where a module-level dict
     # holds it as a value, so cli._COMMANDS must map each name to its function:
