@@ -61,7 +61,6 @@ from .ratebounds import (
     cuadras_auge_sup,
     large_n_bound,
     movingmax_s,
-    reverse_bound,
     small_gap_bound,
     sup_power_diff,
 )

@@ -1,4 +1,5 @@
-"""Small numeric helpers shared across modules, and the name lookup of the model, margin and frailty tables."""
+"""Small numeric helpers shared across modules, the one scalar rule of checked
+functions (``elementwise``) and the name lookup of the model, margin and frailty tables."""
 
 from __future__ import annotations
 
@@ -53,35 +54,41 @@ def check_level(q):
     return q
 
 
+def elementwise(f, x, *args):
+    """f(x, *args), f given x as a float array of at least one dimension, on
+    which it checks its own domain; a float when x and every arg are scalars.
+
+    A scalar x is evaluated as [x]: numpy takes its scalar routines (libm pow,
+    say) on 0-d operands and its SIMD loops on arrays, which may differ in the
+    last digit, so this way a scalar call has the bits of the array call.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim:
+        return scalar_or_array(f(x, *args))
+    out = scalar_or_array(f(x.reshape(1), *args))
+    return out if any(np.ndim(a) for a in args) else float(out[0])
+
+
 def on_unit(what: str, f, ends):
     """A formula f on the open interval (0, 1) as a function on [0, 1].
 
     The function, called as (u, *args), raises ValueError for a u outside
-    [0, 1], NaN included.  f(u, *args) sees the interior points only, each
-    endpoint read as 0.5; ends() gives the pair of values at 0 and 1 and is
-    called only when u holds an endpoint.  A scalar u gives a float, which f
-    computes as a 1-element array: numpy takes its scalar routines (libm pow,
-    say) on 0-d operands and its SIMD loops on arrays, which may differ in the
-    last digit, so this way a scalar gets the bits of the array call.
+    [0, 1], NaN included, and is evaluated by ``elementwise``.  f(u, *args)
+    sees the interior points only, each endpoint read as 0.5; ends() gives
+    the pair of values at 0 and 1 and is called only when u holds an endpoint.
     """
 
     def on_closed(u, *args):
-        u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        if scalar:
-            u = u.reshape(1)
         if not ((u >= 0.0) & (u <= 1.0)).all():
             raise ValueError(f"{what} argument must lie in [0, 1]")
         interior = (u > 0.0) & (u < 1.0)
-        out = np.asarray(f(np.where(interior, u, 0.5), *args), dtype=float)
+        out = f(np.where(interior, u, 0.5), *args)
         if not interior.all():
             at0, at1 = ends()
             out = np.where(interior, out, np.where(u <= 0.0, at0, at1))
-        if scalar and not any(np.ndim(a) for a in args):
-            return float(out[0])
-        return scalar_or_array(out)
+        return out
 
-    return on_closed
+    return lambda u, *args: elementwise(on_closed, u, *args)
 
 
 # points of each refine_max pass.  A pass costs one call overhead of f plus a

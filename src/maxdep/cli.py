@@ -391,7 +391,7 @@ def cmd_converge(args) -> Table:
         ecdf, se = samplers.normalized_max_ecdf(
             model, margin, n, args.reps, c, d, grid, samplers.RngStream(seed, idx), workers=args.workers
         )
-        target = np.asarray(D.cdf(gev_cdf(limit, grid)), dtype=float)
+        target = D.cdf(gev_cdf(limit, grid))
         sup = np.max(np.abs(ecdf - target))
         rep = _composite_bound(spec, params, margin, n, r_n)
         table.add(n, sup, np.max(se), rep.bound if rep else None)

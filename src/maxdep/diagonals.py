@@ -100,14 +100,9 @@ class DiagonalFamily:
 
     def __call__(self, n, u, r=1.0):
         n = _check_n(n)
-        if np.ndim(r) == 0:
-            if not r > 0:
-                raise ValueError(f"rate must be positive, got {r}")
-            r = float(r)
-        else:
-            r = np.asarray(r, dtype=float)
-            if not (r > 0).all():
-                raise ValueError(f"rate must be positive, got {r[~(r > 0)][0]}")
+        r = np.asarray(r, dtype=float)
+        if not (r > 0).all():
+            raise ValueError(f"rate must be positive, got {r[~(r > 0)][0]}")
         return _delta(u, self.fn, n, r)
 
 
@@ -327,7 +322,7 @@ def distortion_sup_distance(fam: DiagonalFamily, r: RateFn | None, n: int, D: Di
     """
 
     def gap(u):
-        return np.abs(power_distortion(fam, r, n, u) - np.asarray(D.cdf(u), dtype=float))
+        return np.abs(power_distortion(fam, r, n, u) - D.cdf(u))
 
     grids = (np.linspace(0.0, 1.0, _SUP_GRID), np.linspace(*_LOGLOG_SPAN, _SUP_GRID))
     to_u = (lambda x: x, lambda w: np.exp(-np.exp(w)))

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numutil import check_level, check_real, on_unit, scalar_or_array
+from ._numutil import check_level, check_real, elementwise, on_unit
 # bound under its earlier name, which the benchmark's tracer rebinds to count
 # the cdf evaluations of the quantile solves
 from ._numutil import solve_increasing as bisect_increasing
@@ -50,7 +50,7 @@ def _distortion(tag: str, cdf, density, density_ends, quantile=None) -> Distorti
     cdf = on_unit("distortion", cdf, lambda: (0.0, 1.0))
     density = on_unit("distortion", density, functools.cache(density_ends))
     quantile = quantile or _numeric_quantile(cdf, density)
-    return Distortion(cdf, density, lambda q: scalar_or_array(quantile(check_level(q))), tag)
+    return Distortion(cdf, density, lambda q: elementwise(quantile, check_level(q)), tag)
 
 
 # log of the smallest normal double: the lower end of every quantile solve
@@ -69,8 +69,8 @@ def _numeric_quantile(cdf, density) -> Callable:
 
     def log_cdf(x):
         u = np.exp(x)
-        D = np.asarray(cdf(u), dtype=float)
-        return np.log(D), u * np.asarray(density(u), dtype=float) / D
+        D = cdf(u)
+        return np.log(D), u * density(u) / D
 
     @functools.cache
     def log_floor() -> float:
@@ -145,11 +145,9 @@ def archimedean_limit(g: ArchGenerator) -> Distortion:
         y = (-np.log(u)) ** (1.0 / rho)
         return -g.psi_prime(y) * y ** (1.0 - rho) / (rho * u)
 
-    # np.power, not **: psi_inv gives a scalar level a float, whose ** is
-    # libm's pow, which may differ in the last bit from numpy's power loop
     return _distortion(f"arch-limit[{g.tag}]", cdf, density,
                        lambda: (_arch_density_at_zero(g), _arch_density_at_one(g)),
-                       lambda q: np.exp(-np.power(g.psi_inv(q), rho)))
+                       lambda q: np.exp(-g.psi_inv(q) ** rho))
 
 
 def efgm_limit(theta: float) -> Distortion:
@@ -206,10 +204,10 @@ def parameter_mixture(components: Sequence[Distortion], weights: Sequence[float]
     comps = list(components)
 
     def cdf(u):
-        return sum(wi * np.asarray(c.cdf(u), dtype=float) for wi, c in zip(w, comps))
+        return sum(wi * c.cdf(u) for wi, c in zip(w, comps))
 
     def density(u):
-        return sum(wi * np.asarray(c.density(u), dtype=float) for wi, c in zip(w, comps))
+        return sum(wi * c.density(u) for wi, c in zip(w, comps))
 
     return _distortion("mixture", cdf, density, lambda: density(np.array([0.0, 1.0])))
 

@@ -5,7 +5,8 @@ psi(t) -> 0.  Each instance carries its inverse, derivative, the regular
 variation index rho of 1 - psi(1/.), and -psi'(0) as an extended real.
 A dedicated ``one_minus_psi`` evaluator keeps 1 - psi(s) accurate to full
 relative precision for small s; the canonical rates 1/(1 - psi(1/n)) used by
-the diagonal machinery would otherwise lose up to half their digits.
+the diagonal machinery would otherwise lose up to half their digits.  The
+four functions of every generator are checked and evaluated in one shell.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._numutil import check_real, scalar_exponent_power, scalar_or_array, solve_increasing
+from ._numutil import check_real, elementwise, scalar_exponent_power, solve_increasing
 
 # bracket grid of the numeric inverse: log t from the smallest positive double
 # to the largest, through -512, ..., -1, 1, ..., 512
@@ -37,11 +38,12 @@ class ArchGenerator:
 
     psi maps [0, inf] to [0, 1] and psi_prime is its derivative; they and
     one_minus_psi raise ValueError for an argument below 0 or NaN.
-    psi_inv(u, r=1.0) is psi^-1(u^(1/r)) for u in [0, 1], r > 0 (u and r
-    broadcast), with psi^-1(0) = inf for strict generators, and raises
-    ValueError for any other u, NaN included.  A scalar argument gives a
-    float.  rho is the index with 1 - psi(1/x) regularly varying of order
-    -rho at infinity; neg_psi_prime_0 is -psi'(0+) (math.inf allowed).
+    psi_inv(u, r=1.0) is psi^-1(u^(1/r)) for u in [0, 1] and r in (0, inf]
+    (u and r broadcast), with psi^-1(0) = inf for strict generators, and
+    raises ValueError for any other u or r, NaN included.  All four follow
+    ``_numutil.elementwise``: a scalar argument gives a float.  rho is the
+    index with 1 - psi(1/x) regularly varying of order -rho at infinity;
+    neg_psi_prime_0 is -psi'(0+) (math.inf allowed).
     """
 
     psi: Callable
@@ -59,35 +61,33 @@ def _generator(tag: str, rho: float, neg_psi_prime_0: float, psi, psi_prime, one
     psi, psi_prime and one_minus_psi are formulas on a float array t >= 0.
     inv(s, u, r) is the inverse at s = -log(u)/r, formed once here, for a
     float array u in [0, 1] and r > 0; so 1 - u^(1/r) = -expm1(-s) is never
-    taken from a rounded u^(1/r).  A scalar is evaluated as a 0-d array, not
-    as a 1-element one as in ``on_unit``: numpy's scalar routines and its
-    array loops may differ in the last bit, and this keeps the scalar bits.
+    taken from a rounded u^(1/r).
     """
 
-    def psi_inv(u, r=1.0):
-        u = np.asarray(u, dtype=float)
+    def inverse(u, r):
         if not ((u >= 0.0) & (u <= 1.0)).all():
             raise ValueError("generator inverse defined on [0, 1]")
+        r = np.asarray(r, dtype=float)
+        if not (r > 0.0).all():  # NaN included
+            raise ValueError("generator inverse rate must be positive")
         with np.errstate(divide="ignore"):
             s = -np.log(u) / r
-        return scalar_or_array(inv(s, u, r))
+        return inv(s, u, r)
 
-    return ArchGenerator(_on_half_line(psi), psi_inv, _on_half_line(psi_prime), rho, neg_psi_prime_0, tag,
-                         _on_half_line(one_minus_psi))
+    return ArchGenerator(_on_half_line(psi), lambda u, r=1.0: elementwise(inverse, u, r), _on_half_line(psi_prime),
+                         rho, neg_psi_prime_0, tag, _on_half_line(one_minus_psi))
 
 
 def _on_half_line(f):
     """A formula f on a float array t >= 0 as a checked function of t in [0, inf]."""
 
     def checked(t):
-        t = np.asarray(t, dtype=float)
-        # a NaN fails the test; a scalar is tested as a float, which costs
-        # a tenth of a numpy reduction, and an array by its min
-        if not (t.min(initial=math.inf) if t.ndim else float(t)) >= 0.0:
+        # a NaN fails the test
+        if not t.min(initial=math.inf) >= 0.0:
             raise ValueError("generator argument must lie in [0, inf]")
-        return scalar_or_array(f(t))
+        return f(t)
 
-    return checked
+    return lambda t: elementwise(checked, t)
 
 
 def _numeric_inverse(f: Callable, f_prime: Callable, excess: Callable | None = None) -> Callable:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numutil import check_level, scalar_or_array
+from ._numutil import check_level, elementwise
 
 # |xi| below this is treated as the Gumbel branch; the xi != 0 formula has a
 # removable limit there, and the two differ by about xi*z^2/2 in log(-log H).
@@ -60,10 +60,9 @@ def _t_power(p: GevParams, z):
 
 
 def _standardize(p: GevParams, x):
-    """z = (x - mu)/sigma; it overflows to +-inf for a tiny sigma, where the
-    cdf and density take their limits (0 or 1, and 0)."""
+    # z overflows to +-inf for a tiny sigma, where the cdf and density take their limits (0 or 1, and 0)
     with np.errstate(over="ignore"):
-        return (np.asarray(x, dtype=float) - p.mu) / p.sigma
+        return (x - p.mu) / p.sigma
 
 
 def gev_cdf(p: GevParams, x):
@@ -71,26 +70,30 @@ def gev_cdf(p: GevParams, x):
 
     Total in x (scalar or array); continuous everywhere.  A NaN x gives NaN.
     """
+    return elementwise(_cdf, x, p)
+
+
+def _cdf(x, p: GevParams):
     z = _standardize(p, x)
     if p.is_gumbel:
-        out = np.exp(-np.exp(-np.maximum(z, GUMBEL_Z_MIN)))
-    else:
-        t, w = _t_power(p, z)
-        below = 0.0 if p.xi > 0 else 1.0
-        out = np.where(t <= 0, below, np.exp(-w))
-    return scalar_or_array(out)
+        return np.exp(-np.exp(-np.maximum(z, GUMBEL_Z_MIN)))
+    t, w = _t_power(p, z)
+    below = 0.0 if p.xi > 0 else 1.0
+    return np.where(t <= 0, below, np.exp(-w))
 
 
 def gev_quantile(p: GevParams, q):
     """Inverse of ``gev_cdf`` on (0, 1)."""
-    ell = -np.log(check_level(q))
+    return elementwise(_quantile, check_level(q), p)
+
+
+def _quantile(q, p: GevParams):
+    ell = -np.log(q)
     if p.is_gumbel:
-        out = p.mu - p.sigma * np.log(ell)
-    else:
-        # ell^(-xi) - 1 cancels for small |xi|; expm1 keeps its digits there
-        grow = np.expm1(-p.xi * np.log(ell)) if abs(p.xi) < XI_LOG1P else ell ** (-p.xi) - 1.0
-        out = p.mu + p.sigma * grow / p.xi
-    return scalar_or_array(out)
+        return p.mu - p.sigma * np.log(ell)
+    # ell^(-xi) - 1 cancels for small |xi|; expm1 keeps its digits there
+    grow = np.expm1(-p.xi * np.log(ell)) if abs(p.xi) < XI_LOG1P else ell ** (-p.xi) - 1.0
+    return p.mu + p.sigma * grow / p.xi
 
 
 def gev_density(p: GevParams, x):
@@ -98,18 +101,20 @@ def gev_density(p: GevParams, x):
 
     A NaN x gives NaN, as in ``gev_cdf``.
     """
+    return elementwise(_density, x, p)
+
+
+def _density(x, p: GevParams):
     z = _standardize(p, x)
     if p.is_gumbel:
         zc = np.maximum(z, GUMBEL_Z_MIN)
-        out = np.exp(-zc - np.exp(-zc)) / p.sigma
-    else:
-        t, w = _t_power(p, z)
-        safe = np.where(t > 0, t, 1.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # w overflows only far in the tail, where exp(-w) is 0 first
-            body = np.where(np.isinf(w), 0.0, w / safe * np.exp(-w) / p.sigma)
-        out = np.where(t <= 0, 0.0, body)
-    return scalar_or_array(out)
+        return np.exp(-zc - np.exp(-zc)) / p.sigma
+    t, w = _t_power(p, z)
+    safe = np.where(t > 0, t, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # w overflows only far in the tail, where exp(-w) is 0 first
+        body = np.where(np.isinf(w), 0.0, w / safe * np.exp(-w) / p.sigma)
+    return np.where(t <= 0, 0.0, body)
 
 
 def gev_support(p: GevParams) -> tuple[float, float]:

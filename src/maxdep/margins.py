@@ -6,8 +6,9 @@ GEV limit, plus a uniform rate bound beta(n) for that convergence where one
 is known (standard normal and the exactly max-stable Frechet margins).
 
 ``Margin`` is the one checked shell: a margin gives only formulas, and the
-shell checks x, q and n >= 2, raises where a margin has no recipe and returns
-a float for a scalar.  ``Generic`` holds a user's callables as the formulas.
+shell checks q and n >= 2, raises where a margin has no recipe and evaluates
+cdf and quantile by ``_numutil.elementwise``.  ``Generic`` holds a user's
+callables as the formulas.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 
 import numpy as np
 
-from ._numutil import check_count, check_level, check_real, lookup, scalar_or_array
+from ._numutil import check_count, check_level, check_real, elementwise, lookup
 from .gev import GevParams
 
 
@@ -33,18 +34,17 @@ class Margin:
 
     A subclass gives _cdf(x) and _quantile(q), formulas on a float array
     (q in (0, 1)), and where it has them the recipes _normalizers(n) and
-    _uniform_rate(n), for an integer n >= 2.  A scalar is evaluated as a 0-d
-    array, not reshaped as in ``on_unit``, so it keeps numpy's scalar bits.
+    _uniform_rate(n), for an integer n >= 2.
     """
 
     tag = "margin"
     _normalizers = _uniform_rate = None
 
     def cdf(self, x):
-        return scalar_or_array(self._cdf(np.asarray(x, dtype=float)))
+        return elementwise(self._cdf, x)
 
     def quantile(self, q):
-        return scalar_or_array(self._quantile(check_level(q)))
+        return elementwise(self._quantile, check_level(q))
 
     def normalizers(self, n: int) -> tuple[float, float, GevParams]:
         """(c_n, d_n, limit) with F^n(c_n x + d_n) -> gev_cdf(limit, x)."""
@@ -81,10 +81,7 @@ class Frechet(Margin):
             return np.where(x <= 0, 0.0, np.exp(-np.where(x <= 0, 1.0, x) ** -self.alpha))
 
     def _quantile(self, q):
-        # a scalar t is a numpy float, whose ** is libm's pow: at alpha = 1
-        # that misses 1/t in the last bit, where an array's ** -1.0 divides
-        t = -np.log(q)
-        return 1.0 / t if self.alpha == 1.0 else t ** (-1.0 / self.alpha)
+        return (-np.log(q)) ** (-1.0 / self.alpha)
 
     def _normalizers(self, n):
         a = self.alpha
@@ -201,7 +198,7 @@ class StandardNormal(Margin):
 
 
 class Generic(Margin):
-    """User-supplied cdf/quantile formulas, with optional normalizer and rate recipes."""
+    """User-supplied cdf/quantile formulas on a float array, with optional normalizer and rate recipes."""
 
     def __init__(self, cdf, quantile, normalizers=None, uniform_rate=None, tag="generic"):
         self._cdf, self._quantile = cdf, quantile

@@ -117,7 +117,7 @@ def composite_rate_bound(beta_star_n: float, s_n: float, K: float, kappa: float,
     and its limit D(H(x)), given the iid margin rate beta, the Holder
     constants (K, kappa) of D, and the distortion sup distance s(n).
 
-    Read in reverse, as ``reverse_bound``, the same assembly bounds
+    Read in reverse, the same assembly bounds
     sup |D_n^r - D|: there (K, kappa) are uniform Holder constants of the
     diagonal power distortions themselves, and the last argument is an
     overall rate gamma(n) bounding the distance of the normalized-maximum
@@ -135,8 +135,6 @@ def composite_rate_bound(beta_star_n: float, s_n: float, K: float, kappa: float,
     bound = K * (beta_star_n + ceiling) ** kappa + s_n
     return RateBoundReport(bound, beta_star_n, ceiling, s_n, K, kappa)
 
-
-reverse_bound = composite_rate_bound
 
 
 def movingmax_s(n: int, k: int) -> float:

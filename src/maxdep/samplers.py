@@ -481,7 +481,7 @@ def sample_paths(model: SequenceModel, margin: Margin | None, n: int, reps: int,
     paths = _slices(rng, n, reps, 1, model._native_paths)
     if margin is None:
         return paths
-    return np.asarray(margin.quantile(_clip_unit(model._to_uniform(paths))), dtype=float)
+    return margin.quantile(_clip_unit(model._to_uniform(paths)))
 
 
 def max_sample(
@@ -491,7 +491,7 @@ def max_sample(
     umax = _slices(rng, n, reps, workers, model._umax)
     if margin is None:
         return umax
-    return np.asarray(margin.quantile(_clip_unit(umax)), dtype=float)
+    return margin.quantile(_clip_unit(umax))
 
 
 def empirical_diagonal(
@@ -535,7 +535,7 @@ def normalized_max_ecdf(
     if margin is None:
         uthresh = np.asarray(model._to_uniform(raw_thresholds), dtype=float)
     else:
-        uthresh = np.asarray(margin.cdf(raw_thresholds), dtype=float)
+        uthresh = margin.cdf(raw_thresholds)
     # the binary search would count a NaN level above every maximum, and
     # some margin cdfs map a NaN threshold to 0
     if np.isnan(raw_thresholds).any() or np.isnan(uthresh).any():

@@ -141,6 +141,8 @@ def test_batched_call_equals_per_n_calls(name, params):
     assert np.array_equal(_bits(fam(nn, BATCH_U, rs)), _bits(want))
     want = np.array([fam(5, BATCH_U, float(r)) for r in rs[:7]])
     assert np.array_equal(_bits(fam(5, BATCH_U, rs[:7, None])), _bits(want))
+    # a nested list of rates reads as that array
+    assert np.array_equal(_bits(fam(5, BATCH_U, rs[:7, None].tolist())), _bits(want))
 
 
 def test_rate_over_n_array():

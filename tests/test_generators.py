@@ -140,6 +140,18 @@ def test_inverse_rejects_levels_outside_the_unit_interval(builtin):
             g.psi_inv(bad)
 
 
+@pytest.mark.parametrize("g", _every_construction(), ids=lambda g: g.tag)
+def test_inverse_rejects_a_rate_that_is_not_positive(g):
+    # psi_inv(u, r) once checked u only: clayton's psi_inv(0.5, -1.0) gave
+    # -0.75, r = 0 divided by zero or gave inf, and r = NaN gave NaN or 0.0
+    for bad in (-1.0, 0.0, -0.0, math.nan, -math.inf, np.array([1.0, -1.0]), np.array([2.0, math.nan])):
+        with pytest.raises(ValueError, match="rate must be positive"):
+            g.psi_inv(0.5, bad)
+    # r = inf is the limit u^(1/r) = 1, whose inverse is 0
+    assert g.psi_inv(0.5, math.inf) == 0.0
+    assert g.psi_inv(np.array([0.5, 0.2]), np.array([1.0, math.inf]))[1] == 0.0
+
+
 def test_psi_prime_matches_finite_differences(builtin):
     g, _, _ = builtin
     for t in np.logspace(-3, math.log10(50.0), 40):

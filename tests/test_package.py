@@ -201,6 +201,41 @@ def test_tracer_sees_the_margin_layer():
     assert proc.stdout.split() == ["margins", "samplers.estimator", "top"]
 
 
+def test_tracer_sees_the_gev_and_ratebounds_layers():
+    # bench/tracing.py wraps every public function it finds in vars(gev) and
+    # vars(ratebounds), each as one layer; the public gev functions evaluate
+    # private formulas, which must get no span of their own
+    calls = [
+        ["converge", "--model", "iid", "--margin", "unit-frechet", "--n", "16", "--reps", "4096"],
+        ["bound", "--model", "movingmax-normal", "--k", "1", "--n", "16"],
+    ]
+    script = (
+        "import os, sys\n"
+        "sys.dont_write_bytecode = True\n"
+        f"sys.path.insert(0, {str(ROOT / 'bench')!r})\n"
+        "from tracing import Tracer, instrument\n"
+        "from maxdep import cli, gev, ratebounds\n"
+        "tracer = Tracer()\n"
+        "instrument(tracer)\n"
+        "tracer.on = True\n"
+        f"for argv in {calls!r}:\n"
+        "    del tracer.spans[:]\n"
+        "    assert cli.main(argv + ['--out', os.devnull]) == 0, argv\n"
+        "    names = {s[0]: s[1] for s in tracer.spans}\n"
+        "    layers = [(s[1], names.get(s[4])) for s in tracer.spans if s[1] in ('gev', 'ratebounds')]\n"
+        "    print(*sorted({layer for layer, _ in layers}), 'nested' if any(l == p for l, p in layers) else 'flat')\n"
+        "print(*sorted(n for m in (gev, ratebounds) for n, f in vars(m).items() if hasattr(f, 'traced_as')))\n"
+    )
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    converge, bound, traced = proc.stdout.splitlines()
+    assert "gev" in converge.split() and "ratebounds" in bound.split()
+    assert converge.split()[-1] == bound.split()[-1] == "flat"
+    traced = traced.split()
+    assert {"gev_cdf", "gev_density", "gev_quantile", "composite_rate_bound", "movingmax_s"} <= set(traced)
+    assert not [name for name in traced if name.startswith("_")]
+
+
 def test_tracer_sees_the_cli_layer():
     # bench/tracing.py rebinds each cmd_* function where a module-level dict
     # holds it as a value, so cli._COMMANDS must map each name to its function:

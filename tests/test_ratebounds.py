@@ -12,7 +12,6 @@ from maxdep.ratebounds import (
     cuadras_auge_sup,
     large_n_bound,
     movingmax_s,
-    reverse_bound,
     small_gap_bound,
     sup_power_diff,
 )
@@ -158,10 +157,10 @@ def test_cuadras_auge_sup():
 
 
 def test_reverse_bound():
-    rep = reverse_bound(0.0, 0.0, 1.0, 1.0, 8.0)
+    rep = composite_rate_bound(0.0, 0.0, 1.0, 1.0, 8.0)
     assert rep.bound == 0.0
     n, k = 1000, 1
     kappa = 1.0 / (k + 1.0)  # infimum of (n+k)/(nk+n) over n
-    rep = reverse_bound(3.0 / math.log(n), 0.01, 1.0, kappa, float(n))
+    rep = composite_rate_bound(3.0 / math.log(n), 0.01, 1.0, kappa, float(n))
     assert rep.bound == pytest.approx(math.sqrt(3.0 / math.log(n)) + 0.01, rel=1e-12)
     assert rep.distortion_term == 0.01
