@@ -1,5 +1,12 @@
 """Small numeric helpers shared across modules, the one scalar rule of checked
-functions (``elementwise``) and the name lookup of the model, margin and frailty tables."""
+functions (``elementwise``) and the name lookup of the model, margin and frailty tables.
+
+The only copy of each argument rule: every public scalar argument is an
+integer (``check_count``: n, k, reps, workers, a seed), a finite real
+(``check_real``), a finite real > 0 (``check_positive``) or a name
+(``name_key``: any case, '_' read as '-').  The first three raise ValueError
+for a bool, +-inf and NaN; a narrower domain keeps its own comparison after.
+"""
 
 from __future__ import annotations
 
@@ -8,36 +15,51 @@ import math
 import numpy as np
 
 
-def check_count(name: str, value, least: int = 1):
-    """Raise unless value is an integer (not a bool) >= least."""
+def check_count(name: str, value, least: int = 1) -> int:
+    """value as an int; raises unless it is an integer (not a bool) >= least."""
     if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
-def check_real(name: str, value):
-    """Raise unless value is a finite real number.
+def check_real(name: str, value) -> float:
+    """value as a float; raises unless it is a finite real number.
 
-    A bool is refused: True and False are flags, not model parameters.  So
-    are +-inf and NaN, which no model takes as a parameter value.
+    A bool is refused: True and False are flags, not parameters.  So are
+    +-inf and NaN, which no parameter takes as its value.
     """
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
+def check_positive(name: str, value) -> float:
+    """value as a float; raises unless it is a finite real number > 0."""
+    x = check_real(name, value)
+    if not x > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return x
 
 
 class UnknownNameError(ValueError):
     """A name that no entry of a model, margin or frailty table answers to."""
 
 
+def name_key(name: str) -> str:
+    """The key a name is looked up by: any case, '_' read as '-'."""
+    return name.lower().replace("_", "-")
+
+
 def lookup(kind: str, table: dict, aliases: dict, name: str, role: str | None = None):
-    """The entry of table under a name or alias, in any case, '_' read as '-'.
+    """The entry of table under a name or alias, by its ``name_key``.
 
     With ``role``, an attribute name, the entry must have that attribute set.
     A name that is unknown or lacks it raises ``UnknownNameError`` listing
     the names that have it.
     """
-    key = name.lower().replace("_", "-")
+    key = name_key(name)
     entry = table.get(aliases.get(key, key))
     if entry is None or (role and getattr(entry, role) is None):
         names = ", ".join(k for k, e in table.items() if not role or getattr(e, role) is not None)
@@ -61,12 +83,14 @@ def elementwise(f, x, *args):
     A scalar x is evaluated as [x]: numpy takes its scalar routines (libm pow,
     say) on 0-d operands and its SIMD loops on arrays, which may differ in the
     last digit, so this way a scalar call has the bits of the array call.
+    An arg that is not a numpy array counts as a scalar (the test costs less
+    than ``np.ndim``), so a caller converts a sequence arg to an array first.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim:
         return scalar_or_array(f(x, *args))
     out = scalar_or_array(f(x.reshape(1), *args))
-    return out if any(np.ndim(a) for a in args) else float(out[0])
+    return out if any(isinstance(a, np.ndarray) and a.ndim for a in args) else float(out[0])
 
 
 def on_unit(what: str, f, ends):

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, diagonals, margins, models, ratebounds, samplers
-from ._numutil import UnknownNameError
+from ._numutil import UnknownNameError, name_key
 from .gev import gev_cdf, gev_quantile
 
 
@@ -301,7 +301,7 @@ def cmd_distortion(args) -> Table:
     grid = _parse_grid(args.u_grid)
     config = {"generator": args.generator, "theta": args.theta, "u-grid": args.u_grid}
     table = Table("distortion", config, ["family", "u", "cdf", "density", "quantile"])
-    if args.generator.lower() == "figure1":
+    if name_key(args.generator) == "figure1":
         curves = [(name, argparse.Namespace(theta=theta), f"{name}({theta})" if theta is not None else name)
                   for name, theta in _FIGURE1_PRESET]
     else:
@@ -320,7 +320,7 @@ def cmd_distortion(args) -> Table:
 def cmd_bound(args) -> Table:
     """uniform convergence-rate bounds per n"""
     ns = _parse_n_schedule(args.n)
-    scenario = args.model.lower().replace("_", "-")
+    scenario = name_key(args.model)
     config = {"scenario": scenario, "n": args.n}
     if scenario == "movingmax-normal":
         spec, params = _resolve("movingmax", "gap", args)

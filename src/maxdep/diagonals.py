@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._numutil import check_count, check_real, on_unit, refine_max, scalar_exponent_power, scalar_or_array
+from ._numutil import check_count, check_positive, check_real, on_unit, refine_max, scalar_exponent_power, scalar_or_array
 from .distortions import Distortion, archimedean_limit, efgm_limit, power
 from .generators import ArchGenerator
 
@@ -51,8 +51,7 @@ def _check_n(n):
         for k in n.flat:
             check_count("n", k)
         return n
-    check_count("n", n)
-    return int(n)
+    return check_count("n", n)
 
 
 @dataclass(frozen=True)
@@ -159,8 +158,7 @@ def logistic_power_diagonal(theta: float) -> DiagonalFamily:
 
 def moving_max_diagonal(k: int) -> DiagonalFamily:
     """Sliding-maximum model of window k: delta_n(u) = u^((n+k)/(k+1))."""
-    check_count("window k", k, 0)
-    k = int(k)
+    k = check_count("window k", k, 0)
     return DiagonalFamily(
         fn=_power_diagonal(lambda n: (n + k) / (k + 1.0)),
         tag=f"movingmax({k})",
@@ -175,7 +173,7 @@ def cuadras_auge_diagonal(theta: float) -> DiagonalFamily:
     The rate has a finite limit, so the family is flagged as finite-rate: the
     plain maxima converge to F^(1/theta) and no centering sequence applies.
     """
-    if not (0.0 < theta < 1.0):
+    if not (0.0 < check_real("theta", theta) < 1.0):
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
 
     def eta(n: int) -> float:
@@ -339,8 +337,7 @@ def rate_scaling_limit(r: RateFn, t: float, n_values) -> np.ndarray:
 
     For the logistic schedule eta_n = n^(1/theta) the limit is t^(1/theta).
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
+    check_positive("t", t)
     ns = np.asarray(n_values)
     if np.any(np.diff(ns) <= 0):
         raise ValueError("n_values must be increasing")

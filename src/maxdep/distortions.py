@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._numutil import check_level, check_real, elementwise, on_unit
+from ._numutil import check_count, check_level, check_positive, check_real, elementwise, on_unit
 # bound under its earlier name, which the benchmark's tracer rebinds to count
 # the cdf evaluations of the quantile solves
 from ._numutil import solve_increasing as bisect_increasing
@@ -88,10 +88,7 @@ def _numeric_quantile(cdf, density) -> Callable:
 
 def power(theta: float) -> Distortion:
     """D(u) = u^theta for a finite theta > 0 (identity at theta = 1); d(0) = inf for theta < 1."""
-    check_real("power exponent", theta)
-    if not theta > 0:
-        raise ValueError(f"power exponent must be positive, got {theta}")
-
+    check_positive("power exponent", theta)
     return _distortion(f"power({theta})", lambda u: u**theta, lambda u: theta * u ** (theta - 1.0),
                        lambda: (theta * 0.0 ** (theta - 1.0) if theta >= 1.0 else math.inf, theta),
                        lambda q: q ** (1.0 / theta))
@@ -158,7 +155,7 @@ def efgm_limit(theta: float) -> Distortion:
     z = theta*log u -> 0, with a relative error of about 1e-16/|z|; below
     |z| = 1e-3 the cdf is taken in the equal form u*sinh(z)/z instead.
     """
-    if not (-1.0 <= theta <= 1.0) or theta == 0.0:
+    if not (-1.0 <= check_real("theta", theta) <= 1.0) or theta == 0.0:
         raise ValueError(f"theta must lie in [-1, 1] and differ from 0, got {theta}")
 
     def cdf(u):
@@ -282,8 +279,7 @@ def max_stability_defect(Gcdf: Callable, k: int, grid) -> float:
     Near zero iff G^k is an affine re-parameterization of G, i.e. G is
     max-stable.  The four quantiles are solved together over the grid range.
     """
-    if not (isinstance(k, (int, np.integer)) and k >= 2):
-        raise ValueError(f"k must be an integer >= 2, got {k!r}")
+    check_count("k", k, 2)
     grid = np.asarray(grid, dtype=float)
     lo, hi = float(grid.min()), float(grid.max())
     gvals = np.asarray(Gcdf(grid), dtype=float)

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._numutil import check_real, elementwise, scalar_exponent_power, solve_increasing
+from ._numutil import check_positive, check_real, elementwise, name_key, scalar_exponent_power, solve_increasing
 
 # bracket grid of the numeric inverse: log t from the smallest positive double
 # to the largest, through -512, ..., -1, 1, ..., 512
@@ -39,8 +39,8 @@ class ArchGenerator:
     psi maps [0, inf] to [0, 1] and psi_prime is its derivative; they and
     one_minus_psi raise ValueError for an argument below 0 or NaN.
     psi_inv(u, r=1.0) is psi^-1(u^(1/r)) for u in [0, 1] and r in (0, inf]
-    (u and r broadcast), with psi^-1(0) = inf for strict generators, and
-    raises ValueError for any other u or r, NaN included.  All four follow
+    (u and r broadcast), inf at u = 0 and 0 at u = 1 for every r, and raises
+    ValueError for any other u or r, NaN included.  All four follow
     ``_numutil.elementwise``: a scalar argument gives a float.  rho is the
     index with 1 - psi(1/x) regularly varying of order -rho at infinity;
     neg_psi_prime_0 is -psi'(0+) (math.inf allowed).
@@ -60,22 +60,23 @@ def _generator(tag: str, rho: float, neg_psi_prime_0: float, psi, psi_prime, one
 
     psi, psi_prime and one_minus_psi are formulas on a float array t >= 0.
     inv(s, u, r) is the inverse at s = -log(u)/r, formed once here, for a
-    float array u in [0, 1] and r > 0; so 1 - u^(1/r) = -expm1(-s) is never
-    taken from a rounded u^(1/r).
+    float array u in (0, 1) and r > 0; so 1 - u^(1/r) = -expm1(-s) is never
+    taken from a rounded u^(1/r).  The ends u = 0 and u = 1 are set here.
     """
 
     def inverse(u, r):
         if not ((u >= 0.0) & (u <= 1.0)).all():
             raise ValueError("generator inverse defined on [0, 1]")
-        r = np.asarray(r, dtype=float)
         if not (r > 0.0).all():  # NaN included
             raise ValueError("generator inverse rate must be positive")
-        with np.errstate(divide="ignore"):
-            s = -np.log(u) / r
-        return inv(s, u, r)
+        interior = (u > 0.0) & (u < 1.0)
+        if interior.all():
+            return inv(-np.log(u) / r, u, r)
+        v = np.where(interior, u, 0.5)
+        return np.where(interior, inv(-np.log(v) / r, v, r), np.where(u > 0.0, 0.0, math.inf))
 
-    return ArchGenerator(_on_half_line(psi), lambda u, r=1.0: elementwise(inverse, u, r), _on_half_line(psi_prime),
-                         rho, neg_psi_prime_0, tag, _on_half_line(one_minus_psi))
+    return ArchGenerator(_on_half_line(psi), lambda u, r=1.0: elementwise(inverse, u, np.asarray(r, dtype=float)),
+                         _on_half_line(psi_prime), rho, neg_psi_prime_0, tag, _on_half_line(one_minus_psi))
 
 
 def _on_half_line(f):
@@ -99,8 +100,8 @@ def _numeric_inverse(f: Callable, f_prime: Callable, excess: Callable | None = N
     whose last digits are finer than those of log t.  Working with f keeps
     full relative accuracy where psi is near 1 (f small) and in the far
     tail, where psi itself underflows.  An inverse above the largest double
-    is inf and one below the smallest positive double is 0; so psi_inv(0) =
-    inf and psi_inv(1) = 0.  f and f_prime map float arrays to float arrays.
+    is inf and one below the smallest positive double is 0.  f and f_prime
+    map float arrays to float arrays.
 
     excess(t) = f(t) - log t, if given, forms the residual of that last step
     for t >= 1 as excess(t) + log(t*u): f(t) and -log u are then never
@@ -123,13 +124,13 @@ def _numeric_inverse(f: Callable, f_prime: Callable, excess: Callable | None = N
         y = y.ravel()
         with np.errstate(divide="ignore"):
             log_y = np.log(y)
-        # each target's bracket is the last grid cell starting at or below it;
-        # none exists at u = 1 or where t is below the smallest double, and
-        # the last cell is passed at u = 0 or where t is above the largest one
-        below = grid[None, :] <= log_y[:, None]
-        inside = below.any(axis=1) & ~below[:, -1]
-        out = np.where(below[:, -1], math.inf, 0.0)
-        k = below.shape[1] - 2 - np.argmax(below[inside, -2::-1], axis=1)
+        # each target's bracket is the last cell of the increasing grid that
+        # starts at or below it; none exists where t is below the smallest
+        # double, and the last cell is passed where t is above the largest one
+        i = np.searchsorted(grid, log_y, side="right")
+        inside = (i > 0) & (i < grid.size)
+        out = np.where(i < grid.size, 0.0, math.inf)
+        k = i[inside] - 1
         t = np.exp(solve_increasing(log_f, log_y[inside], _LOG_T_GRID[k], _LOG_T_GRID[k + 1], 1e-10))
         with np.errstate(divide="ignore", invalid="ignore"):
             res = f(t) - y[inside]
@@ -178,7 +179,7 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
     A theta is a finite real number.  A family name is read in any case,
     with '_' as '-', as model and margin names are.
     """
-    fam = family.lower().replace("_", "-")
+    fam = name_key(family)
 
     if fam == "independence":
         return _generator("independence", rho=1.0, neg_psi_prime_0=1.0,
@@ -194,8 +195,7 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
 
     if theta is None:
         raise ValueError(f"family {family!r} requires a parameter")
-    check_real("theta", theta)
-    th = float(theta)
+    th = check_real("theta", theta)
 
     if fam == "amh":
         if not 0.0 < th < 1.0:
@@ -216,8 +216,7 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
                           one_minus_psi=lambda t: np.expm1(t) / (np.expm1(t) + 1.0 - th), inv=amh_inv)
 
     if fam == "clayton":
-        if not th > 0.0:
-            raise ValueError(f"Clayton parameter must be positive, got {th}")
+        check_positive("Clayton parameter", th)
 
         def clayton_inv(s, u, r):
             # v^-theta - 1 at v = u^(1/r): expm1(theta*s) below 1, where the
@@ -231,8 +230,7 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
                           one_minus_psi=lambda t: -np.expm1(-np.log1p(t) / th), inv=clayton_inv)
 
     if fam == "frank":
-        if not th > 0.0:
-            raise ValueError(f"Frank parameter must be positive, got {th}")
+        check_positive("Frank parameter", th)
         em = math.expm1(-th)  # e^{-theta} - 1, exact for all theta
         steep = em < 1e-3 - 1.0  # theta > 6.9, the only theta at which w below can fall under 1e-3
 
@@ -351,9 +349,7 @@ def scale_generator(g: ArchGenerator, c: float) -> ArchGenerator:
     the two generators are related by a power of the argument, see the
     distortions module.
     """
-    check_real("scale factor", c)
-    if not c > 0:
-        raise ValueError(f"scale factor must be positive, got {c}")
+    check_positive("scale factor", c)
     # g.psi_inv checks u and forms s = -log(u)/r itself, so the inverse only divides
     return ArchGenerator(_on_half_line(lambda t: g.psi(c * t)), lambda u, r=1.0: g.psi_inv(u, r) / float(c),
                          _on_half_line(lambda t: c * g.psi_prime(c * t)), g.rho, c * g.neg_psi_prime_0,
@@ -371,9 +367,9 @@ def rv_index_estimate(g: ArchGenerator, lam: float, t: float) -> float:
     from below with bias log1p(log(lam)/(1 + log(t)))/log(lam); at lam = 2
     that is 0.0506 at t = 1e8 and drops below 0.005 only past t ~ e^137.
     """
-    if not (lam > 0 and lam != 1.0):
-        raise ValueError("lambda must be positive and different from 1")
-    if not t >= 1e4:
+    if check_positive("lambda", lam) == 1.0:
+        raise ValueError("lambda must differ from 1")
+    if not check_real("t", t) >= 1e4:
         raise ValueError("t must be at least 1e4")
     num = g.one_minus_psi(1.0 / (lam * t))
     den = g.one_minus_psi(1.0 / t)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numutil import check_level, elementwise
+from ._numutil import check_level, check_positive, check_real, elementwise
 
 # |xi| below this is treated as the Gumbel branch; the xi != 0 formula has a
 # removable limit there, and the two differ by about xi*z^2/2 in log(-log H).
@@ -37,10 +37,9 @@ class GevParams:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be a positive real, got {self.sigma}")
-        if not (np.isfinite(self.xi) and np.isfinite(self.mu)):
-            raise ValueError("xi and mu must be finite reals")
+        check_positive("sigma", self.sigma)
+        check_real("xi", self.xi)
+        check_real("mu", self.mu)
 
     @property
     def is_gumbel(self) -> bool:
@@ -134,8 +133,7 @@ def gev_power(p: GevParams, theta: float) -> GevParams:
     sigma' = sigma*theta**(1/|xi|) and mu' = mu does not satisfy it (plug
     x into H^theta to check); only the exponent xi does.
     """
-    if not (np.isfinite(theta) and theta > 0):
-        raise ValueError(f"theta must be a positive real, got {theta}")
+    check_positive("theta", theta)
     if p.is_gumbel:
         return GevParams(p.xi, p.mu + p.sigma * math.log(theta), p.sigma)
     # expm1 keeps (theta^xi - 1)/xi accurate through the xi -> 0 crossover

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from ._numutil import check_count, check_level, check_real, elementwise, lookup
+from ._numutil import check_count, check_level, check_positive, elementwise, lookup
 from .gev import GevParams
 
 
@@ -61,18 +61,11 @@ class Margin:
         return self._uniform_rate(n)
 
 
-def _positive(name: str, value) -> float:
-    check_real(name, value)
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
-    return float(value)
-
-
 class Frechet(Margin):
     """F(x) = exp(-x^(-alpha)), alpha > 0.  Exactly max-stable: F^n(n^(1/alpha) x) = F(x)."""
 
     def __init__(self, alpha: float):
-        self.alpha = _positive("Frechet alpha", alpha)
+        self.alpha = check_positive("Frechet alpha", alpha)
         self.tag = f"frechet({alpha})"
 
     def _cdf(self, x):
@@ -103,7 +96,7 @@ class Exponential(Margin):
     """F(x) = 1 - exp(-lam*x); normalizers (1/lam, log(n)/lam), Gumbel limit."""
 
     def __init__(self, lam: float = 1.0):
-        self.lam = _positive("Exponential rate", lam)
+        self.lam = check_positive("Exponential rate", lam)
         self.tag = f"exponential({lam})"
 
     def _cdf(self, x):
@@ -143,7 +136,7 @@ class Pareto(Margin):
     """
 
     def __init__(self, alpha: float):
-        self.alpha = _positive("Pareto alpha", alpha)
+        self.alpha = check_positive("Pareto alpha", alpha)
         self.tag = f"pareto({alpha})"
 
     def _cdf(self, x):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import diagonals, distortions, generators, ratebounds, samplers
-from ._numutil import lookup
+from ._numutil import lookup, name_key
 from .diagonals import DiagonalFamily
 from .distortions import Distortion
 from .samplers import SequenceModel
@@ -90,5 +90,5 @@ def make_diagonal(variant: str, **params) -> DiagonalFamily:
     ``diagonals.archimax_diagonal`` puts a generator under a schedule eta_n,
     ``diagonals.logistic_eta(theta)`` for the logistic one.
     """
-    spec = model_spec(params.pop("family") if variant.lower() == "archimedean" else variant, "diagonal")
+    spec = model_spec(params.pop("family") if name_key(variant) == "archimedean" else variant, "diagonal")
     return spec.diagonal(**{p: params[p] for p in spec.params if p in params})

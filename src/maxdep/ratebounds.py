@@ -11,9 +11,10 @@ continuity of the limit distortion.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
+
+from ._numutil import check_count, check_positive, check_real
 
 THREE_OVER_E = 3.0 / math.e
 
@@ -38,6 +39,7 @@ def sup_power_diff(a: float, b: float) -> PowerSup:
     u* = (b/a)^(1/(a-b)).  Evaluated in log space so extreme exponents and
     nearly equal pairs keep full precision.
     """
+    a, b = check_real("a", a), check_real("b", b)
     if not (0.0 < a < b):
         raise ValueError(f"need 0 < a < b, got a={a}, b={b}")
     log_ratio = math.log1p((b - a) / a)  # log(b/a), exact for b/a near 1
@@ -52,8 +54,7 @@ def small_gap_bound(a: float, b_n: float) -> WindowedBound:
     Valid (proved) for b_n in (-a*log 2, a*log 2 / (1 - log 2)); outside that
     window the value is still returned with valid=False.
     """
-    if not a > 0:
-        raise ValueError(f"a must be positive, got {a}")
+    a, b_n = check_positive("a", a), check_real("b_n", b_n)
     bound = THREE_OVER_E * abs(b_n) / a
     valid = -a * _LOG2 < b_n < a * _WINDOW
     return WindowedBound(bound, valid)
@@ -64,8 +65,7 @@ def large_n_bound(b: float, a_n: float) -> WindowedBound:
 
     Valid for a_n >= b * (1 - log 2)/log 2 ~ 0.4427*b.
     """
-    if not (b > 0 and a_n > 0):
-        raise ValueError(f"need b > 0 and a_n > 0, got b={b}, a_n={a_n}")
+    b, a_n = check_positive("b", b), check_positive("a_n", a_n)
     return WindowedBound(THREE_OVER_E * b / a_n, a_n >= b / _WINDOW)
 
 
@@ -75,15 +75,13 @@ def ceil_rate_bound(r_n: float) -> float:
     Trivially true (value >= the sup, which is <= 1) even for r_n <= 1.
     Callers apply the non-integer indicator themselves where it matters.
     """
-    if not r_n > 0:
-        raise ValueError(f"rate must be positive, got {r_n}")
+    check_positive("rate", r_n)
     return THREE_OVER_E / math.ceil(r_n)
 
 
 def ceil_power_cdf_bound(r_n: float) -> float:
     """3/(e*r_n), bounding sup_x |F^ceil(r_n)(x) - F^r_n(x)| for any cdf F."""
-    if not r_n > 0:
-        raise ValueError(f"rate must be positive, got {r_n}")
+    check_positive("rate", r_n)
     return THREE_OVER_E / r_n
 
 
@@ -123,14 +121,12 @@ def composite_rate_bound(beta_star_n: float, s_n: float, K: float, kappa: float,
     overall rate gamma(n) bounding the distance of the normalized-maximum
     law from D(H(x)).
     """
-    if not (0.0 < kappa <= 1.0):
+    if not (0.0 < check_real("kappa", kappa) <= 1.0):
         raise ValueError(f"kappa must lie in (0, 1], got {kappa}")
-    if not K > 0:
-        raise ValueError(f"K must be positive, got {K}")
-    if not (beta_star_n >= 0 and s_n >= 0):
+    check_positive("K", K)
+    if not (check_real("beta_star_n", beta_star_n) >= 0 and check_real("s_n", s_n) >= 0):
         raise ValueError("rate terms must be nonnegative")
-    if not r_n > 0:
-        raise ValueError(f"rate must be positive, got {r_n}")
+    check_positive("rate", r_n)
     ceiling = 0.0 if _is_integer_rate(r_n) else THREE_OVER_E / r_n
     bound = K * (beta_star_n + ceiling) ** kappa + s_n
     return RateBoundReport(bound, beta_star_n, ceiling, s_n, K, kappa)
@@ -143,12 +139,7 @@ def movingmax_s(n: int, k: int) -> float:
     s(n) = k/(n+k) * (1 + k/n)^(-n/k); equals
     sup_u |u^((n+k)/(n(k+1))) - u^(1/(k+1))|.  k = 0 is the iid case, s = 0.
     """
-    n = operator.index(n)
-    k = operator.index(k)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
+    n, k = check_count("n", n), check_count("k", k, 0)
     if k == 0:
         return 0.0
     return (k / (n + k)) * (1.0 + k / n) ** (-n / k)
@@ -166,11 +157,9 @@ def cuadras_auge_sup(n: int, theta: float) -> CuadrasAugeSup:
     term ((1-theta)^(-n) - 1) * log(1 - (1-theta)^n) is taken to its -1 limit
     once (1-theta)^n underflows.
     """
-    if not (0.0 < theta < 1.0):
+    if not (0.0 < check_real("theta", theta) < 1.0):
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    n = check_count("n", n)
     eps = math.exp(n * math.log1p(-theta))  # (1-theta)^n
     if eps == 0.0:
         log_exact = n * math.log1p(-theta) - 1.0

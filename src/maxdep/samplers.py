@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numutil import check_count, check_real, lookup
+from ._numutil import check_count, check_positive, check_real, lookup
 from .generators import ArchGenerator, builtin_generator
 from .margins import Margin
 
@@ -97,11 +97,14 @@ class RngStream:
 
     def __post_init__(self):
         # the seed is the low 64 bits of the Philox key; reducing a wider or
-        # negative seed would give it the stream of another seed
+        # negative seed would give it the stream of another seed.  The ranges
+        # are tested first, for their messages
         if not 0 <= self.seed < (1 << 64):
             raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         if not 0 <= self.index < (1 << 40):
             raise ValueError("stream index out of range")
+        check_count("seed", self.seed, 0)
+        check_count("stream index", self.index, 0)
 
     def block_generator(self, block: int = 0) -> np.random.Generator:
         key = self.seed | (((self.index << 20) | block) << 64)
@@ -273,8 +276,7 @@ class MovingMax(SequenceModel):
     """Y_i = max(Z_{i-k}, ..., Z_i)/(k+1) over iid standard Frechet Z."""
 
     def __init__(self, k: int):
-        check_count("window k", k, 0)
-        self.k = int(k)
+        self.k = check_count("window k", k, 0)
         self.tag = f"movingmax({k})"
 
     def _draw(self, gen, m, n):
@@ -420,7 +422,7 @@ class BermanEquicorrelated(SequenceModel):
     """X_i = sqrt(rho)*Z_0 + sqrt(1-rho)*Z_i; equicorrelated standard normals."""
 
     def __init__(self, rho_corr: float):
-        if not 0.0 < rho_corr < 1.0:
+        if not 0.0 < check_real("correlation", rho_corr) < 1.0:
             raise ValueError(f"correlation must lie in (0, 1), got {rho_corr}")
         self.rho = float(rho_corr)
         self.tag = f"berman({rho_corr})"
@@ -455,6 +457,7 @@ def _slices(rng: RngStream, n: int, reps: int, workers: int, draw) -> np.ndarray
     """
     check_count("n", n)
     check_count("reps", reps)
+    check_count("workers", workers)
 
     def block(start):
         gen = rng.block_generator(start // BLOCK_REPS)
@@ -464,7 +467,7 @@ def _slices(rng: RngStream, n: int, reps: int, workers: int, draw) -> np.ndarray
         return np.concatenate([draw(gen, min(_SLICE_ROWS, size - off), n) for off in range(0, size, _SLICE_ROWS)])
 
     blocks = range(0, reps, BLOCK_REPS)
-    if workers and workers > 1 and len(blocks) > 1 and n >= _POOL_MIN_N:
+    if workers > 1 and len(blocks) > 1 and n >= _POOL_MIN_N:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(block, blocks))
     else:
@@ -503,7 +506,7 @@ def empirical_diagonal(
     standard error sqrt(p*(1-p)/reps) is attached.
     """
     check_count("reps", reps, 1000)
-    if not 0.0 <= u <= 1.0:
+    if not 0.0 <= check_real("u", u) <= 1.0:
         raise ValueError("u must lie in [0, 1]")
     hits = int(np.count_nonzero(_slices(rng, n, reps, workers, model._umax) <= u))
     p = hits / reps
@@ -528,8 +531,8 @@ def normalized_max_ecdf(
     sorted row maxima are counted against every threshold by binary search.
     """
     check_count("reps", reps, 1000)
-    if not c_n > 0:
-        raise ValueError("c_n must be positive")
+    check_positive("c_n", c_n)
+    check_real("d_n", d_n)
     x = np.asarray(x_grid, dtype=float)
     raw_thresholds = c_n * x + d_n
     if margin is None:

@@ -152,6 +152,38 @@ def test_inverse_rejects_a_rate_that_is_not_positive(g):
     assert g.psi_inv(np.array([0.5, 0.2]), np.array([1.0, math.inf]))[1] == 0.0
 
 
+@pytest.mark.parametrize("g", _every_construction(), ids=lambda g: g.tag)
+def test_inverse_ends_are_inf_and_plus_zero_at_every_rate(g):
+    # at r = inf, u = 0 once formed s = inf/inf, which warned and gave 0.0
+    # (clayton) or 0.0511 (frank); psi_inv(1) was -0.0 in five families
+    rates = (1e-3, 0.5, 1.0, 7.5, math.inf)
+    for r in rates:
+        assert g.psi_inv(0.0, r) == math.inf
+        at1 = g.psi_inv(1.0, r)
+        assert type(at1) is float and _bits(at1) == _bits(0.0), r
+    # in an array the ends are fixed the same way, and the interior keeps the
+    # bits it has without them, at a scalar rate and at one rate per element
+    inner = np.array([5e-324, 1e-300, 0.3, 0.5, 1.0 - 2.0**-53])
+    u = np.concatenate([[0.0], inner, [1.0]])
+    for r in (*rates, np.linspace(0.5, 3.0, u.size)):
+        got = g.psi_inv(u, r)
+        assert got[0] == math.inf and _bits(got[-1]) == _bits(0.0)
+        inner_r = r if np.ndim(r) == 0 else r[1:-1]
+        assert np.array_equal(_bits(got[1:-1]), _bits(g.psi_inv(inner, inner_r)))
+
+
+def test_inverse_rate_as_a_list_gives_an_array():
+    # elementwise reads only numpy arrays as non-scalars, so psi_inv turns r
+    # into one first: a list of rates is an array call
+    g = builtin_generator("clayton", 2.0)
+    got = g.psi_inv(0.5, [1.0, 2.0])
+    assert isinstance(got, np.ndarray) and got.shape == (2,)
+    assert np.array_equal(_bits(got), _bits([g.psi_inv(0.5, 1.0), g.psi_inv(0.5, 2.0)]))
+    assert g.psi_inv([0.5], [[1.0], [2.0]]).shape == (2, 1)
+    for r in (2.0, np.float64(2.0), np.array(2.0), 2):
+        assert type(g.psi_inv(0.5, r)) is float
+
+
 def test_psi_prime_matches_finite_differences(builtin):
     g, _, _ = builtin
     for t in np.logspace(-3, math.log10(50.0), 40):
