@@ -93,18 +93,19 @@ def elementwise(f, x, *args):
     return out if any(isinstance(a, np.ndarray) and a.ndim for a in args) else float(out[0])
 
 
-def on_unit(what: str, f, ends):
+def on_unit(message: str, f, ends):
     """A formula f on the open interval (0, 1) as a function on [0, 1].
 
-    The function, called as (u, *args), raises ValueError for a u outside
-    [0, 1], NaN included, and is evaluated by ``elementwise``.  f(u, *args)
-    sees the interior points only, each endpoint read as 0.5; ends() gives
-    the pair of values at 0 and 1 and is called only when u holds an endpoint.
+    The function, called as (u, *args), raises ValueError(message) for a u
+    outside [0, 1], NaN included, and is evaluated by ``elementwise``.
+    f(u, *args) sees the interior points only, each endpoint read as 0.5;
+    ends() gives the pair of values at 0 and 1 and is called only when u
+    holds an endpoint.
     """
 
     def on_closed(u, *args):
         if not ((u >= 0.0) & (u <= 1.0)).all():
-            raise ValueError(f"{what} argument must lie in [0, 1]")
+            raise ValueError(message)
         interior = (u > 0.0) & (u < 1.0)
         out = f(np.where(interior, u, 0.5), *args)
         if not interior.all():

@@ -106,7 +106,7 @@ class DiagonalFamily:
 
 
 # endpoints are fixed for every copula diagonal; fn is evaluated only inside
-_delta = on_unit("diagonal", lambda u, fn, n, r: fn(n, u, r), lambda: (0.0, 1.0))
+_delta = on_unit("diagonal argument must lie in [0, 1]", lambda u, fn, n, r: fn(n, u, r), lambda: (0.0, 1.0))
 
 
 def _power_diagonal(eta: Callable[[int], float]) -> Callable:

@@ -47,8 +47,8 @@ def _distortion(tag: str, cdf, density, density_ends, quantile=None) -> Distorti
     """The Distortion of formulas on (0, 1): D(0) = 0, D(1) = 1, the density's
     boundary values from density_ends(), called once at the first call that
     needs one, and the quantile solved numerically where no formula is given."""
-    cdf = on_unit("distortion", cdf, lambda: (0.0, 1.0))
-    density = on_unit("distortion", density, functools.cache(density_ends))
+    cdf = on_unit("distortion argument must lie in [0, 1]", cdf, lambda: (0.0, 1.0))
+    density = on_unit("distortion argument must lie in [0, 1]", density, functools.cache(density_ends))
     quantile = quantile or _numeric_quantile(cdf, density)
     return Distortion(cdf, density, lambda q: elementwise(quantile, check_level(q)), tag)
 

@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from ._numutil import check_positive, check_real, elementwise, name_key, scalar_exponent_power, solve_increasing
+from ._numutil import (check_positive, check_real, elementwise, name_key, on_unit, scalar_exponent_power,
+                       solve_increasing)
 
 # bracket grid of the numeric inverse: log t from the smallest positive double
 # to the largest, through -512, ..., -1, 1, ..., 512
@@ -61,21 +62,16 @@ def _generator(tag: str, rho: float, neg_psi_prime_0: float, psi, psi_prime, one
     psi, psi_prime and one_minus_psi are formulas on a float array t >= 0.
     inv(s, u, r) is the inverse at s = -log(u)/r, formed once here, for a
     float array u in (0, 1) and r > 0; so 1 - u^(1/r) = -expm1(-s) is never
-    taken from a rounded u^(1/r).  The ends u = 0 and u = 1 are set here.
+    taken from a rounded u^(1/r).  ``on_unit`` sets the ends u = 0 and u = 1.
     """
 
-    def inverse(u, r):
-        if not ((u >= 0.0) & (u <= 1.0)).all():
-            raise ValueError("generator inverse defined on [0, 1]")
+    def interior(u, r):
         if not (r > 0.0).all():  # NaN included
             raise ValueError("generator inverse rate must be positive")
-        interior = (u > 0.0) & (u < 1.0)
-        if interior.all():
-            return inv(-np.log(u) / r, u, r)
-        v = np.where(interior, u, 0.5)
-        return np.where(interior, inv(-np.log(v) / r, v, r), np.where(u > 0.0, 0.0, math.inf))
+        return inv(-np.log(u) / r, u, r)
 
-    return ArchGenerator(_on_half_line(psi), lambda u, r=1.0: elementwise(inverse, u, np.asarray(r, dtype=float)),
+    inverse = on_unit("generator inverse defined on [0, 1]", interior, lambda: (math.inf, 0.0))
+    return ArchGenerator(_on_half_line(psi), lambda u, r=1.0: inverse(u, np.asarray(r, dtype=float)),
                          _on_half_line(psi_prime), rho, neg_psi_prime_0, tag, _on_half_line(one_minus_psi))
 
 
@@ -221,7 +217,7 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
         def clayton_inv(s, u, r):
             # v^-theta - 1 at v = u^(1/r): expm1(theta*s) below 1, where the
             # subtraction cancels; above, the power of u, rounded once at r = 1
-            with np.errstate(over="ignore", divide="ignore"):
+            with np.errstate(over="ignore"):
                 return np.where(th * s < math.log(2.0), np.expm1(th * s), scalar_exponent_power(u, -th / r) - 1.0)
 
         return _generator(f"clayton({th})", rho=1.0, neg_psi_prime_0=1.0 / th,
