@@ -256,7 +256,7 @@ def _rate_from_spec(fam: diagonals.DiagonalFamily, spec: str) -> diagonals.RateF
             raise UsageError(f"family {fam.tag} has no canonical rate; pass --rate n")
         return fam.canonical_rate
     if s == "n":
-        return diagonals.RateFn(lambda n: float(n), "n")
+        return diagonals.RATE_N
     if s.startswith("n^"):
         p = _cast(float, s[2:], f"exponent in rate spec {spec!r}")
         return diagonals.RateFn(lambda n: float(n) ** p, s)

@@ -10,7 +10,10 @@ u^(1/r), which keeps only ~1e-16/(1 - u^(1/r)) of its digits.  n, u and r
 broadcast: ``fam(ns[:, None], u, rs[:, None])`` evaluates a whole n schedule
 in one call, bit for bit the rows ``fam(n, u, r)``.  Every dependence model
 treated in this package appears here with its diagonal in closed form and,
-where one exists, its canonical rate and limiting distortion.
+where one exists, its canonical rate and limiting distortion.  Every one but
+EFGM's has one of two shapes, built by one constructor each: a power law
+u^(eta_n) (``_power_law``) or an Archimax diagonal psi(eta_n * psi_inv(u))
+(``_archimax``).
 """
 
 from __future__ import annotations
@@ -109,13 +112,27 @@ class DiagonalFamily:
 _delta = on_unit("diagonal argument must lie in [0, 1]", lambda u, fn, n, r: fn(n, u, r), lambda: (0.0, 1.0))
 
 
-def _power_diagonal(eta: Callable[[int], float]) -> Callable:
-    """fn(n, u, r) = u^(eta(n)/r), one scalar-exponent power per distinct exponent.
+RATE_N = RateFn(float, "n")  # the rate r_n = n
 
-    A scalar exponent keeps numpy's exact fast paths (u ** 2.0 squares), which
-    an array exponent would skip.
+
+def _power_law(tag: str, eta: Callable[[int], float], rate: RateFn | None = None, limit_power: float | None = None,
+               exchangeable: bool = True, finite_rate_limit: float | None = None) -> DiagonalFamily:
+    """The diagonal delta_n(u) = u^(eta_n), limit distortion u^limit_power.
+
+    fn(n, u, r) = u^(eta(n)/r), one scalar-exponent power per distinct
+    exponent: a scalar exponent keeps numpy's exact fast paths (u ** 2.0
+    squares), which an array exponent would skip.  The limit is built on each
+    call by the module's ``power``, so rebinding that name (instrumentation,
+    say) reaches it.
     """
-    return lambda n, u, r: scalar_exponent_power(u, _per_n(eta, n) / r)
+    return DiagonalFamily(
+        fn=lambda n, u, r: scalar_exponent_power(u, _per_n(eta, n) / r),
+        tag=tag,
+        canonical_rate=rate,
+        limit_distortion=None if limit_power is None else power(limit_power),
+        exchangeable=exchangeable,
+        finite_rate_limit=finite_rate_limit,
+    )
 
 
 def logistic_eta(theta: float) -> Callable[[int], float]:
@@ -131,40 +148,23 @@ def logistic_eta(theta: float) -> Callable[[int], float]:
 
 
 def independence_diagonal() -> DiagonalFamily:
-    return DiagonalFamily(
-        fn=_power_diagonal(float),
-        tag="independence",
-        canonical_rate=RateFn(lambda n: float(n), "n"),
-        limit_distortion=power(1.0),
-        exchangeable=True,
-    )
+    return _power_law("independence", float, RATE_N, 1.0)
 
 
 def comonotone_diagonal() -> DiagonalFamily:
-    return DiagonalFamily(fn=_power_diagonal(lambda n: 1.0), tag="comonotone", exchangeable=True)
+    return _power_law("comonotone", lambda n: 1.0)
 
 
 def logistic_power_diagonal(theta: float) -> DiagonalFamily:
     """Power diagonal u^(eta_n) with the extremal-coefficient schedule eta_n = n^(1/theta)."""
     eta = logistic_eta(theta)
-    return DiagonalFamily(
-        fn=_power_diagonal(eta),
-        tag=f"logistic({theta})",
-        canonical_rate=RateFn(eta, "eta"),
-        limit_distortion=power(1.0),
-        exchangeable=True,
-    )
+    return _power_law(f"logistic({theta})", eta, RateFn(eta, "eta"), 1.0)
 
 
 def moving_max_diagonal(k: int) -> DiagonalFamily:
     """Sliding-maximum model of window k: delta_n(u) = u^((n+k)/(k+1))."""
     k = check_count("window k", k, 0)
-    return DiagonalFamily(
-        fn=_power_diagonal(lambda n: (n + k) / (k + 1.0)),
-        tag=f"movingmax({k})",
-        canonical_rate=RateFn(lambda n: float(n), "n"),
-        limit_distortion=power(1.0 / (k + 1.0)),
-    )
+    return _power_law(f"movingmax({k})", lambda n: (n + k) / (k + 1.0), RATE_N, 1.0 / (k + 1.0), exchangeable=False)
 
 
 def cuadras_auge_diagonal(theta: float) -> DiagonalFamily:
@@ -179,21 +179,13 @@ def cuadras_auge_diagonal(theta: float) -> DiagonalFamily:
     def eta(n: int) -> float:
         return -math.expm1(n * math.log1p(-theta)) / theta
 
-    return DiagonalFamily(
-        fn=_power_diagonal(eta),
-        tag=f"cuadras-auge({theta})",
-        canonical_rate=RateFn(eta, "eta"),
-        limit_distortion=power(1.0),
-        exchangeable=True,
-        finite_rate_limit=1.0 / theta,
-    )
+    return _power_law(f"cuadras-auge({theta})", eta, RateFn(eta, "eta"), 1.0, finite_rate_limit=1.0 / theta)
 
 
-def _arch_rate(g: ArchGenerator, eta: Callable[[int], float]) -> RateFn:
-    return RateFn(lambda n: 1.0 / g.one_minus_psi(1.0 / float(eta(n))), "1/(1-psi(1/eta))")
+def _archimax(g: ArchGenerator, eta: Callable[[int], float], tag: str, exchangeable: bool) -> DiagonalFamily:
+    """The diagonal delta_n(u) = psi(eta_n * psi_inv(u)), canonical rate
+    1/(1 - psi(1/eta_n)) and the Archimedean limit distortion of g."""
 
-
-def _scaled_inverse_diagonal(g: ArchGenerator, eta: Callable[[int], float]) -> Callable:
     def fn(n, u, r):
         # eta_n * psi_inv(u^(1/r)) may overflow to inf, where psi is 0
         with np.errstate(over="ignore"):
@@ -208,28 +200,18 @@ def _scaled_inverse_diagonal(g: ArchGenerator, eta: Callable[[int], float]) -> C
             out[near_one] = 1.0 - g.one_minus_psi(t[near_one])
         return out
 
-    return fn
+    rate = RateFn(lambda n: 1.0 / g.one_minus_psi(1.0 / float(eta(n))), "1/(1-psi(1/eta))")
+    return DiagonalFamily(fn, f"{tag}[{g.tag}]", rate, archimedean_limit(g), exchangeable)
 
 
 def archimedean_diagonal(g: ArchGenerator) -> DiagonalFamily:
     """delta_n(u^(1/r)) = psi(n * psi_inv(u, r)); canonical rate 1/(1 - psi(1/n))."""
-    return DiagonalFamily(
-        fn=_scaled_inverse_diagonal(g, float),
-        tag=f"archimedean[{g.tag}]",
-        canonical_rate=_arch_rate(g, lambda n: float(n)),
-        limit_distortion=archimedean_limit(g),
-        exchangeable=True,
-    )
+    return _archimax(g, float, "archimedean", True)
 
 
 def archimax_diagonal(g: ArchGenerator, eta: Callable[[int], float]) -> DiagonalFamily:
     """delta_n(u^(1/r)) = psi(eta_n * psi_inv(u, r)); rate 1/(1 - psi(1/eta_n))."""
-    return DiagonalFamily(
-        fn=_scaled_inverse_diagonal(g, eta),
-        tag=f"archimax[{g.tag}]",
-        canonical_rate=_arch_rate(g, eta),
-        limit_distortion=archimedean_limit(g),
-    )
+    return _archimax(g, eta, "archimax", False)
 
 
 def _log_binomial_mean(m: float, e):
@@ -283,7 +265,7 @@ def efgm_mixture_diagonal(theta: float) -> DiagonalFamily:
     return DiagonalFamily(
         fn=fn,
         tag=f"efgm({theta})",
-        canonical_rate=RateFn(lambda n: float(n), "n"),
+        canonical_rate=RATE_N,
         limit_distortion=efgm_limit(theta) if theta != 0.0 else power(1.0),
         exchangeable=True,
     )

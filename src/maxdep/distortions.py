@@ -211,6 +211,7 @@ def parameter_mixture(components: Sequence[Distortion], weights: Sequence[float]
 
 def mixture_over_interval(make: Callable[[float], Distortion], a: float, b: float) -> Distortion:
     """Uniform mixture over theta in (a, b) via 64-node Gauss-Legendre quadrature."""
+    a, b = check_real("a", a), check_real("b", b)
     # imported here, at its one use, so `import maxdep` does not pay for scipy.special
     from scipy.special import roots_legendre
 

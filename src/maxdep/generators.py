@@ -205,11 +205,17 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
             with np.errstate(over="ignore"):
                 return np.where(s < 700.0, np.log1p((1.0 - th) * np.expm1(s)), s + np.log1p(th * np.expm1(-s)))
 
+        def amh_one_minus_psi(t):
+            # (e^t - 1)/(e^t - th), in e^-t from t = 700 on, where expm1 nears its overflow
+            big = t >= 700.0
+            e = np.expm1(np.where(big, 0.0, t))
+            return np.where(big, -np.expm1(-t) / (1.0 - th * np.exp(-t)), e / (e + 1.0 - th))
+
         # (1-th)/(e^t - th) written with e^{-t} so huge t cannot overflow
         return _generator(f"amh({th})", rho=1.0, neg_psi_prime_0=1.0 / (1.0 - th),
                           psi=lambda t: (1.0 - th) * np.exp(-t) / (1.0 - th * np.exp(-t)),
                           psi_prime=lambda t: -(1.0 - th) * np.exp(-t) / (1.0 - th * np.exp(-t)) ** 2,
-                          one_minus_psi=lambda t: np.expm1(t) / (np.expm1(t) + 1.0 - th), inv=amh_inv)
+                          one_minus_psi=amh_one_minus_psi, inv=amh_inv)
 
     if fam == "clayton":
         check_positive("Clayton parameter", th)
@@ -266,10 +272,12 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
     if fam == "gumbel":
         if not th >= 1.0:
             raise ValueError(f"Gumbel parameter must be >= 1, got {th}")
+        # the inverse s^theta overflows to inf at a tiny r, as it should
         return _generator(f"gumbel({th})", rho=1.0 / th, neg_psi_prime_0=1.0 if th == 1.0 else math.inf,
                           psi=lambda t: np.exp(-t ** (1.0 / th)),
                           psi_prime=lambda t: -(1.0 / th) * t ** (1.0 / th - 1.0) * np.exp(-t ** (1.0 / th)),
-                          one_minus_psi=lambda t: -np.expm1(-t ** (1.0 / th)), inv=lambda s, u, r: s**th)
+                          one_minus_psi=lambda t: -np.expm1(-t ** (1.0 / th)),
+                          inv=np.errstate(over="ignore")(lambda s, u, r: s**th))
 
     if fam == "joe":
         if not th > 1.0:
@@ -383,5 +391,6 @@ def polynomial_growth_trajectory(g: ArchGenerator, rho: float, t_values) -> np.n
     property; divergence (as for the ballerini generator with rho = 1) shows
     the slowly varying factor is unbounded.
     """
+    check_real("rho", rho)
     t = np.asarray(t_values, dtype=float)
     return t**rho * g.one_minus_psi(1.0 / t)

@@ -39,6 +39,7 @@ from maxdep import (
     max_stability_defect,
     movingmax_s,
     normalized_max_ecdf,
+    polynomial_growth_trajectory,
     rate_scaling_limit,
     rv_index_estimate,
     scale_generator,
@@ -87,6 +88,9 @@ ARGS = [
     ("scale_generator", "c", lambda v: scale_generator(CLAYTON, v), 3.0),
     ("rv_index_estimate", "lam", lambda v: rv_index_estimate(CLAYTON, v, 1e8), 2.0),
     ("rv_index_estimate", "t", lambda v: rv_index_estimate(CLAYTON, 2.0, v), 1e8),
+    ("polynomial_growth_trajectory", "rho", lambda v: polynomial_growth_trajectory(CLAYTON, v, [10, 100]), 1.0),
+    ("mixture_over_interval", "a", lambda v: distortions.mixture_over_interval(distortions.power, v, 2.0), 0.5),
+    ("mixture_over_interval", "b", lambda v: distortions.mixture_over_interval(distortions.power, 0.5, v), 2.0),
     ("logistic_eta", "theta", logistic_eta, 2.0),
     ("moving_max_diagonal", "k", moving_max_diagonal, 2),
     ("cuadras_auge_diagonal", "theta", cuadras_auge_diagonal, 0.5),
@@ -150,3 +154,11 @@ def test_ranges_keep_their_messages():
         GevParams(math.inf)
     with pytest.raises(ValueError, match=r"kappa must lie in \(0, 1\]"):
         _composite(kappa=1.5)
+
+
+def test_an_infinite_exponent_or_end_is_named():
+    # rho = inf once gave [inf, inf], and b = inf a NaN node that no message named
+    with pytest.raises(ValueError, match="rho must be finite, got inf"):
+        polynomial_growth_trajectory(CLAYTON, math.inf, [10, 100])
+    with pytest.raises(ValueError, match="b must be finite, got inf"):
+        distortions.mixture_over_interval(distortions.power, 0.5, math.inf)

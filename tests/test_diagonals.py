@@ -90,6 +90,31 @@ def test_model_limit_roles():
         model_spec("ar1", "limit")
 
 
+# tag, canonical rate tag, limit distortion tag, exchangeable, finite_rate_limit
+ARCH_RATE = "1/(1-psi(1/eta))"
+METADATA = {
+    "independence": ("independence", "n", "power(1.0)", True, None),
+    "comonotone": ("comonotone", None, None, True, None),
+    "movingmax": ("movingmax(2)", "n", "power(0.3333333333333333)", False, None),
+    "cuadras-auge": ("cuadras-auge(0.4)", "eta", "power(1.0)", True, 2.5),
+    "logistic": ("logistic(2.0)", "eta", "power(1.0)", True, None),
+    "efgm": ("efgm(-0.8)", "n", "efgm(-0.8)", True, None),
+    "ballerini": ("archimedean[ballerini]", ARCH_RATE, "arch-limit[ballerini]", True, None),
+    **{family: (f"archimedean[{family}({th})]", ARCH_RATE, f"arch-limit[{family}({th})]", True, None)
+       for family, th in (("clayton", 2.0), ("frank", 3.0), ("gumbel", 2.0), ("joe", 2.0), ("amh", 0.6))},
+    "archimax": ("archimax[clayton(2.0)]", ARCH_RATE, "arch-limit[clayton(2.0)]", False, None),
+}
+
+
+def test_every_diagonal_keeps_its_metadata():
+    fams = {name: spec.diagonal(**PARAMS.get(name, {})) for name, spec in MODELS.items() if spec.diagonal}
+    fams["archimax"] = archimax_diagonal(builtin_generator("clayton", 2.0), logistic_eta(2.0))
+    assert set(fams) == set(METADATA)
+    for name, fam in fams.items():
+        rate, limit = fam.canonical_rate, fam.limit_distortion
+        got = (fam.tag, rate and rate.tag, limit and limit.tag, fam.exchangeable, fam.finite_rate_limit)
+        assert got == METADATA[name], name
+
 def test_non_integer_n_rejected():
     fam = make_diagonal("independence")
     for bad in (2.5, 2.0, "3", True, np.array([2.0, 4.0]), np.array([True, False]), np.array([2, 2.5], dtype=object),

@@ -184,6 +184,27 @@ def test_inverse_rate_as_a_list_gives_an_array():
         assert type(g.psi_inv(0.5, r)) is float
 
 
+def test_inverse_at_a_tiny_rate_is_huge_or_inf_without_a_warning(builtin):
+    # s = -log(0.5)/1e-300 = 6.93e299; gumbel's s^theta once warned on its overflow
+    g, _, _ = builtin
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for got in (g.psi_inv(0.5, 1e-300), *g.psi_inv(np.array([0.5, 1e-10]), 1e-300)):
+            assert got >= 6.9e299
+
+
+def test_amh_one_minus_psi_is_one_in_the_far_tail():
+    # expm1(t)/(expm1(t) + 1 - theta) was inf/inf, NaN with two warnings, from t = 710
+    g = builtin_generator("amh", 0.6)
+    ts = [700.0, 709.0, 710.0, 1000.0, 1e300, math.inf]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [g.one_minus_psi(t) for t in ts] == [1.0] * len(ts)
+        assert np.array_equal(g.one_minus_psi(np.array(ts)), np.ones(len(ts)))
+        # below t = 700 the formula is the ratio it was
+        t = np.array([1e-300, 1e-8, 0.5, 3.0, 40.0, 699.9])
+        assert np.array_equal(g.one_minus_psi(t), np.expm1(t) / (np.expm1(t) + 1.0 - 0.6))
+
 def test_psi_prime_matches_finite_differences(builtin):
     g, _, _ = builtin
     for t in np.logspace(-3, math.log10(50.0), 40):
