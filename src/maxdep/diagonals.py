@@ -317,13 +317,14 @@ def distortion_sup_distance(fam: DiagonalFamily, r: RateFn | None, n: int, D: Di
 def rate_scaling_limit(r: RateFn, t: float, n_values) -> np.ndarray:
     """Trajectory r_ceil(n*t) / r_n along n_values; its limit is lambda(t).
 
-    For the logistic schedule eta_n = n^(1/theta) the limit is t^(1/theta).
+    n_values are increasing integers >= 1.  For the logistic schedule
+    eta_n = n^(1/theta) the limit is t^(1/theta).
     """
     check_positive("t", t)
-    ns = np.asarray(n_values)
+    ns = _check_n(np.asarray(n_values))
     if np.any(np.diff(ns) <= 0):
         raise ValueError("n_values must be increasing")
-    return np.array([r(int(math.ceil(int(n) * t))) / r(int(n)) for n in ns])
+    return np.array([r(math.ceil(n * t)) / r(n) for n in ns.tolist()])
 
 
 def _ceil_times(n, t: float):
@@ -361,8 +362,9 @@ def mixing_discrepancy(fam: DiagonalFamily, n, t1: float, t2: float, v):
 def empirical_diagonal_distance(fam: DiagonalFamily, samples) -> float:
     """Max z-score of MC diagonal estimates against the analytic diagonal.
 
-    samples is an iterable of (n, u, estimate, std_error) tuples; the
-    diagonal is evaluated at all of them in one call.
+    samples is an iterable of (n, u, estimate, std_error) tuples, each n an
+    integer >= 1 and each estimate a finite real; the diagonal is evaluated
+    at all of them in one call.
     """
     samples = list(samples)
     if not samples:
@@ -371,6 +373,7 @@ def empirical_diagonal_distance(fam: DiagonalFamily, samples) -> float:
     se = np.array(se, dtype=float)
     if not (se > 0).all():
         raise ValueError("standard errors must be positive")
-    n = np.array([int(k) for k in ns], dtype=object)
-    z = np.abs(np.array(p_hat, dtype=float) - fam(n, np.array(us, dtype=float))) / se
+    n = np.array([check_count("n", k) for k in ns], dtype=object)
+    p_hat = np.array([check_real("estimate", p) for p in p_hat])
+    z = np.abs(p_hat - fam(n, np.array(us, dtype=float))) / se
     return float(z.max())

@@ -192,8 +192,8 @@ def efgm_limit(theta: float) -> Distortion:
 
 
 def parameter_mixture(components: Sequence[Distortion], weights: Sequence[float]) -> Distortion:
-    """Finite mixture sum_i w_i * D_i; weights must sum to 1."""
-    w = np.asarray(weights, dtype=float)
+    """Finite mixture sum_i w_i * D_i; weights are finite reals >= 0 that sum to 1."""
+    w = np.array([check_real("weight", x) for x in weights])
     if len(components) != w.size or w.size == 0:
         raise ValueError("components and weights must have equal nonzero length")
     if abs(w.sum() - 1.0) > 1e-9 or np.any(w < 0):

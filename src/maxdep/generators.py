@@ -6,13 +6,14 @@ variation index rho of 1 - psi(1/.), and -psi'(0) as an extended real.
 A dedicated ``one_minus_psi`` evaluator keeps 1 - psi(s) accurate to full
 relative precision for small s; the canonical rates 1/(1 - psi(1/n)) used by
 the diagonal machinery would otherwise lose up to half their digits.  The
-four functions of every generator are checked and evaluated in one shell.
+four functions of every generator are checked and evaluated in one shell;
+those of psi = exp(-f), for an additive hazard f, are built from f and f'.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -73,6 +74,14 @@ def _generator(tag: str, rho: float, neg_psi_prime_0: float, psi, psi_prime, one
     inverse = on_unit("generator inverse defined on [0, 1]", interior, lambda: (math.inf, 0.0))
     return ArchGenerator(_on_half_line(psi), lambda u, r=1.0: inverse(u, np.asarray(r, dtype=float)),
                          _on_half_line(psi_prime), rho, neg_psi_prime_0, tag, _on_half_line(one_minus_psi))
+
+
+def _hazard(tag: str, rho: float, neg_psi_prime_0: float, f, f_prime, inv) -> ArchGenerator:
+    """The ArchGenerator psi = exp(-f), psi' = -f'*exp(-f), 1 - psi = -expm1(-f) of
+    formulas f and f' = f_prime on a float array t >= 0; inv is as for ``_generator``."""
+    return _generator(tag, rho, neg_psi_prime_0, psi=lambda t: np.exp(-f(t)),
+                      psi_prime=lambda t: -f_prime(t) * np.exp(-f(t)),
+                      one_minus_psi=lambda t: -np.expm1(-f(t)), inv=inv)
 
 
 def _on_half_line(f):
@@ -178,16 +187,12 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
     fam = name_key(family)
 
     if fam == "independence":
-        return _generator("independence", rho=1.0, neg_psi_prime_0=1.0,
-                          psi=lambda t: np.exp(-t), psi_prime=lambda t: -np.exp(-t),
-                          one_minus_psi=lambda t: -np.expm1(-t), inv=lambda s, u, r: s)
+        return _hazard("independence", rho=1.0, neg_psi_prime_0=1.0, f=lambda t: t, f_prime=lambda t: 1.0,
+                       inv=lambda s, u, r: s)
 
     if fam == "ballerini":
-        psi = lambda t: np.exp(-_ballerini_f(t))
-        return _generator("ballerini", rho=1.0, neg_psi_prime_0=math.inf,
-                          psi=psi, psi_prime=lambda t: -_log1p_recip(t) * psi(t),
-                          one_minus_psi=lambda t: -np.expm1(-_ballerini_f(t)),
-                          inv=_numeric_inverse(_ballerini_f, _log1p_recip, lambda t: (1.0 + t) * _log1p_recip(t)))
+        return _hazard("ballerini", rho=1.0, neg_psi_prime_0=math.inf, f=_ballerini_f, f_prime=_log1p_recip,
+                       inv=_numeric_inverse(_ballerini_f, _log1p_recip, lambda t: (1.0 + t) * _log1p_recip(t)))
 
     if theta is None:
         raise ValueError(f"family {family!r} requires a parameter")
@@ -234,21 +239,18 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
     if fam == "frank":
         check_positive("Frank parameter", th)
         em = math.expm1(-th)  # e^{-theta} - 1, exact for all theta
-        steep = em < 1e-3 - 1.0  # theta > 6.9, the only theta at which w below can fall under 1e-3
 
         def psi(t):
             # log1p(w - 1) with w = 1 + em*e^{-t} >= e^{-theta}; where w < 1e-3
-            # that sum cancels, and w is formed as (1 - e^{-t}) + e^{-theta-t}
-            # instead, on those elements only.  The flag spares the common
-            # theta its elementwise test, a pass that costs about a third of
-            # the time of psi on large frailty draws
-            if not steep:
-                return -np.log1p(em * np.exp(-t)) / th
+            # (only at theta > 6.9) that sum cancels, and w is formed as
+            # (1 - e^{-t}) + e^{-theta-t} instead, on those elements only
             e = em * np.exp(-t)
-            log_w = np.log1p(e, out=np.empty_like(t))
+            log_w = np.log1p(e)
             cancels = e < 1e-3 - 1.0
-            with np.errstate(divide="ignore"):
-                log_w[cancels] = np.log(-np.expm1(-t[cancels]) + np.exp(-th - t[cancels]))
+            if np.count_nonzero(cancels):
+                tc = t[cancels]
+                with np.errstate(divide="ignore"):
+                    log_w[cancels] = np.log(-np.expm1(-tc) + np.exp(-th - tc))
             return -log_w / th
 
         def frank_inv(s, u, r):
@@ -273,11 +275,9 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
         if not th >= 1.0:
             raise ValueError(f"Gumbel parameter must be >= 1, got {th}")
         # the inverse s^theta overflows to inf at a tiny r, as it should
-        return _generator(f"gumbel({th})", rho=1.0 / th, neg_psi_prime_0=1.0 if th == 1.0 else math.inf,
-                          psi=lambda t: np.exp(-t ** (1.0 / th)),
-                          psi_prime=lambda t: -(1.0 / th) * t ** (1.0 / th - 1.0) * np.exp(-t ** (1.0 / th)),
-                          one_minus_psi=lambda t: -np.expm1(-t ** (1.0 / th)),
-                          inv=np.errstate(over="ignore")(lambda s, u, r: s**th))
+        return _hazard(f"gumbel({th})", rho=1.0 / th, neg_psi_prime_0=1.0 if th == 1.0 else math.inf,
+                       f=lambda t: t ** (1.0 / th), f_prime=lambda t: (1.0 / th) * t ** (1.0 / th - 1.0),
+                       inv=np.errstate(over="ignore")(lambda s, u, r: s**th))
 
     if fam == "joe":
         if not th > 1.0:
@@ -308,19 +308,21 @@ def generator_from_f(
 ) -> ArchGenerator:
     """Build psi(t) = exp(-f(t)) from an additive hazard f.
 
-    f and f_prime map a float (or a float array) to a float (array).  f must
-    vanish at 0, increase to infinity, and have a positive decreasing
-    derivative; these are checked on a 1000-point logarithmic grid (full
-    complete monotonicity of f' cannot be verified numerically).  The inverse
-    is a bracketed root find.  -psi'(0) is probed at t = 1e-10 and reported as
-    inf above 1e12; note that a probe at fixed t cannot distinguish a large
-    finite limit from slow (e.g. logarithmic) divergence.  rho may be supplied;
-    otherwise it is estimated with ``rv_index_estimate`` and subject to that
-    estimator's finite-t bias.
+    f and f_prime map a float array to a float array (or, for a constant f',
+    a float).  f must vanish at 0, increase to infinity, and have a positive
+    decreasing derivative; these and finiteness are checked on a 1000-point
+    logarithmic grid (full complete monotonicity of f' cannot be verified
+    numerically).  The inverse is a bracketed root find.  -psi'(0) is probed
+    at t = 1e-10 and reported as inf above 1e12; note that a probe at fixed t
+    cannot distinguish a large finite limit from slow (e.g. logarithmic)
+    divergence.  rho may be supplied, a finite real > 0; otherwise it is
+    ``rv_index_estimate(g, 2.0, 1e8)``, subject to that estimator's finite-t bias.
     """
     grid = np.logspace(-3.0, 3.0, 1000)
-    fv = np.asarray([float(f(t)) for t in grid])
-    fpv = np.asarray([float(f_prime(t)) for t in grid])
+    fv, fpv = np.full(grid.size, f(grid), dtype=float), np.full(grid.size, f_prime(grid), dtype=float)
+    # a NaN fails every comparison below, so it is refused first
+    if not (np.isfinite(fv).all() and np.isfinite(fpv).all()):
+        raise ValueError("f and f' must be finite on the grid")
     if not float(f(1e-10)) < 1e-3:
         raise ValueError("f must vanish at 0")
     if np.any(np.diff(fv) <= 0) or fv[-1] < 1.0:
@@ -328,21 +330,11 @@ def generator_from_f(
     if np.any(fpv <= 0) or np.any(np.diff(fpv) > 1e-12 * np.abs(fpv[:-1])):
         raise ValueError("f' must be positive and nonincreasing")
 
-    def psi(t):
-        return np.exp(-f(t))
-
-    def one_minus(t):
-        return -np.expm1(-f(t))
-
     probe = float(f_prime(1e-10))
-    neg0 = math.inf if probe > 1e12 else probe
-
-    if rho is None:
-        t0 = 1e8
-        rho = -math.log(float(one_minus(1.0 / (2.0 * t0))) / float(one_minus(1.0 / t0))) / math.log(2.0)
-
-    return _generator(tag, rho=rho, neg_psi_prime_0=neg0, psi=psi, psi_prime=lambda t: -f_prime(t) * psi(t),
-                      one_minus_psi=one_minus, inv=_numeric_inverse(f, f_prime))
+    g = _hazard(tag, rho=math.nan if rho is None else check_positive("rho", rho),
+                neg_psi_prime_0=math.inf if probe > 1e12 else probe, f=f, f_prime=f_prime,
+                inv=_numeric_inverse(f, f_prime))
+    return g if rho is not None else replace(g, rho=rv_index_estimate(g, 2.0, 1e8))
 
 
 def scale_generator(g: ArchGenerator, c: float) -> ArchGenerator:

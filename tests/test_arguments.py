@@ -32,6 +32,8 @@ from maxdep import (
     cuadras_auge_sup,
     efgm_limit,
     empirical_diagonal,
+    empirical_diagonal_distance,
+    generator_from_f,
     gev_cdf,
     gev_power,
     large_n_bound,
@@ -47,9 +49,11 @@ from maxdep import (
     sup_power_diff,
 )
 from maxdep import distortions
-from maxdep.diagonals import cuadras_auge_diagonal, efgm_mixture_diagonal, logistic_eta, moving_max_diagonal
+from maxdep.diagonals import (archimedean_diagonal, cuadras_auge_diagonal, efgm_mixture_diagonal, logistic_eta,
+                              moving_max_diagonal)
 
 CLAYTON = builtin_generator("clayton", 2.0)
+CLAYTON_DIAGONAL = archimedean_diagonal(CLAYTON)
 GUMBEL = GevParams(0.0)
 GRID = np.linspace(-3.0, 8.0, 200)
 
@@ -97,6 +101,13 @@ ARGS = [
     ("efgm_mixture_diagonal", "theta", efgm_mixture_diagonal, 0.5),
     ("DiagonalFamily", "n", lambda v: moving_max_diagonal(1)(v, 0.5), 4),
     ("rate_scaling_limit", "t", lambda v: rate_scaling_limit(RateFn(float), v, [10, 20]), 2.0),
+    ("empirical_diagonal_distance", "n",
+     lambda v: empirical_diagonal_distance(CLAYTON_DIAGONAL, [(v, 0.5, 0.25, 0.01)]), 2),
+    ("empirical_diagonal_distance", "estimate",
+     lambda v: empirical_diagonal_distance(CLAYTON_DIAGONAL, [(2, 0.5, v, 0.01)]), 0.25),
+    ("generator_from_f", "rho", lambda v: generator_from_f(np.sqrt, lambda t: 0.5 / np.sqrt(t), rho=v), 0.5),
+    ("parameter_mixture", "weight",
+     lambda v: distortions.parameter_mixture([distortions.power(0.5), distortions.power(2.0)], [v, 0.5]), 0.5),
     ("Frechet", "alpha", Frechet, 2.0),
     ("Exponential", "lam", Exponential, 1.5),
     ("Pareto", "alpha", Pareto, 2.0),
@@ -137,6 +148,11 @@ def test_counts_refuse_a_real_and_values_below_their_least():
         RngStream(1.5)
     with pytest.raises(ValueError, match="n must be an integer >= 1"):
         movingmax_s(0, 1)
+    # n = 2.5 once ran as n = 2, and 10.5, 20.5 as 10, 20
+    with pytest.raises(ValueError, match="n must be an integer >= 1, got 2.5"):
+        empirical_diagonal_distance(CLAYTON_DIAGONAL, [(2.5, 0.5, 0.25, 0.01)])
+    with pytest.raises(ValueError, match="n must be an integer array"):
+        rate_scaling_limit(RateFn(float), 2.0, [10.5, 20.5])
     # numpy integers are integers
     assert movingmax_s(np.int64(5), np.int32(1)) == movingmax_s(5, 1)
 

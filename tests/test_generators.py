@@ -305,6 +305,56 @@ def test_generator_from_f_rejects_bad_input():
     with pytest.raises(ValueError):
         # increasing f' is not completely monotone
         generator_from_f(lambda t: np.asarray(t, dtype=float) ** 2, lambda t: 2.0 * np.asarray(t, dtype=float))
+    # a NaN fails every comparison: a hazard NaN above t = 100 once built a
+    # generator whose psi(200) was nan
+    f_prime = lambda t: 1.0 / (1.0 + t) + 0.5 / np.sqrt(t)
+    with pytest.raises(ValueError, match="f and f' must be finite"):
+        generator_from_f(lambda t: np.where(t > 100.0, math.nan, np.log1p(t) + np.sqrt(t)), f_prime, rho=0.5)
+    with pytest.raises(ValueError, match="f and f' must be finite"):
+        generator_from_f(lambda t: np.log1p(t) + np.sqrt(t), lambda t: np.where(t > 100.0, math.inf, f_prime(t)))
+    # a given rho is a finite real > 0: inf, nan and True were once stored as given
+    for bad in (math.inf, math.nan, True, 0.0):
+        with pytest.raises(ValueError, match="rho must be"):
+            generator_from_f(np.sqrt, lambda t: 0.5 / np.sqrt(t), rho=bad)
+
+
+# 0, subnormals, the whole range and inf
+HAZARD_T = np.array([0.0, 5e-324, 1e-310, 1e-300, 1e-100, 1e-10, 0.3, 1.0, 2.5, 30.0, 745.0, 1e10, 1e300, math.inf])
+
+
+def _hazard_triple(g):
+    with np.errstate(divide="ignore"):
+        return [fn(HAZARD_T) for fn in (g.psi, g.psi_prime, g.one_minus_psi)]
+
+
+def _assert_bits(got, expected):
+    for a, b in zip(got, expected):
+        assert a.tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("theta", [1.0, 2.0, 7.5])
+def test_hazard_generators_keep_their_closed_form_bits(theta):
+    # gumbel(theta) has the bits of its closed forms in f(t) = t^(1/theta), and
+    # so does generator_from_f of that f wherever its f(1e-10) < 1e-3 check
+    # lets f in (not at theta = 7.5, where f(1e-10) = 0.046)
+    a = 1.0 / theta
+    t = HAZARD_T
+    with np.errstate(divide="ignore"):
+        closed = [np.exp(-t**a), -a * t ** (a - 1.0) * np.exp(-t**a), -np.expm1(-t**a)]
+    _assert_bits(_hazard_triple(builtin_generator("gumbel", theta)), closed)
+    if theta < 7.5:
+        _assert_bits(_hazard_triple(generator_from_f(lambda t: t**a, lambda t: a * t ** (a - 1.0))), closed)
+    if theta == 1.0:
+        closed = [np.exp(-t), -np.exp(-t), -np.expm1(-t)]
+        _assert_bits(_hazard_triple(builtin_generator("independence")), closed)
+        _assert_bits(_hazard_triple(generator_from_f(lambda t: t, np.ones_like, rho=1.0)), closed)
+
+
+@pytest.mark.parametrize("theta", [0.5, 3.0, 6.9])
+def test_frank_psi_is_its_one_formula_where_nothing_cancels(theta):
+    # below theta = 6.9 no element takes the cancellation branch
+    expected = -np.log1p(math.expm1(-theta) * np.exp(-HAZARD_T)) / theta
+    assert builtin_generator("frank", theta).psi(HAZARD_T).tobytes() == expected.tobytes()
 
 
 def test_scale_generator_values():
