@@ -180,22 +180,25 @@ def solve_increasing(f, target, lo, hi, tol: float = 1e-12):
         if not ((fa <= 0.0).all() and (fb >= 0.0).all()):
             raise ValueError("target not bracketed by [f(lo), f(hi)]")
         newton = slopes is not None
-        start_lo = np.abs(fa) <= np.abs(fb)
-        x = np.where(start_lo, a, b)
-        fx = np.where(start_lo, fa, fb)
-        floor = tol + eps4 * np.abs(x)
-        stop = (fx == 0.0) | (b - a <= floor)
-        if newton:
-            # the Newton step each element would take next; a step within tol
-            # is taken without a check (near a simple root its error is about
-            # its square), and an infinite slope never stops an element
-            dx = np.where(start_lo, slopes[:n], slopes[n:])
+
+        def settle(x, fx, dx):
+            # the one stop rule, at the start and after each step: f(x) is the
+            # target or the bracket is within tol, or, with a slope, the next
+            # Newton step is within tol, and is then taken without a check
+            # (near a simple root its error is about its square); an infinite
+            # slope never stops an element.  Returns the stops, the next steps
+            # (x, unused, without a slope) and x moved by each step taken
+            floor = tol + eps4 * np.abs(x)
+            stop = (fx == 0.0) | (b - a <= floor)
+            if not newton:
+                return stop, x, x
             step = -fx / dx
             small = (np.abs(step) <= floor) & (dx < np.inf)
-            stop |= small
-            x = np.where(small, x + step, x)
-        else:
-            step = np.zeros(n)  # unused without a slope
+            return stop | small, step, np.where(small, x + step, x)
+
+        start_lo = np.abs(fa) <= np.abs(fb)
+        dx = np.where(start_lo, slopes[:n], slopes[n:]) if newton else None
+        stop, step, x = settle(np.where(start_lo, a, b), np.where(start_lo, fa, fb), dx)
         out = x.copy()
         before = last = np.full(n, np.inf)  # the step length two and one steps back
         idx = np.arange(n)
@@ -225,16 +228,8 @@ def solve_increasing(f, target, lo, hi, tol: float = 1e-12):
             low, high = fc < 0.0, fc > 0.0
             a, fa = np.where(high, a, c), np.where(low, fc, fa)
             b, fb = np.where(low, b, c), np.where(high, fc, fb)
-            x = c
-            floor = tol + eps4 * np.abs(c)
-            stop = (fc == 0.0) | (b - a <= floor)
-            if newton:
-                step = -fc / dc
-                small = (np.abs(step) <= floor) & (dc < np.inf)
-                stop |= small
-                out[idx] = np.where(small, c + step, c)
-            else:
-                out[idx] = c
+            stop, step, x = settle(c, fc, dc)
+            out[idx] = x
     return scalar_or_array(out.reshape(shape))
 
 

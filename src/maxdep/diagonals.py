@@ -363,16 +363,14 @@ def empirical_diagonal_distance(fam: DiagonalFamily, samples) -> float:
     """Max z-score of MC diagonal estimates against the analytic diagonal.
 
     samples is an iterable of (n, u, estimate, std_error) tuples, each n an
-    integer >= 1 and each estimate a finite real; the diagonal is evaluated
-    at all of them in one call.
+    integer >= 1, each estimate a finite real and each std_error a finite
+    real > 0; the diagonal is evaluated at all of them in one call.
     """
     samples = list(samples)
     if not samples:
         raise ValueError("no samples supplied")
     ns, us, p_hat, se = zip(*samples)
-    se = np.array(se, dtype=float)
-    if not (se > 0).all():
-        raise ValueError("standard errors must be positive")
+    se = np.array([check_positive("std_error", e) for e in se])
     n = np.array([check_count("n", k) for k in ns], dtype=object)
     p_hat = np.array([check_real("estimate", p) for p in p_hat])
     z = np.abs(p_hat - fam(n, np.array(us, dtype=float))) / se

@@ -292,5 +292,5 @@ def max_stability_defect(Gcdf: Callable, k: int, grid) -> float:
         raise ValueError("degenerate cdf on grid")
     a = (y1 - y0) / (x1 - x0)
     b = y0 - a * x0
-    diff = np.abs(np.asarray(Gcdf(grid), dtype=float) ** k - np.asarray(Gcdf(a * grid + b), dtype=float))
+    diff = np.abs(gvals ** k - np.asarray(Gcdf(a * grid + b), dtype=float))
     return float(diff.max())

@@ -140,13 +140,8 @@ def _numeric_inverse(f: Callable, f_prime: Callable, excess: Callable | None = N
         with np.errstate(divide="ignore", invalid="ignore"):
             res = f(t) - y[inside]
             if excess is not None:
-                # t over the whole shape (1 where none is solved for), so
-                # that u and r broadcast against it inside the ufuncs
-                t_all = np.ones(y.size)
-                t_all[inside] = t
-                t_all = t_all.reshape(shape)
-                log_tv = np.where(np.equal(r, 1.0), np.log(t_all * u), np.log(t_all) - y.reshape(shape))
-                log_tv = log_tv.ravel()[inside]
+                u_in, r_in = (np.broadcast_to(v, shape).ravel()[inside] for v in (u, r))
+                log_tv = np.where(r_in == 1.0, np.log(t * u_in), np.log(t) - y[inside])
                 res = np.where(t >= 1.0, excess(t) + log_tv, res)
             step = res / f_prime(t)
         out[inside] = np.where(np.isfinite(step), t - step, t)
@@ -327,10 +322,10 @@ def generator_from_f(
         raise ValueError("f must vanish at 0")
     if np.any(np.diff(fv) <= 0) or fv[-1] < 1.0:
         raise ValueError("f must be increasing toward infinity")
-    if np.any(fpv <= 0) or np.any(np.diff(fpv) > 1e-12 * np.abs(fpv[:-1])):
-        raise ValueError("f' must be positive and nonincreasing")
-
+    # -psi'(0) is probed below the grid, and a NaN probe fails its test too
     probe = float(f_prime(1e-10))
+    if np.any(fpv <= 0) or np.any(np.diff(fpv) > 1e-12 * np.abs(fpv[:-1])) or not probe > 0.0:
+        raise ValueError("f' must be positive and nonincreasing")
     g = _hazard(tag, rho=math.nan if rho is None else check_positive("rho", rho),
                 neg_psi_prime_0=math.inf if probe > 1e12 else probe, f=f, f_prime=f_prime,
                 inv=_numeric_inverse(f, f_prime))

@@ -105,6 +105,8 @@ ARGS = [
      lambda v: empirical_diagonal_distance(CLAYTON_DIAGONAL, [(v, 0.5, 0.25, 0.01)]), 2),
     ("empirical_diagonal_distance", "estimate",
      lambda v: empirical_diagonal_distance(CLAYTON_DIAGONAL, [(2, 0.5, v, 0.01)]), 0.25),
+    ("empirical_diagonal_distance", "std_error",
+     lambda v: empirical_diagonal_distance(CLAYTON_DIAGONAL, [(2, 0.5, 0.9, v)]), 0.01),
     ("generator_from_f", "rho", lambda v: generator_from_f(np.sqrt, lambda t: 0.5 / np.sqrt(t), rho=v), 0.5),
     ("parameter_mixture", "weight",
      lambda v: distortions.parameter_mixture([distortions.power(0.5), distortions.power(2.0)], [v, 0.5]), 0.5),

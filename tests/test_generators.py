@@ -312,6 +312,10 @@ def test_generator_from_f_rejects_bad_input():
         generator_from_f(lambda t: np.where(t > 100.0, math.nan, np.log1p(t) + np.sqrt(t)), f_prime, rho=0.5)
     with pytest.raises(ValueError, match="f and f' must be finite"):
         generator_from_f(lambda t: np.log1p(t) + np.sqrt(t), lambda t: np.where(t > 100.0, math.inf, f_prime(t)))
+    # -psi'(0) is probed at t = 1e-10, below the grid: an f' NaN there once
+    # built a generator whose neg_psi_prime_0 was nan
+    with pytest.raises(ValueError, match="f' must be positive and nonincreasing"):
+        generator_from_f(lambda t: np.log1p(t) + np.sqrt(t), lambda t: np.where(t < 1e-5, math.nan, f_prime(t)))
     # a given rho is a finite real > 0: inf, nan and True were once stored as given
     for bad in (math.inf, math.nan, True, 0.0):
         with pytest.raises(ValueError, match="rho must be"):

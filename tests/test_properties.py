@@ -63,6 +63,35 @@ def test_solver_roots_with_and_without_slope(targets):
         solve_increasing(lambda x: x**3 + x, 31.0, -3.0, 3.0, 1e-13)
 
 
+# f and f' from +, -, *, /, maximum and where only, so that the bits depend on
+# neither libm nor numpy's SIMD dispatch; each case holds a target at f(lo), and
+# the pins are hex floats with a slope (Newton) and without one (bisection)
+SOLVER_PINS = {
+    "cubic": (lambda x: x * x * x + x, lambda x: 3.0 * x * x + 1.0, [-30.0, -9.0, -1.0, -1e-300, 0.0, 0.5, 9.0],
+              ["-0x1.8p+1", "-0x1.eb9098c4c76a7p+0", "-0x1.5d5a11e52f89ap-1", "-0x1.56e1fc2f8f359p-997", "0x0.0p+0",
+               "0x1.b206baf529094p-2", "0x1.eb9098c4c76a7p+0"],
+              ["-0x1.8p+1", "-0x1.eb9098c4c7c00p+0", "-0x1.5d5a11e530800p-1", "-0x1.8p-41", "0x0.0p+0",
+               "0x1.b206baf529000p-2", "0x1.eb9098c4c7c00p+0"]),
+    "flat": (lambda x: np.maximum(x, 0.0), lambda x: np.where(x > 0.0, 1.0, 0.0), [0.0, 1e-300, 0.5, 3.0],
+             ["-0x1.8p+1", "0x1.56e1fc2f8f359p-997", "0x1.0p-1", "0x1.8p+1"],
+             ["-0x1.8p+1", "0x1.8p-41", "0x1.0000000000800p-1", "0x1.8p+1"]),
+    "jump": (lambda x: np.where(x < 0.3, 0.0, 1.0) + 0.001 * x, lambda x: np.full_like(x, 0.001),
+             [-0.003, -0.002, 0.0002, 0.5, 1.0005],
+             ["-0x1.8p+1", "-0x1.0p+1", "0x1.999999999999ap-3", "0x1.3333333333a9bp-2", "0x1.00000000001e0p-1"],
+             ["-0x1.8p+1", "-0x1.0000000000200p+1", "0x1.999999999e000p-3", "0x1.3333333335000p-2",
+              "0x1.0000000000800p-1"]),
+}
+
+
+@pytest.mark.parametrize("name", SOLVER_PINS)
+def test_solver_keeps_its_bits(name):
+    f, f_prime, targets, newton, bisection = SOLVER_PINS[name]
+    y = np.array(targets)
+    for got, pins in ((solve_increasing(lambda x: (f(x), f_prime(x)), y, -3.0, 3.0), newton),
+                      (solve_increasing(f, y, -3.0, 3.0), bisection)):
+        assert [float(v).hex() for v in got] == [float.fromhex(p).hex() for p in pins]
+
+
 def test_scalar_or_array():
     assert type(scalar_or_array(np.float64(0.5))) is float
     assert type(scalar_or_array(np.array(2))) is float
