@@ -212,10 +212,10 @@ def parameter_mixture(components: Sequence[Distortion], weights: Sequence[float]
 def mixture_over_interval(make: Callable[[float], Distortion], a: float, b: float) -> Distortion:
     """Uniform mixture over theta in (a, b) via 64-node Gauss-Legendre quadrature."""
     a, b = check_real("a", a), check_real("b", b)
-    # imported here, at its one use, so `import maxdep` does not pay for scipy.special
-    from scipy.special import roots_legendre
+    # imported here, at its one use, so `import maxdep` does not pay for numpy.polynomial
+    from numpy.polynomial.legendre import leggauss
 
-    x, w = roots_legendre(64)
+    x, w = leggauss(64)
     thetas = 0.5 * (b - a) * x + 0.5 * (a + b)
     # the interval Jacobian (b-a)/2 and the uniform density 1/(b-a) reduce to
     # a flat factor 1/2 on the reference weights

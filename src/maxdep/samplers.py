@@ -68,19 +68,12 @@ import numpy as np
 
 from ._numutil import check_count, check_positive, check_real, lookup
 from .generators import ArchGenerator, builtin_generator
-from .margins import Margin
+from .margins import Margin, _normal_cdf
 
 BLOCK_REPS = 4096  # stream-assignment unit; fixed so results ignore worker count
 _SLICE_ROWS = 256  # internal memory chunk inside a block (fixed: affects draws)
 _POOL_MIN_N = 64  # a pool pays only from 256 x 64 = 2^14 words a slice
 _U_HI = float(np.nextafter(1.0, 0.0))
-
-
-def _ndtr(x):
-    """Standard normal cdf; scipy.special loads at the first normal path, not at import."""
-    from scipy.special import ndtr
-
-    return ndtr(x)
 
 
 @dataclass(frozen=True)
@@ -388,7 +381,7 @@ class GaussianAR1(SequenceModel):
         return (y,)
 
     def _native(self, y):
-        return _ndtr(y / self.stat_sd)
+        return _normal_cdf(y / self.stat_sd)
 
 
 class EfgmExchangeable(SequenceModel):
@@ -436,7 +429,7 @@ class BermanEquicorrelated(SequenceModel):
         return math.sqrt(self.rho) * z0 + math.sqrt(1.0 - self.rho) * _normal(w)
 
     def _to_uniform(self, x):
-        return _ndtr(x)
+        return _normal_cdf(x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import lambertw, ndtr
 
 from maxdep.gev import gev_cdf, gev_quantile
 from maxdep.margins import (
@@ -14,6 +16,7 @@ from maxdep.margins import (
     StandardNormal,
     Uniform01,
     UnitFrechet,
+    _normal_cdf,
     make_margin,
 )
 
@@ -130,12 +133,68 @@ def test_uniform_rate_values():
 
 
 def test_hall_constant_equation():
-    # log(2 pi) + 2 log b + b^2 = 2 log n, to a few ulps of 2 log n
+    # log(2 pi) + 2 log b + b^2 = 2 log n, to a few ulps of 2 log n; from
+    # n = 2^512 on, hall_constant and normalizers once overflowed n^2/(2 pi)
     norm = StandardNormal()
-    for n in (2, 3, 4, 5, 7, 10, 64, 100, 128, 512, 1000, 1024, 4096, 10**4, 16384, 10**6, 2**30, 2**40, 2**60):
+    for n in (2, 3, 4, 5, 7, 10, 64, 100, 128, 512, 1000, 1024, 4096, 10**4, 16384, 10**6, 2**30, 2**40, 2**60,
+              2**512, 2**600, 2**1000):
         b = norm.hall_constant(n)
         lhs = math.log(2.0 * math.pi) + 2.0 * math.log(b) + b * b
         assert lhs == pytest.approx(2.0 * math.log(n), rel=2e-15, abs=0.0), n
+        assert norm.normalizers(n)[:2] == (1.0 / b, b)
+
+
+def test_hall_constant_matches_lambertw():
+    # within 1 ulp of the closed form through scipy's W0, for n from 2 to 2^62
+    norm = StandardNormal()
+    ns = sorted({int(round(2.0**e)) for e in np.linspace(1.0, 62.0, 179)})
+    for n in ns:
+        ref = math.sqrt(lambertw(n**2 / (2.0 * math.pi)).real)
+        assert abs(norm.hall_constant(n) - ref) <= math.ulp(ref), n
+
+
+# Phi on a dense grid of [-40, 40], against 40-digit mpmath
+PHI_X = np.linspace(-40.0, 40.0, 8001)
+
+
+@pytest.fixture(scope="module")
+def phi_ref():
+    with mp.workdps(40):
+        return [mp.ncdf(mp.mpf(float(x))) for x in PHI_X]
+
+
+def test_normal_cdf_absolute_error(phi_ref):
+    got = _normal_cdf(PHI_X)
+    with mp.workdps(40):
+        err = max(abs(mp.mpf(float(g)) - r) for g, r in zip(got, phi_ref))
+    assert err <= 2.0**-53
+
+
+def test_normal_cdf_lower_tail_no_worse_than_scipy(phi_ref):
+    # below x = -1 both round x/sqrt(2) first, which costs ~x^2/2 ulps of
+    # relative accuracy; in each band the largest relative error must be no
+    # larger than scipy's ndtr makes at the same points.  Phi < DBL_MIN
+    # (x < -37.5) keeps no relative accuracy in either
+    ref = np.array([float(r) for r in phi_ref])
+    keep = (PHI_X < 0.0) & (ref >= np.finfo(float).tiny)
+
+    def rel(values):
+        with mp.workdps(40):
+            return np.array([float(abs(mp.mpf(float(v)) / r - 1)) for v, r, k in zip(values, phi_ref, keep) if k])
+
+    ours, theirs, x = rel(_normal_cdf(PHI_X)), rel(ndtr(PHI_X)), PHI_X[keep]
+    for lo, hi in ((-40.0, -20.0), (-20.0, -10.0), (-10.0, -5.0), (-5.0, -1.0), (-1.0, 0.0)):
+        band = (x >= lo) & (x < hi)
+        assert ours[band].max() <= theirs[band].max(), (lo, hi)
+
+
+def test_normal_cdf_monotone_and_special_values():
+    x = np.linspace(-40.0, 40.0, 200001)
+    assert np.all(np.diff(_normal_cdf(x)) >= 0.0)
+    out = _normal_cdf(np.array([0.0, -0.0, math.inf, -math.inf, math.nan]))
+    assert out[:4].tolist() == [0.5, 0.5, 1.0, 0.0] and math.isnan(out[4])
+    # shape kept, from 0-d up
+    assert _normal_cdf(np.float64(1.0)).shape == () and _normal_cdf(np.zeros((2, 3))).shape == (2, 3)
 
 
 def _grid_sup(margin, n):

@@ -21,15 +21,17 @@ def _python(*args, cwd=None):
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
 
 
-def _scipy_after(*calls):
+def _scipy_after(*calls, scipy=True):
     """(stdout, scipy modules loaded) after each argv of calls runs through
-    ``cli.main`` in one fresh interpreter; every call must exit 0."""
+    ``cli.main`` in one fresh interpreter; every call must exit 0.  With
+    scipy=False, ``import scipy`` raises ImportError in that interpreter."""
     script = (
         "import sys\n"
-        "from maxdep import cli\n"
+        + ("" if scipy else "sys.modules['scipy'] = None\n")
+        + "from maxdep import cli\n"
         f"for argv in {[list(c) for c in calls]!r}:\n"
         "    assert cli.main(argv) == 0, argv\n"
-        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+        "print(*sorted(m for m, v in sys.modules.items() if m.split('.')[0] == 'scipy' and v), file=sys.stderr)\n"
     )
     proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
@@ -37,8 +39,8 @@ def _scipy_after(*calls):
 
 
 def test_import_loads_no_heavy_scipy_module():
-    # only the normal margin, the Gaussian samplers and Gauss-Legendre
-    # mixtures need scipy, and each imports it at its first use
+    # only the normal quantile and Berman's draws need scipy, and each
+    # imports it at its first use
     proc = _python("-c", "import sys, maxdep, maxdep.cli; print(*(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
@@ -63,16 +65,49 @@ def test_analytic_commands_load_no_scipy():
 
 
 def test_deferred_scipy_path_prints_the_pinned_bytes():
-    # the normal margin and the AR(1) sampler load scipy.special at their
-    # first call and print the bytes pinned in test_cli; the AR(1) recursion
-    # runs in numpy, so scipy.signal is never loaded
+    # the normal margin and the AR(1) sampler take Phi from math.erfc and
+    # Hall's constant from a Newton solve, and the AR(1) recursion runs in
+    # numpy, so the run loads no scipy module and prints the bytes pinned
+    # in test_cli
     from test_cli import PINNED_PATH_MODELS
 
     flags, expected = PINNED_PATH_MODELS["ar1"]
     out, loaded = _scipy_after(["converge", "--model", "ar1", *flags, "--n", "16,64", "--reps", "8192", "--seed", "7"])
     assert out == expected
-    assert "scipy.special" in loaded
-    assert not [m for m in loaded if m.startswith("scipy.signal")]
+    assert loaded == []
+
+
+# flags of every model with a sampler (models.MODELS)
+SAMPLED_FLAGS = {
+    "independence": [],
+    "movingmax": ["--k", "2"],
+    "efgm": ["--theta", "0.8"],
+    "clayton": ["--theta", "2"],
+    "frank": ["--theta", "3"],
+    "gumbel": ["--theta", "2"],
+    "joe": ["--theta", "2"],
+    "amh": ["--theta", "0.6"],
+    "ar1": ["--phi", "0.5"],
+}
+
+
+def test_converge_runs_without_scipy():
+    # Phi and Hall's constant need only math, so converge with the normal
+    # margin runs for every sampled model where scipy cannot be imported,
+    # and the ar1 pin (run last) prints its bytes
+    from test_cli import PINNED_PATH_MODELS
+
+    from maxdep.models import MODELS
+
+    assert set(SAMPLED_FLAGS) == {name for name, spec in MODELS.items() if spec.sampler}
+    flags, expected = PINNED_PATH_MODELS["ar1"]
+    calls = [["converge", "--model", name, *f, "--margin", "normal", "--n", "16", "--reps", "4096", "--seed", "3"]
+             for name, f in SAMPLED_FLAGS.items()]
+    calls.append(["converge", "--model", "ar1", *flags, "--n", "16,64", "--reps", "8192", "--seed", "7"])
+    out, loaded = _scipy_after(*calls, scipy=False)
+    assert out.count("# maxdep converge margin=normal ") == len(calls)
+    assert out.endswith(expected)
+    assert loaded == []
 
 
 def test_tracer_sees_one_span_per_estimator_call():
