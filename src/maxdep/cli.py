@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -99,19 +100,15 @@ def _read_config(path: str) -> dict[str, str]:
 
 
 class Table:
-    """Rows plus a reproducibility header; serializable as CSV or jsonl.
-
-    jsonl is written from ``rows`` and CSV from the values each ``add`` call
-    received, so rows are added only through ``add``.
-    """
+    """Rows plus a reproducibility header; serializable as CSV or jsonl, both
+    broadcast by ``_rows`` from the arrays ``add`` stored, as ``rows`` is."""
 
     def __init__(self, command: str, config: dict, columns: list[str]):
         self.command = command
         self.config = config
         self.columns = columns
-        self.rows: list[list] = []
-        # the arrays of each add call before broadcasting: the CSV text is
-        # made from these, once for each value rather than once for each row
+        # the arrays of each add call before broadcasting, so that the CSV
+        # text is made once for each value rather than once for each row
         self._blocks: list[list[np.ndarray]] = []
 
     def add(self, *values):
@@ -120,18 +117,23 @@ class Table:
         Scalars repeat, and an n column of shape (k, 1) against a grid of
         shape (m,) gives k*m rows, grid fastest.  A NaN cell is a numeric
         error: it raises before any row is appended, so it is never written
-        out.  Cells are kept as Python numbers, strings and None
-        (``tolist``), since csv prints a numpy float as ``np.float64(...)``.
-        The values are copied, so changing an array after the call changes
-        neither ``rows`` nor the rendered table.
+        out.  The values are copied, so changing an array after the call
+        changes neither ``rows`` nor the rendered table.
         """
         arrays = [np.array(v, ndmin=1) for v in values]
-        columns = [col.ravel() for col in np.broadcast_arrays(*arrays)]
-        for name, col in zip(self.columns, columns):
+        for name, col in zip(self.columns, np.broadcast_arrays(*arrays)):
             if np.any(col != col):
                 raise ValueError(f"NaN in {self.command} column {name}")
-        self.rows.extend(map(list, zip(*(col.tolist() for col in columns))))
         self._blocks.append(arrays)
+
+    def _rows(self, cells=np.asarray):
+        """Every row in C order: a tuple of the Python values (``tolist``) of cells(a), broadcast over each block."""
+        blocks = (np.broadcast_arrays(*map(cells, arrays)) for arrays in self._blocks)
+        return itertools.chain.from_iterable(zip(*(c.ravel().tolist() for c in cols)) for cols in blocks)
+
+    @property
+    def rows(self) -> list[list]:
+        return list(map(list, self._rows()))
 
     def _meta(self) -> str:
         items = " ".join(f"{k}={v}" for k, v in sorted(self.config.items()))
@@ -139,33 +141,28 @@ class Table:
 
     def render(self, fmt: str) -> str:
         if fmt == "csv":
-            # the text csv.writer writes for rows, made without it: each
-            # recorded array is formatted once, then broadcast as in add;
-            # equal number arrays (figure1's shared u column) are formatted
-            # only the first time
+            # the text csv.writer writes for rows, made without it: each added
+            # array is formatted once, then broadcast by _rows; equal number
+            # arrays (figure1's shared u column) are formatted only once
             lines = [f"# {self._meta()}", _QUOTE.writerow(self.columns)[:-1]]
-            memo: dict[tuple, np.ndarray] = {}
+            memo: dict[object, np.ndarray] = {}
 
             def text(a):
-                if a.dtype.kind == "O":
-                    return _csv_text(a)
-                key = (a.dtype.str, a.shape, a.tobytes())
+                # an object array's bytes are pointers, so it is its own key
+                key = id(a) if a.dtype.kind == "O" else (a.dtype.str, a.shape, a.tobytes())
                 if key not in memo:
                     memo[key] = _csv_text(a)
                 return memo[key]
 
-            for arrays in self._blocks:
-                texts = np.broadcast_arrays(*map(text, arrays))
-                lines.extend(map(",".join, zip(*(t.ravel().tolist() for t in texts))))
+            lines.extend(map(",".join, self._rows(text)))
             if len(self.columns) == 1:
                 # csv.writer quotes a lone empty cell, which would else be a blank line
                 lines[2:] = [line or '""' for line in lines[2:]]
             return "\n".join(lines) + "\n"
         if fmt == "jsonl":
             lines = [json.dumps({"_meta": self._meta()}, sort_keys=True)]
-            for row in self.rows:
-                cells = dict(zip(self.columns, map(_json_cell, row)))
-                lines.append(json.dumps(cells, sort_keys=True, allow_nan=False))
+            lines.extend(json.dumps(dict(zip(self.columns, map(_json_cell, row))), sort_keys=True, allow_nan=False)
+                         for row in self._rows())
             return "\n".join(lines) + "\n"
         raise UsageError(f"unknown format {fmt!r}")
 
@@ -412,6 +409,9 @@ def cmd_mixing(args) -> Table:
     config = {"family": fam.tag, "t1": args.t1, "t2": args.t2, "u": u, "n": args.n}
     table = Table("mixing", config, ["n", "v", "discrepancy"])
     vs = np.array([math.exp(math.log(u) / rate(n)) for n in ns])
+    for n, v in zip(ns, vs):
+        if not 0.0 < v < 1.0:
+            raise ValueError(f"u^(1/r_n) rounds to {v:g} at n={n} for --u {u}")
     # the whole schedule in one call; an object array keeps an n past the
     # int64 range exact
     table.add(ns, vs, diagonals.mixing_discrepancy(fam, np.array(ns, dtype=object), args.t1, args.t2, vs))

@@ -36,7 +36,7 @@ def _log1mexp(a):
 
 @dataclass(frozen=True)
 class ArchGenerator:
-    """Archimedean generator bundle, built by ``_generator`` or ``scale_generator``.
+    """Archimedean generator bundle, built by ``_generator``.
 
     psi maps [0, inf] to [0, 1] and psi_prime is its derivative; they and
     one_minus_psi raise ValueError for an argument below 0 or NaN.
@@ -341,10 +341,10 @@ def scale_generator(g: ArchGenerator, c: float) -> ArchGenerator:
     distortions module.
     """
     check_positive("scale factor", c)
-    # g.psi_inv checks u and forms s = -log(u)/r itself, so the inverse only divides
-    return ArchGenerator(_on_half_line(lambda t: g.psi(c * t)), lambda u, r=1.0: g.psi_inv(u, r) / float(c),
-                         _on_half_line(lambda t: c * g.psi_prime(c * t)), g.rho, c * g.neg_psi_prime_0,
-                         f"scale({g.tag},{c})", _on_half_line(lambda t: g.one_minus_psi(c * t)))
+    # psi_c^-1 = psi^-1 / c, so the inverse is g's own at the same u and r, divided by c
+    return _generator(f"scale({g.tag},{c})", g.rho, c * g.neg_psi_prime_0, psi=lambda t: g.psi(c * t),
+                      psi_prime=lambda t: c * g.psi_prime(c * t), one_minus_psi=lambda t: g.one_minus_psi(c * t),
+                      inv=lambda s, u, r: g.psi_inv(u, r) / float(c))
 
 
 def rv_index_estimate(g: ArchGenerator, lam: float, t: float) -> float:

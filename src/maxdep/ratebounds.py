@@ -37,12 +37,14 @@ def sup_power_diff(a: float, b: float) -> PowerSup:
 
     The supremum is (1 - a/b) * (b/a)^(a/(a-b)), attained at
     u* = (b/a)^(1/(a-b)).  Evaluated in log space so extreme exponents and
-    nearly equal pairs keep full precision.
+    nearly equal pairs keep full precision: log(b/a) is log1p((b-a)/a),
+    exact for b/a near 1, or log(b) - log(a) where (b-a)/a overflows.
     """
     a, b = check_real("a", a), check_real("b", b)
     if not (0.0 < a < b):
         raise ValueError(f"need 0 < a < b, got a={a}, b={b}")
-    log_ratio = math.log1p((b - a) / a)  # log(b/a), exact for b/a near 1
+    gap = (b - a) / a
+    log_ratio = math.log1p(gap) if gap < math.inf else math.log(b) - math.log(a)
     u_star = math.exp(-log_ratio / (b - a))
     value = ((b - a) / b) * math.exp(-(a / (b - a)) * log_ratio)
     return PowerSup(value, u_star)
@@ -138,11 +140,13 @@ def movingmax_s(n: int, k: int) -> float:
 
     s(n) = k/(n+k) * (1 + k/n)^(-n/k); equals
     sup_u |u^((n+k)/(n(k+1))) - u^(1/(k+1))|.  k = 0 is the iid case, s = 0.
+    The power is exp(-(n/k) * log1p(k/n)), as in ``sup_power_diff``: a
+    rounded 1 + k/n raised to n/k would lose up to five digits.
     """
     n, k = check_count("n", n), check_count("k", k, 0)
     if k == 0:
         return 0.0
-    return (k / (n + k)) * (1.0 + k / n) ** (-n / k)
+    return (k / (n + k)) * math.exp(-(n / k) * math.log1p(k / n))
 
 
 class CuadrasAugeSup(NamedTuple):
@@ -153,16 +157,23 @@ class CuadrasAugeSup(NamedTuple):
 def cuadras_auge_sup(n: int, theta: float) -> CuadrasAugeSup:
     """Exact sup |u^eta_n - u^(1/theta)| and the bound 3/e*(1-theta)^n.
 
-    eta_n = (1 - (1-theta)^n)/theta.  Evaluated in log space; for large n the
-    term ((1-theta)^(-n) - 1) * log(1 - (1-theta)^n) is taken to its -1 limit
-    once (1-theta)^n underflows.
+    eta_n = (1 - (1-theta)^n)/theta.  With eps = (1-theta)^n, the log of the
+    sup is log(eps) + (1/eps - 1) * log(1 - eps).  For large n the second term
+    is taken to its -1 limit once eps underflows; where eps > 1/2, 1 - eps is
+    formed as -expm1(n * log1p(-theta)) rather than from a rounded eps, and
+    (1/eps - 1) as (1 - eps)/eps, so a theta below about 1e-16/n, where eps
+    rounds to 1, still gives a sup near 1.
     """
     if not (0.0 < check_real("theta", theta) < 1.0):
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
     n = check_count("n", n)
-    eps = math.exp(n * math.log1p(-theta))  # (1-theta)^n
+    log_eps = n * math.log1p(-theta)
+    eps = math.exp(log_eps)
     if eps == 0.0:
-        log_exact = n * math.log1p(-theta) - 1.0
+        log_exact = log_eps - 1.0
+    elif eps > 0.5:
+        comp = -math.expm1(log_eps)  # 1 - eps
+        log_exact = log_eps + comp / eps * math.log(comp)
     else:
-        log_exact = n * math.log1p(-theta) + (1.0 / eps - 1.0) * math.log1p(-eps)
+        log_exact = log_eps + (1.0 / eps - 1.0) * math.log1p(-eps)
     return CuadrasAugeSup(math.exp(log_exact), THREE_OVER_E * eps)

@@ -229,6 +229,9 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
         # a non-finite margin parameter, once "sigma must be a positive real" or "c_n must be positive"
         ["converge", "--model", "iid", "--margin", "pareto", "--alpha", "inf", "--n", "16", "--reps", "4096"],
         ["converge", "--model", "iid", "--margin", "exponential", "--lam", "inf", "--n", "16", "--reps", "4096"],
+        # u^(1/r_n) rounds to 1 at n = 2^53, once blamed on a level v the user never passed
+        ["mixing", "--family", "clayton", "--theta", "2", "--t1", "0.25", "--t2", "0.25", "--u", "0.5",
+         "--n", "2^50,2^52,2^53"],
     ):
         assert main(argv) == 3, argv
         captured = capsys.readouterr()
@@ -238,6 +241,8 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
             assert captured.err == "error: rate n^400 overflows at n=1024\n", argv
         if "inf" in argv[-5:]:
             assert "must be finite, got inf" in captured.err, argv
+        if "2^50,2^52,2^53" in argv:
+            assert captured.err == "error: u^(1/r_n) rounds to 1 at n=9007199254740992 for --u 0.5\n"
     # logistic-normal takes the logistic model's rate, and with it its domain
     # message; theta = -1 at n = 4 once read "n must be an integer >= 2, got 1"
     assert main(["bound", "--model", "logistic-normal", "--theta", "-1", "--n", "4"]) == 3
@@ -563,16 +568,28 @@ def table_columns(draw, k: int, m: int):
 
 
 @st.composite
-def tables(draw):
-    """A Table of 1-5 columns filled by 1-3 add calls, each broadcasting
-    (k, 1) against (m,)."""
+def table_adds(draw, unique: bool = False):
+    """The column names of a Table of 1-5 columns, and the values of 1-3 add
+    calls filling it, each broadcasting (k, 1) against (m,)."""
     width = draw(st.integers(1, 5))
-    names = draw(st.lists(TEXT.filter(bool), min_size=width, max_size=width))
-    table = Table("t", {"x": 1}, names)
+    names = draw(st.lists(TEXT.filter(bool), min_size=width, max_size=width, unique=unique))
+    adds = []
     for _ in range(draw(st.integers(1, 3))):
         k, m = draw(st.integers(1, 3)), draw(st.integers(0, 4))
-        table.add(*(draw(table_columns(k, m)) for _ in range(width)))
+        adds.append([draw(table_columns(k, m)) for _ in range(width)])
+    return names, adds
+
+
+def _filled(names, adds) -> Table:
+    table = Table("t", {"x": 1}, names)
+    for values in adds:
+        table.add(*values)
     return table
+
+
+def tables():
+    """A Table of 1-5 columns filled by 1-3 add calls."""
+    return table_adds().map(lambda drawn: _filled(*drawn))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -582,6 +599,36 @@ def test_csv_render_is_what_csv_writer_writes(table):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(table.columns)
     writer.writerows(table.rows)
+    assert table.render("csv") == f"# {table._meta()}\n" + buf.getvalue()
+
+
+def _cell(x):
+    return x.item() if isinstance(x, np.generic) else x
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(table_adds(unique=True))
+def test_rows_jsonl_and_csv_are_the_added_values(drawn):
+    # the rows of each add call built apart from the table: broadcast, then
+    # read cell by cell in C order
+    names, adds = drawn
+    table = _filled(names, adds)
+    rows = []
+    for values in adds:
+        cols = np.broadcast_arrays(*(np.array(v, ndmin=1) for v in values))
+        rows += [[_cell(col[i]) for col in cols] for i in np.ndindex(cols[0].shape)]
+    assert table.rows == rows
+    assert [list(map(type, row)) for row in table.rows] == [list(map(type, row)) for row in rows]
+    lines = table.render("jsonl").splitlines()
+    assert json.loads(lines[0]) == {"_meta": table._meta()}
+    assert len(lines) == 1 + len(rows)
+    for line, row in zip(lines[1:], rows):
+        cells = [repr(v) if isinstance(v, float) and math.isinf(v) else v for v in row]
+        assert json.loads(line, parse_constant=_no_constant) == dict(zip(names, cells))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(names)
+    writer.writerows(rows)
     assert table.render("csv") == f"# {table._meta()}\n" + buf.getvalue()
 
 
@@ -637,7 +684,7 @@ def test_jsonl_is_strict_json(capsys):
     assert table.render("csv").splitlines()[2] == "inf,-inf"
     assert json.loads(table.render("jsonl").splitlines()[1]) == {"a": "inf", "b": "-inf"}
     # a NaN that got past add is refused, not printed
-    table.rows.append([0.0, math.nan])
+    table._blocks.append([np.array([0.0]), np.array([math.nan])])
     with pytest.raises(ValueError):
         table.render("jsonl")
 

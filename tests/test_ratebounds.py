@@ -1,5 +1,7 @@
 import math
+import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -154,6 +156,53 @@ def test_cuadras_auge_sup():
     assert 0.0 <= exact <= bound
     with pytest.raises(ValueError):
         cuadras_auge_sup(10, 1.5)
+
+
+def _ulps(got, want):
+    return float(abs(mp.mpf(got) - want) / math.ulp(float(want)))
+
+
+def test_movingmax_s_against_mpmath():
+    # a rounded 1 + k/n raised to n/k once lost up to five digits: 1.1e-13
+    # relative at (1000, 1) and 2.2e-5 at (10^12, 2)
+    rng = random.Random(3)
+    cases = [(1000, 1), (10**12, 2), (3, 5)] + [(rng.randrange(1, 10**15), rng.randrange(1, 6)) for _ in range(200)]
+    with mp.workdps(50):
+        for n, k in cases:
+            want = mp.mpf(k) / (n + k) * (1 + mp.mpf(k) / n) ** (-mp.mpf(n) / k)
+            assert _ulps(movingmax_s(n, k), want) <= 3.0, (n, k)
+
+
+@pytest.mark.parametrize(
+    "n, theta",
+    [
+        # (1 - theta)^n rounds to 1: once a math domain error
+        (1, 1e-20), (3, 1e-17), (10, 1e-300), (1, 5e-324),
+        # (1 - theta)^n near 1, once taken from a rounded (1 - theta)^n
+        (3, 1e-10), (1, 1e-8), (7, 1e-5), (100, 1e-6),
+        (1, 0.3), (2, 0.2), (10, 0.5), (1000, 0.5), (5000, 0.5),
+    ],
+)
+def test_cuadras_auge_sup_against_mpmath(n, theta):
+    exact, bound = cuadras_auge_sup(n, theta)
+    # enough digits that 1 - (1 - theta)^n keeps its own at theta = 1e-300
+    with mp.workdps(700):
+        eps = (1 - mp.mpf(theta)) ** n
+        want = eps * mp.exp((1 / eps - 1) * mp.log(1 - eps))
+        # the rounding of n * log1p(-theta) moves the result by up to |n * log1p(-theta)| ulps
+        assert _ulps(exact, want) <= 3.0 + n * -math.log1p(-theta)
+        assert _ulps(bound, 3 / mp.e * eps) <= 3.0 + n * -math.log1p(-theta)
+    assert exact <= bound
+
+
+@pytest.mark.parametrize("a, b", [(1e-300, 1e10), (1e-200, 1e200), (5e-324, 1.0), (0.5, 1.5)])
+def test_sup_power_diff_against_mpmath(a, b):
+    # (b - a)/a overflows at the first two: once (0.0, 0.0) and a NaN value
+    value, argmax = sup_power_diff(a, b)
+    with mp.workdps(50):
+        a, b = mp.mpf(a), mp.mpf(b)
+        assert _ulps(value, (1 - a / b) * (b / a) ** (a / (a - b))) <= 2.0
+        assert _ulps(argmax, (b / a) ** (1 / (a - b))) <= 2.0
 
 
 def test_reverse_bound():
