@@ -269,9 +269,11 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
     if fam == "gumbel":
         if not th >= 1.0:
             raise ValueError(f"Gumbel parameter must be >= 1, got {th}")
-        # the inverse s^theta overflows to inf at a tiny r, as it should
+        # the inverse s^theta overflows to inf at a tiny r, and f' = t^(1/theta - 1)/theta
+        # divides by zero to inf at t = 0, as they should
         return _hazard(f"gumbel({th})", rho=1.0 / th, neg_psi_prime_0=1.0 if th == 1.0 else math.inf,
-                       f=lambda t: t ** (1.0 / th), f_prime=lambda t: (1.0 / th) * t ** (1.0 / th - 1.0),
+                       f=lambda t: t ** (1.0 / th),
+                       f_prime=np.errstate(divide="ignore")(lambda t: (1.0 / th) * t ** (1.0 / th - 1.0)),
                        inv=np.errstate(over="ignore")(lambda s, u, r: s**th))
 
     if fam == "joe":
@@ -286,10 +288,12 @@ def builtin_generator(family: str, theta: float | None = None) -> ArchGenerator:
             with np.errstate(divide="ignore"):
                 return np.where(w < 0.5, -np.log1p(-w), -np.log(-np.expm1(th * _log1mexp(s))))
 
-        # 1 - psi(t) = (1 - e^{-t})^{1/theta}
+        # 1 - psi(t) = (1 - e^{-t})^{1/theta}; its power in psi' divides by zero
+        # to inf at t = 0, as it should
         return _generator(f"joe({th})", rho=1.0 / th, neg_psi_prime_0=math.inf,
                           psi=lambda t: -np.expm1(_log1mexp(t) / th),
-                          psi_prime=lambda t: -(1.0 / th) * (-np.expm1(-t)) ** (1.0 / th - 1.0) * np.exp(-t),
+                          psi_prime=np.errstate(divide="ignore")(
+                              lambda t: -(1.0 / th) * (-np.expm1(-t)) ** (1.0 / th - 1.0) * np.exp(-t)),
                           one_minus_psi=lambda t: (-np.expm1(-t)) ** (1.0 / th), inv=joe_inv)
 
     raise ValueError(f"unknown generator family {family!r}")

@@ -39,6 +39,80 @@ def _normal_cdf(x):
     return np.where(x > 0, 1.0 - h, h)
 
 
+# Wichura's AS 241, PPND16 (Applied Statistics 37, 1988), as the (8, 3, 2, 1)
+# array of Horner's steps: per step, highest degree first, the numerator's
+# and the denominator's coefficient of each branch (central, near, far)
+_PPND16 = np.array([
+    [[2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4, 4.5921953931549871457e4,
+      1.3731693765509461125e4, 1.9715909503065514427e3, 1.3314166789178437745e2, 3.3871328727963666080e0],
+     [5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4, 2.1213794301586595867e4,
+      5.3941960214247511077e3, 6.8718700749205790830e2, 4.2313330701600911252e1, 1.0]],
+    [[7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1, 1.27045825245236838258e0,
+      3.64784832476320460504e0, 5.76949722146069140550e0, 4.63033784615654529590e0, 1.42343711074968357734e0],
+     [1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2, 1.48103976427480074590e-1,
+      6.89767334985100004550e-1, 1.67638483018380384940e0, 2.05319162663775882187e0, 1.0]],
+    [[2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3, 2.65321895265761230930e-2,
+      2.96560571828504891230e-1, 1.78482653991729133580e0, 5.46378491116411436990e0, 6.65790464350110377720e0],
+     [2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5, 7.86869131145613259100e-4,
+      1.48753612908506148525e-2, 1.36929880922735805310e-1, 5.99832206555887937690e-1, 1.0]],
+]).transpose(2, 0, 1)[..., None]
+
+
+_PPND16_CHUNK = 4096  # levels a pass, so that its arrays stay in cache
+
+
+def _ppnd16(u):
+    """Phi^-1 of a 1-d array of at most _PPND16_CHUNK levels; see _normal_quantile."""
+    q = u - 0.5
+    central = np.abs(q) <= 0.425
+    n_central = np.count_nonzero(central)
+    # the branches lo..hi-1, from the first to the last that some level takes
+    lo, hi = (0 if n_central else 1), 1
+    if n_central < u.size:
+        r = np.sqrt(-np.log(np.minimum(u, 1.0 - u)))
+        far = r > 5.0
+        n_far = np.count_nonzero(far)
+        lo, hi = (2 if n_far == u.size else lo), (3 if n_far else 2)
+    # their numerators and denominators in one Horner pass over (k, 2, m)
+    t = np.stack([0.180625 - q * q if b == 0 else r - (1.6, 5.0)[b - 1] for b in range(lo, hi)])[:, None]
+    steps = _PPND16[:, lo:hi]
+    acc = steps[0] * t
+    acc += steps[1]
+    for c in steps[2:]:
+        acc *= t
+        acc += c
+    if lo == 0:
+        acc[0, 0] *= q  # the central value is q * numerator / denominator
+    ratio = acc[:, 0] / acc[:, 1]
+    if hi == 1:
+        return ratio[0]
+    # a tail level takes the far row where r > 5, the near row elsewhere
+    tail = np.where(far, ratio[-1], ratio[-2]) if hi == 3 and lo < 2 else ratio[-1]
+    x = np.copysign(tail, q)
+    return np.where(central, ratio[0], x) if lo == 0 else x
+
+
+def _normal_quantile(u):
+    """Phi^-1(u) for a float array u in (0, 1), by AS 241 (PPND16).
+
+    With q = u - 1/2, q times a rational function of 0.180625 - q^2 serves
+    |q| <= 0.425, and two rational functions of r = sqrt(-log(min(u, 1 - u))),
+    split at r = 5, serve the tails, with the sign of q; the relative error
+    is about 1e-16.  The central branch is odd in q, and where 1 - u is exact
+    the tails see the same p = min(u, 1 - u) at u and at 1 - u, so there
+    Phi^-1(1 - u) is exactly -Phi^-1(u).  Chunks of the array go through
+    ``_ppnd16`` in turn, and each evaluates a branch over the whole chunk,
+    only where some level takes it: at the 4096 row maxima of a Berman
+    block, masking the array into pieces cost more than the arithmetic it
+    saved (about 210 against 195 us on a 2-vCPU x86-64 host).
+    """
+    x = np.empty(u.shape)
+    flat_u, flat_x = u.ravel(), x.reshape(-1)
+    for s in range(0, flat_u.size, _PPND16_CHUNK):
+        flat_x[s:s + _PPND16_CHUNK] = _ppnd16(flat_u[s:s + _PPND16_CHUNK])
+    return x
+
+
 class NoNormalizerError(ValueError):
     """Margin has no registered iid normalizing sequences."""
 
@@ -173,7 +247,8 @@ class StandardNormal(Margin):
     and c_n = 1/b_n; with this choice
     sup_x |Phi^n(c_n x + d_n) - Gumbel(x)| <= 3/log(n).  The cdf is
     ``_normal_cdf``, built on ``math.erfc`` and accurate to 2^-53 absolute,
-    since the n-th power amplifies cdf error by n.
+    since the n-th power amplifies cdf error by n.  The quantile is
+    ``_normal_quantile``, AS 241 in numpy, which Berman's sampler shares.
     """
 
     tag = "normal"
@@ -181,11 +256,8 @@ class StandardNormal(Margin):
     def _cdf(self, x):
         return _normal_cdf(x)
 
-    # scipy.special is imported at its one use, so only the quantile loads it
     def _quantile(self, q):
-        from scipy.special import ndtri
-
-        return ndtri(q)
+        return _normal_quantile(q)
 
     def hall_constant(self, n: int) -> float:
         """Root b_n of 2*pi*b^2*exp(b^2) = n^2 (Hall 1979): sqrt(W0(n^2/(2*pi))).

@@ -159,7 +159,8 @@ def cuadras_auge_sup(n: int, theta: float) -> CuadrasAugeSup:
 
     eta_n = (1 - (1-theta)^n)/theta.  With eps = (1-theta)^n, the log of the
     sup is log(eps) + (1/eps - 1) * log(1 - eps).  For large n the second term
-    is taken to its -1 limit once eps underflows; where eps > 1/2, 1 - eps is
+    is taken to its -1 limit once eps < 2^-53, where it lies within eps/2 of
+    -1 and 1/eps may overflow (eps subnormal); where eps > 1/2, 1 - eps is
     formed as -expm1(n * log1p(-theta)) rather than from a rounded eps, and
     (1/eps - 1) as (1 - eps)/eps, so a theta below about 1e-16/n, where eps
     rounds to 1, still gives a sup near 1.
@@ -169,7 +170,7 @@ def cuadras_auge_sup(n: int, theta: float) -> CuadrasAugeSup:
     n = check_count("n", n)
     log_eps = n * math.log1p(-theta)
     eps = math.exp(log_eps)
-    if eps == 0.0:
+    if eps < 2.0**-53:
         log_exact = log_eps - 1.0
     elif eps > 0.5:
         comp = -math.expm1(log_eps)  # 1 - eps

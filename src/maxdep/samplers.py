@@ -25,7 +25,10 @@ row's maximum of x (its minimum where the map decreases, ``_decreasing``)
 and pushes only those m values through the map and ``_to_uniform``, in place
 of mapping all m*n path elements first.  Every variate is still drawn, and
 the result is bitwise the row maximum of the uniform paths (tested for every
-sampled model).
+sampled model).  The estimators split ``_umax`` in two: ``_row_extremes``
+on each slice, and ``_uniform_of`` once on the block's 4096 extremes, since
+at 256 values the maps' fixed cost a call outweighs their work; the maps
+are elementwise, so each value is the one ``_umax`` gives.
 
 Bulk paths are drawn as raw Philox words (``bit_generator.random_raw``) and
 reduced on the word scale.  A uniform is ``_unit(w)``, the top 53 bits of the
@@ -36,16 +39,18 @@ by inversion, E = -log1p(-U) (Devroye 1986, ch. 2), which is finite and
 increasing in the word, so the frailty models reduce a row to its smallest
 word and map that one.  Berman's normals Z_i are drawn by inversion too,
 ``_normal(w)``: the word's top 52 bits pick the midpoint u of one of 2^52
-equal cells of (0, 1), and Z = sqrt(2) erfinv(2u - 1), which is finite,
-odd in the cell and non-decreasing in the word, so ``_umax`` maps one word
-per row.  The normal is thereby truncated at |Z| <= 8.2095, the value at
-the extreme words; the standard normal puts about 2.2e-16 of its mass past
+equal cells of (0, 1), and Z = Phi^-1(u) by the margins' numpy AS 241
+(``margins._normal_quantile``), which is finite, odd in the cell (u and
+1 - u are both exact) and non-decreasing in the word (neighbouring cells
+lie further apart than its error), so ``_umax`` maps one word per row.
+The normal is thereby truncated at |Z| <= 8.2095, the value at the
+extreme words; the standard normal puts about 2.2e-16 of its mass past
 that, per draw.  Frailty variables, Berman's common factor Z_0 (one draw
 per row) and the AR(1) noise still come from the ``Generator`` methods.
 An AR(1) level sums every earlier noise element, so its row maximum cannot
 be taken on the word scale; the recursion Y_t = phi Y_{t-1} + Z_t runs in
 numpy with the roundings of scipy's ``lfilter``, whose output it equals bit
-for bit, so the signal-processing package is never loaded.
+for bit, so no sampler loads scipy.
 
 Frailty constructions: Clayton uses a Gamma(1/theta) frailty, Gumbel a
 positive alpha-stable (alpha = 1/theta) drawn by the Chambers-Mallows-Stuck
@@ -68,7 +73,7 @@ import numpy as np
 
 from ._numutil import check_count, check_positive, check_real, lookup
 from .generators import ArchGenerator, builtin_generator
-from .margins import Margin, _normal_cdf
+from .margins import Margin, _normal_cdf, _normal_quantile
 
 BLOCK_REPS = 4096  # stream-assignment unit; fixed so results ignore worker count
 _SLICE_ROWS = 256  # internal memory chunk inside a block (fixed: affects draws)
@@ -130,14 +135,16 @@ def _exponential(w):
 def _normal(w):
     """Standard normals from Philox words by inversion; non-decreasing in the word.
 
-    2u - 1 = ((w >> 12) + 1/2) * 2^-51 - 1 is exact, so the extreme words give
-    exactly opposite values, -+8.2095.  sqrt(2) erfinv(2u - 1) is used rather
-    than ndtri(u), which falls by an ulp at some neighbouring words near
-    u = e^-2, where its approximation switches branch.
+    The word's top 52 bits pick a cell midpoint u = ((w >> 12) + 1/2) 2^-52,
+    and Z = Phi^-1(u).  Z is odd: u and 1 - u are both exact, so mirrored
+    words give AS 241 the same min(u, 1 - u) and the same |u - 1/2|, and
+    exactly opposite values, -+8.2095 at the extreme words.  Z is
+    non-decreasing: neighbouring cells differ in Z by at least about four of
+    its ulps (the least, near |Z| = 1), more than the quantile's error of a
+    few ulps, on both sides of its branch points min(u, 1 - u) = 0.075 and
+    e^-25 as well.
     """
-    from scipy.special import erfinv
-
-    return math.sqrt(2.0) * erfinv(((w >> 12) + 0.5) * 2.0**-51 - 1.0)
+    return _normal_quantile(((w >> 12) + 0.5) * 2.0**-52)
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +255,19 @@ class SequenceModel:
         *rows, x = self._draw(gen, m, n)
         return self._native(*(r[:, None] for r in rows), x)
 
-    def _umax(self, gen, m: int, n: int) -> np.ndarray:
+    def _row_extremes(self, gen, m: int, n: int) -> tuple:
         # the map is monotone in x, so the row's largest uniform comes from
         # its largest raw draw (its smallest, where the map decreases)
         *rows, x = self._draw(gen, m, n)
-        return self._to_uniform(self._native(*rows, x.min(axis=1) if self._decreasing else x.max(axis=1)))
+        return (*rows, x.min(axis=1) if self._decreasing else x.max(axis=1))
+
+    def _uniform_of(self, *rows_and_x) -> np.ndarray:
+        return self._to_uniform(self._native(*rows_and_x))
+
+    def _umax(self, gen, m: int, n: int) -> np.ndarray:
+        """The uniform row maxima of one slice; the estimators map a block's
+        row extremes at once (see ``_slices``), element for element the same."""
+        return self._uniform_of(*self._row_extremes(gen, m, n))
 
 
 class IID(SequenceModel):
@@ -436,8 +451,12 @@ class BermanEquicorrelated(SequenceModel):
 # block-partitioned estimators
 
 
-def _slices(rng: RngStream, n: int, reps: int, workers: int, draw) -> np.ndarray:
+def _slices(rng: RngStream, n: int, reps: int, workers: int, draw, finish=None) -> np.ndarray:
     """draw(gen, m, n) on each 256-row slice of fixed 4096-rep blocks, in block order.
+
+    With finish, draw gives a tuple of arrays a slice, and a block is finish
+    of their concatenations: the elementwise maps then run once a block, not
+    once a slice, where their fixed cost a call outweighed their work.
 
     Block j always uses substream (rng.index, j) and fills rows
     [4096 j, 4096 (j + 1)) of the result, so the array is identical for any
@@ -457,7 +476,8 @@ def _slices(rng: RngStream, n: int, reps: int, workers: int, draw) -> np.ndarray
         size = min(BLOCK_REPS, reps - start)
         # one array per block, not per slice: holding hundreds of 256-row
         # arrays until the last block ends raised converge's peak resident size
-        return np.concatenate([draw(gen, min(_SLICE_ROWS, size - off), n) for off in range(0, size, _SLICE_ROWS)])
+        parts = [draw(gen, min(_SLICE_ROWS, size - off), n) for off in range(0, size, _SLICE_ROWS)]
+        return np.concatenate(parts) if finish is None else finish(*map(np.concatenate, zip(*parts)))
 
     blocks = range(0, reps, BLOCK_REPS)
     if workers > 1 and len(blocks) > 1 and n >= _POOL_MIN_N:
@@ -484,7 +504,7 @@ def max_sample(
     model: SequenceModel, margin: Margin | None, n: int, reps: int, rng: RngStream, workers: int = 1
 ) -> np.ndarray:
     """Vector of reps path maxima M_n on the margin scale (uniform if None)."""
-    umax = _slices(rng, n, reps, workers, model._umax)
+    umax = _slices(rng, n, reps, workers, model._row_extremes, model._uniform_of)
     if margin is None:
         return umax
     return margin.quantile(_clip_unit(umax))
@@ -501,7 +521,7 @@ def empirical_diagonal(
     check_count("reps", reps, 1000)
     if not 0.0 <= check_real("u", u) <= 1.0:
         raise ValueError("u must lie in [0, 1]")
-    hits = int(np.count_nonzero(_slices(rng, n, reps, workers, model._umax) <= u))
+    hits = int(np.count_nonzero(_slices(rng, n, reps, workers, model._row_extremes, model._uniform_of) <= u))
     p = hits / reps
     return McEstimate(p, math.sqrt(max(p * (1.0 - p), 0.0) / reps), reps)
 
@@ -536,7 +556,7 @@ def normalized_max_ecdf(
     # some margin cdfs map a NaN threshold to 0
     if np.isnan(raw_thresholds).any() or np.isnan(uthresh).any():
         raise ValueError("x_grid gives a NaN threshold")
-    umax = _slices(rng, n, reps, workers, model._umax)
+    umax = _slices(rng, n, reps, workers, model._row_extremes, model._uniform_of)
     umax.sort()
     p = np.searchsorted(umax, uthresh, side="right") / reps
     se = np.sqrt(np.maximum(p * (1.0 - p), 0.0) / reps)

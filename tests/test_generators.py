@@ -193,6 +193,18 @@ def test_inverse_at_a_tiny_rate_is_huge_or_inf_without_a_warning(builtin):
             assert got >= 6.9e299
 
 
+def test_gumbel_and_joe_psi_prime_at_zero_is_minus_inf_without_a_warning():
+    # t^(1/theta - 1) and (1 - e^-t)^(1/theta - 1) divide by zero at t = 0;
+    # psi_prime once warned there, so that a warnings-as-errors run raised
+    for fam in ("gumbel", "joe"):
+        g = builtin_generator(fam, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert g.psi_prime(0.0) == -math.inf
+            got = g.psi_prime(np.array([0.0, 1.0]))
+        assert got[0] == -math.inf and got[1] == g.psi_prime(1.0) < 0.0
+
+
 def test_amh_one_minus_psi_is_one_in_the_far_tail():
     # expm1(t)/(expm1(t) + 1 - theta) was inf/inf, NaN with two warnings, from t = 710
     g = builtin_generator("amh", 0.6)

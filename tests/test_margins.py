@@ -197,6 +197,46 @@ def test_normal_cdf_monotone_and_special_values():
     assert _normal_cdf(np.float64(1.0)).shape == () and _normal_cdf(np.zeros((2, 3))).shape == (2, 3)
 
 
+def _phi_inv(q):
+    """40-digit Phi^-1 at a double q, by Newton's method from the normal
+    quantile's own value; 1 - q is exact for q >= 1/2."""
+    with mp.workdps(40):
+        lower = q < 0.5
+        p = mp.mpf(q) if lower else 1 - mp.mpf(q)
+        x = -abs(mp.mpf(StandardNormal().quantile(q)))
+        for _ in range(5):
+            x -= (mp.ncdf(x) - p) / mp.npdf(x)
+        return x if lower else -x
+
+
+def test_normal_quantile_against_mpmath():
+    # AS 241 in numpy, within 8 ulps from 5e-324 to 1 - 2^-53: both halves
+    # log-uniform towards their ends, each branch point with its neighbours,
+    # and a uniform grid
+    rng = np.random.default_rng(5)
+    lower = np.exp(rng.uniform(math.log(5e-324), math.log(0.5), 800))
+    points = [5e-324, 1e-310, np.finfo(float).tiny, math.exp(-25.0), 0.075, 0.5]
+    near = [np.nextafter(p, side) for p in points[1:] for side in (0.0, 1.0)]
+    qs = np.concatenate([lower, points, near, 1.0 - lower[lower > 2.0**-53], rng.uniform(0.0, 1.0, 400),
+                         [1.0 - 2.0**-53, 1.0 - 0.075, -math.expm1(-25.0)]])
+    got = StandardNormal().quantile(qs)
+    for q, x in zip(qs, got):
+        want = _phi_inv(q)
+        with mp.workdps(40):
+            assert abs(mp.mpf(x) - want) <= 8 * max(math.ulp(float(want)), 5e-324), q
+
+
+def test_normal_quantile_is_odd_bit_for_bit():
+    # 1 - q is exact on [1/2, 1), and the quantile of 1 - q is minus the
+    # quantile of q, in every branch
+    rng = np.random.default_rng(6)
+    qs = np.concatenate([[0.5, np.nextafter(0.5, 1.0), 0.925, 1.0 - 2.0**-53, -math.expm1(-25.0)],
+                         rng.uniform(0.5, 1.0, 2000), 1.0 - np.exp(rng.uniform(math.log(2.0**-53), math.log(0.5), 2000))])
+    norm = StandardNormal()
+    assert np.array_equal(norm.quantile(1.0 - qs), -norm.quantile(qs))
+    assert all(norm.quantile(1.0 - q) == -norm.quantile(q) for q in qs[:5])
+
+
 def _grid_sup(margin, n):
     c, d, lim = margin.normalizers(n)
     xs = gev_quantile(lim, np.linspace(0.001, 0.999, 200))

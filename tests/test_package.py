@@ -39,8 +39,7 @@ def _scipy_after(*calls, scipy=True):
 
 
 def test_import_loads_no_heavy_scipy_module():
-    # only the normal quantile and Berman's draws need scipy, and each
-    # imports it at its first use
+    # no part of maxdep needs scipy, so importing it loads none
     proc = _python("-c", "import sys, maxdep, maxdep.cli; print(*(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
@@ -75,6 +74,26 @@ def test_deferred_scipy_path_prints_the_pinned_bytes():
     out, loaded = _scipy_after(["converge", "--model", "ar1", *flags, "--n", "16,64", "--reps", "8192", "--seed", "7"])
     assert out == expected
     assert loaded == []
+
+
+def test_normal_quantile_and_berman_draws_run_without_scipy():
+    # Phi^-1 is AS 241 in numpy, so Berman's draws (max_sample maps its row
+    # maxima, sample_paths every path element) and the normal quantile run
+    # where scipy cannot be imported, and load no scipy module
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from maxdep import BermanEquicorrelated, RngStream, StandardNormal, max_sample, sample_paths\n"
+        "norm = StandardNormal()\n"
+        "m = max_sample(BermanEquicorrelated(0.5), norm, 64, 4097, RngStream(1, 2), workers=2)\n"
+        "p = sample_paths(BermanEquicorrelated(0.5), norm, 16, 300, RngStream(1, 3))\n"
+        "q = norm.quantile([1e-300, 0.01, 0.5, 0.9, 1.0 - 2.0**-53])\n"
+        "assert m.shape == (4097,) and p.shape == (300, 16) and abs(q[2]) == 0.0 and q[0] < -37.0 < q[1]\n"
+        "print(*sorted(m for m, v in sys.modules.items() if m.split('.')[0] == 'scipy' and v))\n"
+    )
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 # flags of every model with a sampler (models.MODELS)

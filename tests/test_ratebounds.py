@@ -195,6 +195,24 @@ def test_cuadras_auge_sup_against_mpmath(n, theta):
     assert exact <= bound
 
 
+@pytest.mark.parametrize("n", [25, 50, 945, 10**4, 10**6])
+def test_cuadras_auge_sup_where_eps_is_subnormal(n):
+    # 1/eps overflowed once eps = (1 - theta)^n was subnormal, so exact came
+    # back 0.0: (945, 0.5290169866434201) gave 0.0 for 3.59e-310.  eps runs
+    # from 2^-1020 down past 2^-1074; log1p keeps the reference exact at 50 digits
+    thetas = [-math.expm1(-(1020.0 + 60.0 * k / 40.0) * math.log(2.0) / n) for k in range(41)]
+    if n == 945:
+        thetas.append(0.5290169866434201)
+    for theta in thetas:
+        exact, bound = cuadras_auge_sup(n, theta)
+        with mp.workdps(50):
+            eps = (1 - mp.mpf(theta)) ** n
+            want = eps * mp.exp((1 / eps - 1) * mp.log1p(-eps))
+            ulps = float(abs(mp.mpf(exact) - want) / max(math.ulp(float(want)), 5e-324))
+        assert ulps <= 3.0 + n * -math.log1p(-theta), theta
+        assert exact <= bound
+
+
 @pytest.mark.parametrize("a, b", [(1e-300, 1e10), (1e-200, 1e200), (5e-324, 1.0), (0.5, 1.5)])
 def test_sup_power_diff_against_mpmath(a, b):
     # (b - a)/a overflows at the first two: once (0.0, 0.0) and a NaN value

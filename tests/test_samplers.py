@@ -449,6 +449,18 @@ def test_umax_is_the_path_maximum(model):
         assert np.array_equal(got, want), (model.tag, m, n)
 
 
+@pytest.mark.parametrize("model", UMAX_MODELS, ids=lambda m: m.tag)
+def test_max_sample_is_the_maximum_of_the_sampled_paths(model):
+    # the estimators map a block's 4096 row extremes at once; that must be
+    # bitwise the uniform maximum of each path sample_paths draws, across a
+    # block boundary and a short last slice, on one thread and on two
+    for n in (3, 64):
+        stream = RngStream(2719, n)
+        want = model._to_uniform(sample_paths(model, None, n, 4396, stream)).max(axis=1)
+        for workers in (1, 2):
+            assert np.array_equal(max_sample(model, None, n, 4396, stream, workers=workers), want), (model.tag, n)
+
+
 def test_unit_is_the_double_generator_random_makes():
     # the uniform models draw raw Philox words and map them with _unit; that
     # must be the double Generator.random makes of the same word, leaving both
@@ -475,10 +487,12 @@ def _check_normal_map(z):
     assert np.isfinite(lo) and np.isfinite(hi)
     assert lo == -hi
     # 2^20 cells either side of each branch point: ndtri's (u = e^-2, 1 - e^-2),
-    # erfinv's (|2u - 1| = 1/2, 3/4, 1 - e^-9, 1 - e^-36) and the sign change
+    # erfinv's (|2u - 1| = 1/2, 3/4, 1 - e^-9, 1 - e^-36), AS 241's
+    # (min(u, 1 - u) = 0.075, e^-25) and the sign change
     branches = [math.exp(-2.0), -math.expm1(-2.0), 0.25, 0.75, 0.125, 0.875, 0.5]
     branches += [t / 2.0 for t in (math.exp(-9.0), math.exp(-36.0))]
     branches += [1.0 - t / 2.0 for t in (math.exp(-9.0), math.exp(-36.0))]
+    branches += [0.075, 0.925, math.exp(-25.0), -math.expm1(-25.0)]
     for u in branches:
         cell = int(u * 2**52)
         cells = np.arange(max(cell - 2**20, 0), min(cell + 2**20, 2**52), dtype=np.uint64)
